@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import evaluation, explain, ingest
@@ -20,7 +20,7 @@ from .errors import AmrexError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
 from .smatch import AlignConfig, align_hill_climb
-from .verdict import verify_claim
+from .verdict import precompute_pair_components, verdict_at, verify_claim
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -34,7 +34,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-top", action="store_true",
                    help="exclude the top triple from alignment scoring")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker pool size; 1 forces serial execution")
+                   help="alignment worker processes, capped at usable CPUs; "
+                        "1 aligns in this process")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -157,18 +158,10 @@ def cmd_verify(args) -> int:
     records = _verify_records(cfg, args.claims, args.amrs)
     backend = backend_from_spec(cfg.backend)
     lam = cfg.resolved_lambda()
-    align_cfg = _align_config(cfg)
-
-    def run_one(record):
-        return verify_claim(record, lam, backend, align_cfg, seed=cfg.seed,
-                            empty_evidence=cfg.empty_evidence)
-
-    jobs = cfg.resolved_jobs()
-    if jobs == 1:
-        verdicts = [run_one(r) for r in records]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(run_one, records))
+    components = precompute_pair_components(records, backend, _align_config(cfg),
+                                            cfg.seed, cfg.resolved_jobs())
+    verdicts = [verdict_at(r, components[r.claim_id], lam, cfg.empty_evidence)
+                for r in records]
 
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -189,9 +182,9 @@ def cmd_evaluate(args) -> int:
                else [cfg.resolved_lambda()])
     reports = evaluation.lambda_sweep(records, lambdas, backend,
                                       _align_config(cfg), seed=cfg.seed,
-                                      empty_evidence=cfg.empty_evidence)
+                                      empty_evidence=cfg.empty_evidence,
+                                      jobs=cfg.resolved_jobs())
     if args.report:
-        import os
         os.makedirs(args.report, exist_ok=True)
         for r in reports:
             path = os.path.join(args.report, f"report_lambda_{r.lam:g}.json")
@@ -259,12 +252,10 @@ def cmd_explain(args) -> int:
     if item is None:
         raise AmrexError(f"evidence {evidence_id!r} not found for claim {claim_id!r}")
 
-    from .verdict import pair_seed
-    backend = backend_from_spec(cfg.backend)
-    align_cfg = replace(_align_config(cfg),
-                        seed=pair_seed(cfg.seed, claim_id, evidence_id))
-    score = nli_pair(item.text, item.graph, record.claim_text,
-                     record.claim_graph, cfg.resolved_lambda(), backend, align_cfg)
+    verdict = verify_claim(replace(record, evidence=(item,)), cfg.resolved_lambda(),
+                           backend_from_spec(cfg.backend), _align_config(cfg),
+                           seed=cfg.seed)
+    score = verdict.per_evidence[0].score
     bundle = explain.build_bundle(record.claim_graph, item.graph,
                                   record.claim_text, item.text, score, label=label)
     if args.format == "markdown":

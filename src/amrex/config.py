@@ -25,19 +25,30 @@ class RunConfig:
     backend: str = "test"
     empty_evidence: str = "error"     # or "label-N"
     question_mode: str = "answer-only"
-    jobs: int = 0                     # 0 = available parallelism
+    jobs: int = 0                     # 0 = every usable CPU
 
     def resolved_lambda(self) -> float:
-        if self.lam is not None:
-            return self.lam
-        if self.dataset in _DATASET_LAMBDA_DEFAULTS:
-            return _DATASET_LAMBDA_DEFAULTS[self.dataset]
-        return 0.0
+        lam = _DATASET_LAMBDA_DEFAULTS.get(self.dataset, 0.0) if self.lam is None else self.lam
+        if not 0.0 <= lam <= 1.0:
+            raise ConfigError(f"lambda must be in [0, 1], got {lam}")
+        return lam
 
     def resolved_jobs(self) -> int:
-        if self.jobs and self.jobs > 0:
-            return self.jobs
+        return self.jobs if self.jobs > 0 else usable_cpus()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; all of them where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
         return os.cpu_count() or 1
+
+
+def worker_count(jobs: int, pairs: int, cpus: int) -> int:
+    """Alignment processes for *pairs* pairs: never more than asked for,
+    than there are pairs, or than there are usable CPUs."""
+    return max(1, min(jobs, pairs, cpus))
 
 
 _COERCERS = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .graph import AmrGraph
 from .similarity import SimilarityBackend, cosine
-from .smatch import AlignConfig, VariableMapping, smatch_precision
+from .smatch import AlignConfig, SmatchResult, VariableMapping, smatch_precision
 
 ENTAILMENT_THRESHOLD = 0.6
 
@@ -39,29 +39,29 @@ def combined_score(lam: float, smatch_p: float, cosine_sim: float) -> float:
     return lam * smatch_p + (1.0 - lam) * cosine_sim
 
 
-def th1(f_value: float, threshold: float = ENTAILMENT_THRESHOLD) -> int:
-    """+1 when f_value >= threshold, else -1.  *threshold* is exposed for
-    experimentation only; the pipeline default is 0.6."""
-    return 1 if f_value >= threshold else -1
+def th1(f_value: float) -> int:
+    """+1 when f_value >= 0.6, else -1."""
+    return 1 if f_value >= ENTAILMENT_THRESHOLD else -1
+
+
+def blend(lam: float, alignment: SmatchResult, cosine_sim: float) -> EntailmentScore:
+    """Blend one pair's alignment and cosine at *lam* and threshold it."""
+    f_value = combined_score(lam, alignment.precision, cosine_sim)
+    return EntailmentScore(lam=lam, smatch_p=alignment.precision,
+                           cosine_sim=cosine_sim, f_value=f_value,
+                           decision=th1(f_value), mapping=alignment.mapping)
 
 
 def nli_pair(premise_text: str, premise_amr: AmrGraph,
              hypothesis_text: str, hypothesis_amr: AmrGraph,
              lam: float, backend: SimilarityBackend,
-             cfg: AlignConfig = AlignConfig(),
-             threshold: float = ENTAILMENT_THRESHOLD) -> EntailmentScore:
+             cfg: AlignConfig = AlignConfig()) -> EntailmentScore:
     """Score one (evidence, claim) pair.
 
     Runs the alignment with the claim as hypothesis, embeds both texts,
     blends the scores and thresholds.  Embedding misses propagate as typed
     errors; they never degrade to a default score.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
     alignment = smatch_precision(premise_amr, hypothesis_amr, cfg)
     sim = cosine(backend.embed(premise_text), backend.embed(hypothesis_text))
-    f_value = combined_score(lam, alignment.precision, sim)
-    return EntailmentScore(lam=lam, smatch_p=alignment.precision,
-                           cosine_sim=sim, f_value=f_value,
-                           decision=th1(f_value, threshold),
-                           mapping=alignment.mapping)
+    return blend(lam, alignment, sim)

@@ -1,22 +1,22 @@
 """Multiclass metrics over verdicts and lambda sweeps.
 
 Macro F1 averages over the dataset's full label set, so a label that never
-occurs contributes 0.  The sweep computes each pair's alignment precision
-and cosine similarity once and re-applies only the cheap blend/threshold
-arithmetic per lambda, which is guaranteed (and tested) to agree with an
-independent single-lambda run.
+occurs contributes 0.  The sweep computes each pair's components once with
+:func:`amrex.verdict.precompute_pair_components` and re-applies only the
+cheap blend/threshold arithmetic per lambda, which is guaranteed (and
+tested) to agree with an independent single-lambda run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entailment import combined_score, th1
 from .errors import ConfigError, DatasetError
 from .ingest import ClaimRecord
-from .similarity import SimilarityBackend, cosine
-from .smatch import AlignConfig, smatch_precision
-from .verdict import VerdictLabel, aggregate, label_set, pair_seed, th2
+from .similarity import SimilarityBackend
+from .smatch import AlignConfig
+from .verdict import (PairComponents, VerdictLabel, label_set,
+                      precompute_pair_components, verdict_at)
 
 
 @dataclass(frozen=True)
@@ -64,67 +64,26 @@ def score_predictions(gold: list[VerdictLabel],
                             confusion=confusion, n_claims=len(gold))
 
 
-@dataclass(frozen=True)
-class _PairComponents:
-    evidence_id: str
-    smatch_p: float
-    cosine_sim: float
-
-
-def precompute_pair_components(records: list[ClaimRecord],
-                               backend: SimilarityBackend,
-                               cfg: AlignConfig = AlignConfig(),
-                               seed: int = 0) -> dict[str, list[_PairComponents]]:
-    """One alignment + one cosine per (claim, evidence) pair, reusable
-    across lambda values."""
-    from dataclasses import replace
-    components: dict[str, list[_PairComponents]] = {}
-    for record in records:
-        usable = [ev for ev in record.evidence if ev.kind != "boolean"]
-        rows = []
-        for ev in usable:
-            if record.claim_graph is None or ev.graph is None:
-                raise DatasetError(
-                    f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}: "
-                    "AMR graph not joined")
-            pcfg = replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id))
-            alignment = smatch_precision(ev.graph, record.claim_graph, pcfg)
-            sim = cosine(backend.embed(ev.text), backend.embed(record.claim_text))
-            rows.append(_PairComponents(ev.evidence_id, alignment.precision, sim))
-        components[record.claim_id] = rows
-    return components
-
-
 def predictions_at_lambda(records: list[ClaimRecord],
-                          components: dict[str, list[_PairComponents]],
+                          components: dict[str, list[PairComponents]],
                           lam: float,
                           empty_evidence: str = "error") -> list[VerdictLabel]:
-    pred = []
-    for record in records:
-        rows = components[record.claim_id]
-        if not rows:
-            if empty_evidence == "label-N":
-                pred.append(VerdictLabel("N", record.dataset))
-                continue
-            raise DatasetError(
-                f"claim {record.claim_id!r} has no usable evidence after filtering")
-        decisions = [th1(combined_score(lam, row.smatch_p, row.cosine_sim))
-                     for row in rows]
-        pred.append(th2(aggregate(decisions), record.dataset))
-    return pred
+    return [verdict_at(r, components[r.claim_id], lam, empty_evidence).label
+            for r in records]
 
 
 def lambda_sweep(records: list[ClaimRecord], lambdas: list[float],
                  backend: SimilarityBackend,
                  cfg: AlignConfig = AlignConfig(), seed: int = 0,
-                 empty_evidence: str = "error") -> list[EvaluationReport]:
+                 empty_evidence: str = "error",
+                 jobs: int = 1) -> list[EvaluationReport]:
     """One report per lambda over the same precomputed pair components."""
     if not lambdas:
         raise ConfigError("lambda sweep needs at least one value")
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    components = precompute_pair_components(records, backend, cfg, seed)
+    components = precompute_pair_components(records, backend, cfg, seed, jobs)
     gold = [r.gold_label for r in records]
     reports = []
     for lam in lambdas:

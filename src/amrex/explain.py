@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import requests
-
 from .entailment import EntailmentScore
 from .errors import TemplateError, TransportError
 from .graph import AmrGraph, serialize_penman
+from .similarity import post_json
 
 
 @dataclass(frozen=True)
@@ -169,17 +168,8 @@ def generate_explanation(prompt: str, service_url: str,
 
     The verdict is never altered by the response.
     """
-    try:
-        resp = requests.post(f"{service_url.rstrip('/')}/generate",
-                             json={"prompt": prompt}, timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(f"generation service unreachable: {exc}")
-    if resp.status_code != 200:
-        raise TransportError(f"generation service returned HTTP {resp.status_code}")
-    try:
-        text = resp.json()["text"]
-    except (ValueError, KeyError) as exc:
-        raise TransportError(f"malformed generation response: {exc}")
+    text = post_json(f"{service_url.rstrip('/')}/generate", {"prompt": prompt},
+                     "text", timeout, "generation service")
     if not text:
         raise TransportError("generation service returned an empty completion")
     return text

@@ -125,10 +125,6 @@ class AmrGraph:
         if unreachable:
             raise GraphError(f"nodes unreachable from root: {unreachable}")
 
-    @property
-    def variables(self) -> list[str]:
-        return list(self.nodes)
-
 
 class _Parser:
     def __init__(self, text: str):

@@ -9,13 +9,13 @@ bitwise identical within a run.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
-import threading
+import urllib.error
+import urllib.request
 import zlib
 from dataclasses import dataclass
-
-import requests
 
 from .errors import ConfigError, EmbeddingMissError, SimilarityError, TransportError
 
@@ -39,22 +39,16 @@ class EmbeddingVector:
 class SimilarityBackend:
     """Base backend: resolves a text to exactly one vector or a typed miss."""
 
-    kind = "abstract"
-
     def __init__(self):
         self._cache: dict[str, EmbeddingVector] = {}
-        self._lock = threading.Lock()
 
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise SimilarityError("cannot embed empty text")
-        with self._lock:
-            cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        vec = self._embed(text)
-        with self._lock:
-            return self._cache.setdefault(text, vec)
+        cached = self._cache.get(text)
+        if cached is None:
+            cached = self._cache[text] = self._embed(text)
+        return cached
 
     def _embed(self, text: str) -> EmbeddingVector:
         raise NotImplementedError
@@ -63,8 +57,6 @@ class SimilarityBackend:
 class PrecomputedFileBackend(SimilarityBackend):
     """Looks vectors up by exact text key in a JSONL file of
     ``{"text": ..., "vector": [...]}`` records."""
-
-    kind = "precomputed-file"
 
     def __init__(self, path: str):
         super().__init__()
@@ -91,8 +83,6 @@ class EmbeddingServiceBackend(SimilarityBackend):
     """POSTs ``{"texts": [...]}`` to ``<endpoint>/embed`` and expects
     ``{"vectors": [[...], ...]}`` in the same order."""
 
-    kind = "embedding-service"
-
     def __init__(self, endpoint: str, timeout: float = 30.0):
         super().__init__()
         self.endpoint = endpoint.rstrip("/")
@@ -102,18 +92,8 @@ class EmbeddingServiceBackend(SimilarityBackend):
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: list[str]) -> list[EmbeddingVector]:
-        try:
-            resp = requests.post(f"{self.endpoint}/embed",
-                                 json={"texts": texts}, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding service unreachable: {exc}")
-        if resp.status_code != 200:
-            raise TransportError(
-                f"embedding service returned HTTP {resp.status_code}")
-        try:
-            vectors = resp.json()["vectors"]
-        except (ValueError, KeyError) as exc:
-            raise TransportError(f"malformed embedding response: {exc}")
+        vectors = post_json(f"{self.endpoint}/embed", {"texts": texts},
+                            "vectors", self.timeout, "embedding service")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise TransportError(
                 f"embedding response length {len(vectors) if isinstance(vectors, list) else '?'} "
@@ -121,12 +101,38 @@ class EmbeddingServiceBackend(SimilarityBackend):
         return [EmbeddingVector(tuple(v)) for v in vectors]
 
 
+def post_json(url: str, payload: dict, key: str, timeout: float, service: str):
+    """POST *payload* as JSON to *url* and return field *key* of the reply.
+
+    An unreachable or timed-out *service*, a status other than 200, and a
+    reply that is not a JSON object holding *key* are all TransportErrors.
+    """
+    try:
+        request = urllib.request.Request(
+            url, data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        status, body = exc.code, b""
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        raise TransportError(f"{service} unreachable: {exc}")
+    if status != 200:
+        raise TransportError(f"{service} returned HTTP {status}")
+    try:
+        reply = json.loads(body)
+    except ValueError as exc:
+        raise TransportError(f"malformed {service} response: {exc}")
+    if not isinstance(reply, dict) or key not in reply:
+        raise TransportError(f"malformed {service} response: no JSON object with {key!r}")
+    return reply[key]
+
+
 class DeterministicTestBackend(SimilarityBackend):
     """Model-free backend hashing character trigrams into a fixed-dim
     vector.  Reproducible across runs and platforms; for tests and demos
     only, the vectors carry no semantics beyond surface overlap."""
-
-    kind = "deterministic-test"
 
     def __init__(self, dim: int = 256):
         super().__init__()

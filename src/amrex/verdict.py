@@ -1,4 +1,4 @@
-"""Per-claim verdicts: aggregate pair decisions and threshold-classify.
+"""Per-claim verdicts: score every pair once, aggregate, threshold-classify.
 
 The mean decision e over a claim's evidence is kept as an exact rational so
 comparisons against the classification boundaries (0.1 and 0.5) never flip
@@ -15,15 +15,18 @@ both are applied literally.
 
 from __future__ import annotations
 
+import multiprocessing
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
 
-from .entailment import EntailmentScore, nli_pair
+from .config import usable_cpus, worker_count
+from .entailment import EntailmentScore, blend
 from .errors import ConfigError, DatasetError
-from .similarity import SimilarityBackend
-from .smatch import AlignConfig
+from .similarity import SimilarityBackend, cosine
+from .smatch import AlignConfig, SmatchResult, smatch_precision
 
 FEVER = "fever"
 AVERITEC = "averitec"
@@ -119,36 +122,77 @@ def pair_seed(global_seed: int, claim_id: str, evidence_id: str) -> int:
     return zlib.crc32(f"{global_seed}:{claim_id}:{evidence_id}".encode("utf-8"))
 
 
-def verify_claim(record, lam: float, backend: SimilarityBackend,
-                 cfg: AlignConfig = AlignConfig(), seed: int = 0,
-                 empty_evidence: str = "error") -> ClaimVerdict:
-    """Score every evidence pair of *record*, aggregate, and classify.
+@dataclass(frozen=True)
+class PairComponents:
+    """What one (claim, evidence) pair contributes at any lambda."""
+    evidence_id: str
+    alignment: SmatchResult
+    cosine_sim: float
 
-    *record* is a :class:`amrex.ingest.ClaimRecord` with graphs joined.
-    Boolean evidence never reaches this point; if filtering left no usable
-    evidence the *empty_evidence* policy decides between a hard error and
-    an N verdict.
+
+def precompute_pair_components(records, backend: SimilarityBackend,
+                               cfg: AlignConfig = AlignConfig(), seed: int = 0,
+                               jobs: int = 1) -> dict[str, list[PairComponents]]:
+    """Per-pair components of every joined :class:`amrex.ingest.ClaimRecord`.
+
+    Drops boolean evidence and embeds every text in this process.  The
+    alignments run here at ``jobs == 1``, else in worker processes; each
+    pair has its own seed, so the result does not depend on *jobs*.
     """
-    usable = [ev for ev in record.evidence if ev.kind != "boolean"]
-    if not usable:
+    components: dict[str, list[PairComponents]] = {}
+    pairs = []
+    for record in records:
+        if record.claim_id in components:
+            raise DatasetError(f"claim {record.claim_id!r} appears twice")
+        components[record.claim_id] = []
+        for ev in record.evidence:
+            if ev.kind == "boolean":
+                continue
+            if record.claim_graph is None or ev.graph is None:
+                raise DatasetError(
+                    f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}: "
+                    "AMR graph not joined")
+            pairs.append((record, ev))
+    sims = [cosine(backend.embed(ev.text), backend.embed(record.claim_text))
+            for record, ev in pairs]
+    columns = ([ev.graph for _, ev in pairs],
+               [record.claim_graph for record, _ in pairs],
+               [replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id))
+                for record, ev in pairs])
+    workers = worker_count(jobs, len(pairs), usable_cpus())
+    if workers == 1:
+        alignments = list(map(smatch_precision, *columns))
+    else:
+        # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+            alignments = list(pool.map(smatch_precision, *columns))
+    for (record, ev), alignment, sim in zip(pairs, alignments, sims):
+        components[record.claim_id].append(
+            PairComponents(ev.evidence_id, alignment, sim))
+    return components
+
+
+def verdict_at(record, rows: list[PairComponents], lam: float,
+               empty_evidence: str = "error") -> ClaimVerdict:
+    """Blend *record*'s pair components at *lam*, aggregate and classify.
+    No usable evidence is an error, or N under ``label-N`` *empty_evidence*."""
+    if not rows:
         if empty_evidence == "label-N":
             return ClaimVerdict(claim_id=record.claim_id, e_value=Fraction(0),
                                 label=VerdictLabel("N", record.dataset),
                                 per_evidence=())
         raise DatasetError(
             f"claim {record.claim_id!r} has no usable evidence after filtering")
-    if record.claim_graph is None:
-        raise DatasetError(f"claim {record.claim_id!r} has no AMR")
-    pairs = []
-    for ev in usable:
-        if ev.graph is None:
-            raise DatasetError(
-                f"evidence {ev.evidence_id!r} of claim {record.claim_id!r} has no AMR")
-        pcfg = replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id))
-        score = nli_pair(ev.text, ev.graph, record.claim_text,
-                         record.claim_graph, lam, backend, pcfg)
-        pairs.append(PairScore(evidence_id=ev.evidence_id, score=score))
+    pairs = tuple(PairScore(row.evidence_id, blend(lam, row.alignment, row.cosine_sim))
+                  for row in rows)
     e = aggregate([p.score.decision for p in pairs])
     return ClaimVerdict(claim_id=record.claim_id, e_value=e,
-                        label=th2(e, record.dataset),
-                        per_evidence=tuple(pairs))
+                        label=th2(e, record.dataset), per_evidence=pairs)
+
+
+def verify_claim(record, lam: float, backend: SimilarityBackend,
+                 cfg: AlignConfig = AlignConfig(), seed: int = 0,
+                 empty_evidence: str = "error") -> ClaimVerdict:
+    """Score every evidence pair of one claim record, aggregate, and classify."""
+    rows = precompute_pair_components([record], backend, cfg, seed)[record.claim_id]
+    return verdict_at(record, rows, lam, empty_evidence)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amrex
 from amrex.cli import dispatch
-from amrex.config import RunConfig, apply_env, load_config_file
+from amrex.config import (RunConfig, apply_env, load_config_file, usable_cpus,
+                          worker_count)
 from amrex.errors import ConfigError
 from amrex.graph import parse_penman
 
@@ -126,15 +131,22 @@ def test_verify_writes_jsonl(fever_files, tmp_path, capsys):
     assert "dataset = fever" in capsys.readouterr().err
 
 
-def test_verify_parallel_matches_serial_byte_for_byte(fever_files, tmp_path):
+@pytest.mark.parametrize("command", [
+    ["verify", "--out", "{out}/verdicts.jsonl"],
+    ["evaluate", "--sweep", "0:1:0.5", "--report", "{out}"],
+], ids=["verify", "evaluate-sweep-report"])
+def test_parallel_matches_serial_byte_for_byte(fever_files, tmp_path, command):
     claims, amrs = fever_files
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    base = ["verify", "--dataset", "fever", "--claims", claims,
-            "--amrs", amrs, "--backend", "test:dim=64", "--seed", "11"]
-    assert dispatch(base + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert dispatch(base + ["--jobs", "8", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    outputs = {}
+    for jobs in ("1", "8"):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        argv = [arg.format(out=out) for arg in command]
+        assert dispatch(argv + ["--dataset", "fever", "--claims", claims,
+                                "--amrs", amrs, "--backend", "test:dim=64",
+                                "--seed", "11", "--jobs", jobs]) == 0
+        outputs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["1"] and outputs["1"] == outputs["8"]
 
 
 def test_verify_missing_amr_is_domain_error(fever_files, tmp_path, capsys):
@@ -242,6 +254,28 @@ def test_config_precedence_file_env_flag(fever_files, tmp_path, capsys,
     assert "seed = 7" in err
 
 
+def test_worker_count_never_exceeds_pairs_or_cpus():
+    assert worker_count(10**9, 10**9, 2) == 2
+    assert worker_count(10**9, 3, 10**6) == 3
+    assert worker_count(1, 10**9, 64) == 1
+    assert worker_count(8, 0, 8) == 1
+    cpus = usable_cpus()
+    assert 1 <= cpus <= (os.cpu_count() or cpus)
+    assert RunConfig().resolved_jobs() == cpus
+    assert RunConfig(jobs=10**9).resolved_jobs() == 10**9
+
+
+def test_cli_import_loads_no_http_library():
+    src = os.path.dirname(os.path.dirname(amrex.__file__))
+    probe = ("import sys, amrex.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('requests', 'urllib3')))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src},
+                            check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
+
+
 def test_config_validation(tmp_path):
     cfg = RunConfig()
     with pytest.raises(ConfigError):
@@ -253,3 +287,5 @@ def test_config_validation(tmp_path):
     bad.write_text("mystery = 1\n")
     with pytest.raises(ConfigError):
         load_config_file(cfg, str(bad))
+    with pytest.raises(ConfigError):
+        RunConfig(dataset="fever", lam=1.5).resolved_lambda()

@@ -128,6 +128,7 @@ def generate_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_generation_relays_prompt(generate_server):

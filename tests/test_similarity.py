@@ -85,17 +85,25 @@ def test_backend_from_spec():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Answers ``POST <prefix>/embed``; the prefix picks the reply."""
+
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path == "/embed":
-            payload = {"vectors": [[float(len(t)), 1.0] for t in body["texts"]]}
-        elif self.path == "/embed-short":
-            payload = {"vectors": []}
+        vectors = [[float(len(t)), 1.0] for t in body["texts"]]
+        replies = {
+            "/embed": {"vectors": vectors},
+            "/short/embed": {"vectors": vectors[:-1]},
+            "/list/embed": [vectors],
+            "/nokey/embed": {"vecs": vectors},
+        }
+        if self.path == "/text/embed":
+            data = b"not json"
+        elif self.path in replies:
+            data = json.dumps(replies[self.path]).encode()
         else:
             self.send_response(404)
             self.end_headers()
             return
-        data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -113,22 +121,39 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_service_backend_roundtrip(stub_server):
     backend = EmbeddingServiceBackend(stub_server)
     vec = backend.embed("hello")
     assert vec.values == (5.0, 1.0)
+    assert [v.values for v in backend.embed_many(["a", "bb"])] == [(1.0, 1.0), (2.0, 1.0)]
 
 
 def test_service_backend_length_mismatch(stub_server):
-    backend = EmbeddingServiceBackend(stub_server)
-    backend.endpoint = f"{stub_server}/x"  # routes to 404 -> transport error
-    with pytest.raises(TransportError):
+    backend = EmbeddingServiceBackend(f"{stub_server}/short")
+    with pytest.raises(TransportError) as exc:
+        backend.embed_many(["one", "two", "three"])
+    assert "length 2 does not match request length 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ("/missing", "HTTP 404"),
+    ("/text", "malformed"),
+    ("/list", "malformed"),
+    ("/nokey", "malformed"),
+])
+def test_service_backend_bad_reply(stub_server, prefix, message):
+    backend = EmbeddingServiceBackend(stub_server + prefix)
+    with pytest.raises(TransportError) as exc:
         backend.embed("hello")
+    assert message in str(exc.value)
 
 
 def test_service_backend_unreachable():
     backend = EmbeddingServiceBackend("http://127.0.0.1:9", timeout=0.2)
     with pytest.raises(TransportError):
         backend.embed("hello")
+    with pytest.raises(TransportError):
+        EmbeddingServiceBackend("no-scheme-host").embed("hello")
