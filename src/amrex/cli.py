@@ -11,48 +11,54 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import evaluation, explain, ingest
 from .config import RunConfig, apply_env, effective_config_lines, load_config_file
-from .entailment import nli_pair
-from .errors import AmrexError
+from .entailment import EntailmentScore, nli_pair
+from .errors import AmrexError, DatasetError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
-from .smatch import AlignConfig, align_hill_climb
-from .verdict import precompute_pair_components, verdict_at, verify_claim
+from .smatch import AlignConfig, VariableMapping, align_hill_climb
+from .verdict import precompute_pair_components, verdict_at
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
+
+
+def _align_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--no-top", dest="include_top", action="store_false",
+                   default=None,
+                   help="exclude the top triple from alignment scoring")
+
+
+def _blend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="weight of the structural score in [0, 1]")
     p.add_argument("--backend", default=None,
                    help="similarity backend: test[:dim=N], file:<path>, service:<url>")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-top", action="store_true",
-                   help="exclude the top triple from alignment scoring")
+
+
+def _jobs_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None,
                    help="alignment worker processes, capped at usable CPUs; "
                         "1 aligns in this process")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults < --config file < AMREX_* environment < the flags in *args*;
+    each flag's dest is the name of the RunConfig field it sets."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         load_config_file(cfg, args.config)
     apply_env(cfg)
-    for attr, key in (("dataset", "dataset"), ("lam", "lam"),
-                      ("backend", "backend"), ("restarts", "restarts"),
-                      ("seed", "seed"), ("jobs", "jobs"),
-                      ("empty_evidence", "empty_evidence"),
-                      ("question_mode", "question_mode")):
-        value = getattr(args, attr, None)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "no_top", False):
-        cfg.include_top = False
+            setattr(cfg, field.name, value)
     return cfg
 
 
@@ -67,8 +73,11 @@ def _print_header(cfg: RunConfig) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise AmrexError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def cmd_parse(args) -> int:
@@ -138,15 +147,17 @@ def _verify_records(cfg: RunConfig, claims_path: str, amrs_path: str):
     return ingest.join_amrs(records, bundle, strict=True)
 
 
-def _verdict_json(v) -> str:
+def _verdict_json(v, lam: float) -> str:
     return json.dumps({
         "claim_id": v.claim_id,
         "label": v.label.value,
         "e": float(v.e_value),
+        "lambda": lam,
         "pairs": [
             {"evidence_id": p.evidence_id, "f": p.score.f_value,
              "smatch_p": p.score.smatch_p, "cosine": p.score.cosine_sim,
-             "decision": p.score.decision}
+             "decision": p.score.decision,
+             "mapping": [list(pair) for pair in p.score.mapping.pairs]}
             for p in v.per_evidence
         ],
     })
@@ -166,7 +177,7 @@ def cmd_verify(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for v in verdicts:
-            out.write(_verdict_json(v) + "\n")
+            out.write(_verdict_json(v, lam) + "\n")
     finally:
         if args.out:
             out.close()
@@ -230,20 +241,36 @@ def _parse_pair_selector(spec: str) -> tuple[str, str, str]:
     return path, claim_id, evidence_id
 
 
+def _stored_score(verdict_path: str, claim_id: str,
+                  evidence_id: str) -> tuple[str, EntailmentScore]:
+    """The verdict label and the scored pair that ``verify`` stored."""
+    row = next((raw for _, raw in ingest.read_jsonl(verdict_path)
+                if raw.get("claim_id") == claim_id), None)
+    if row is None:
+        raise AmrexError(f"claim {claim_id!r} not found in {verdict_path}")
+    where = f"{verdict_path}: claim {claim_id!r} / evidence {evidence_id!r}"
+    try:
+        pair = next((p for p in row["pairs"] if p["evidence_id"] == evidence_id), None)
+        if pair is None:
+            raise AmrexError(
+                f"evidence {evidence_id!r} not found for claim {claim_id!r} "
+                f"in {verdict_path}")
+        return row["label"], EntailmentScore(
+            lam=row["lambda"], smatch_p=pair["smatch_p"],
+            cosine_sim=pair["cosine"], f_value=pair["f"],
+            decision=pair["decision"], mapping=VariableMapping(pair["mapping"]))
+    except KeyError as exc:
+        raise DatasetError(
+            f"{where}: no stored {exc}; re-run verify to record the scored pair")
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{where}: malformed verdict row: {exc}")
+
+
 def cmd_explain(args) -> int:
     cfg = _build_config(args)
     _print_header(cfg)
     verdict_path, claim_id, evidence_id = _parse_pair_selector(args.pair)
-    label = None
-    with open(verdict_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                row = json.loads(line)
-                if row["claim_id"] == claim_id:
-                    label = row["label"]
-                    break
-    if label is None:
-        raise AmrexError(f"claim {claim_id!r} not found in {verdict_path}")
+    label, score = _stored_score(verdict_path, claim_id, evidence_id)
     records = _verify_records(cfg, args.claims, args.amrs)
     record = next((r for r in records if r.claim_id == claim_id), None)
     if record is None:
@@ -251,11 +278,12 @@ def cmd_explain(args) -> int:
     item = next((ev for ev in record.evidence if ev.evidence_id == evidence_id), None)
     if item is None:
         raise AmrexError(f"evidence {evidence_id!r} not found for claim {claim_id!r}")
+    if not all(hv in record.claim_graph.nodes and pv in item.graph.nodes
+               for hv, pv in score.mapping.pairs):
+        raise DatasetError(
+            f"claim {claim_id!r} / evidence {evidence_id!r}: the stored mapping "
+            f"names variables missing from {args.amrs}; re-run verify")
 
-    verdict = verify_claim(replace(record, evidence=(item,)), cfg.resolved_lambda(),
-                           backend_from_spec(cfg.backend), _align_config(cfg),
-                           seed=cfg.seed)
-    score = verdict.per_evidence[0].score
     bundle = explain.build_bundle(record.claim_graph, item.graph,
                                   record.claim_text, item.text, score, label=label)
     if args.format == "markdown":
@@ -286,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--premise", required=True)
     p.add_argument("--hypothesis", required=True)
     p.add_argument("--json", action="store_true")
-    _common_flags(p)
+    _config_flag(p)
+    _align_flags(p)
     p.set_defaults(func=cmd_smatch)
 
     p = sub.add_parser("score-pair", help="score one claim/evidence pair")
@@ -295,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim-text", required=True)
     p.add_argument("--evidence-text", required=True)
     p.add_argument("--json", action="store_true")
-    _common_flags(p)
+    _config_flag(p)
+    _align_flags(p)
+    _blend_flags(p)
     p.set_defaults(func=cmd_score_pair)
 
     p = sub.add_parser("verify", help="verdicts for a claims file")
@@ -307,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["error", "label-N"], default=None)
     p.add_argument("--question-mode", dest="question_mode",
                    choices=["answer-only", "question-plus-answer"], default=None)
-    _common_flags(p)
+    _config_flag(p)
+    _align_flags(p)
+    _blend_flags(p)
+    _jobs_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="metrics, optionally over a lambda sweep")
@@ -320,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["error", "label-N"], default=None)
     p.add_argument("--question-mode", dest="question_mode",
                    choices=["answer-only", "question-plus-answer"], default=None)
-    _common_flags(p)
+    _config_flag(p)
+    _align_flags(p)
+    _blend_flags(p)
+    _jobs_flag(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ingest", help="normalize a dataset file and print stats")
@@ -330,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true")
     p.add_argument("--question-mode", dest="question_mode",
                    choices=["answer-only", "question-plus-answer"], default=None)
-    _common_flags(p)
+    _config_flag(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("explain", help="render the node-mapping justification of a scored pair")
@@ -344,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--service", default=None, help="generation service URL")
     p.add_argument("--question-mode", dest="question_mode",
                    choices=["answer-only", "question-plus-answer"], default=None)
-    _common_flags(p)
+    _config_flag(p)
     p.set_defaults(func=cmd_explain)
 
     return parser
@@ -362,3 +399,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -72,15 +72,38 @@ class ClaimRecord:
             raise DatasetError(f"claim {self.claim_id!r}: duplicate evidence ids")
 
 
-def _read_jsonl(path: str):
-    with open(path, encoding="utf-8") as fh:
+def read_jsonl(path: str):
+    """Yield ``(line number, object)`` for each non-blank line of *path*.
+    An unreadable file, bad JSON and a value that is not an object are
+    DatasetErrors naming ``path:line``."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror or exc}")
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: bad JSON: {exc}")
+            if not isinstance(value, dict):
+                raise DatasetError(f"{path}:{lineno}: expected a JSON object, "
+                                   f"got {type(value).__name__}")
+            yield lineno, value
+
+
+def _load_records(path: str, parse_record) -> list[ClaimRecord]:
+    """``parse_record(raw, lineno)`` for each line of *path*; a missing
+    required key is a DatasetError naming ``path:line``."""
+    records = []
+    for lineno, raw in read_jsonl(path):
+        try:
+            records.append(parse_record(raw, lineno))
+        except KeyError as exc:
+            raise DatasetError(f"{path}:{lineno}: missing key {exc}")
+    return records
 
 
 def _map_label(raw: str, mapping: dict[str, str], dataset: str,
@@ -111,8 +134,7 @@ def _normalized_evidence(raw_items, claim_id: str, dataset: str) -> list[Evidenc
 def load_fever(path: str) -> list[ClaimRecord]:
     """Load 3-way claims.  Every claim, N-labelled ones included, must
     carry at least one evidence sentence (the N-augmented release)."""
-    records = []
-    for lineno, raw in _read_jsonl(path):
+    def parse_record(raw, lineno):
         claim_id = str(raw.get("claim_id", lineno))
         label = _map_label(raw["label"], FEVER_LABEL_MAP, FEVER, claim_id)
         evidence = _normalized_evidence(raw.get("evidence", []), claim_id, FEVER)
@@ -120,10 +142,10 @@ def load_fever(path: str) -> list[ClaimRecord]:
             raise DatasetError(
                 f"claim {claim_id!r} has no evidence; expected the release "
                 "that provides evidence for N-labelled claims")
-        records.append(ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
-                                   dataset=FEVER, gold_label=label,
-                                   evidence=evidence))
-    return records
+        return ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
+                           dataset=FEVER, gold_label=label, evidence=evidence)
+
+    return _load_records(path, parse_record)
 
 
 def _averitec_items_from_questions(questions, claim_id: str,
@@ -154,8 +176,7 @@ def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRe
     """
     if question_mode not in ("answer-only", "question-plus-answer"):
         raise DatasetError(f"unknown question mode {question_mode!r}")
-    records = []
-    for lineno, raw in _read_jsonl(path):
+    def parse_record(raw, lineno):
         claim_id = str(raw.get("claim_id", lineno))
         label = _map_label(raw["label"], AVERITEC_LABEL_MAP, AVERITEC, claim_id)
         if "questions" in raw:
@@ -167,10 +188,10 @@ def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRe
                 items = [replace(ev, text=f"{ev.question} {ev.text}")
                          if ev.question else ev for ev in items]
         items = [ev for ev in items if ev.kind != "boolean"]
-        records.append(ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
-                                   dataset=AVERITEC, gold_label=label,
-                                   evidence=items))
-    return records
+        return ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
+                           dataset=AVERITEC, gold_label=label, evidence=items)
+
+    return _load_records(path, parse_record)
 
 
 def load_claims(path: str, dataset: str,
@@ -186,7 +207,7 @@ def load_amr_bundle(path: str) -> dict[str, AmrGraph]:
     """Parse an ``{"id", "penman"}`` JSONL bundle into graphs, annotating
     parse failures with the offending id."""
     bundle: dict[str, AmrGraph] = {}
-    for lineno, raw in _read_jsonl(path):
+    for lineno, raw in read_jsonl(path):
         try:
             rid = str(raw["id"])
             text = raw["penman"]

@@ -69,7 +69,7 @@ class PrecomputedFileBackend(SimilarityBackend):
                 try:
                     record = json.loads(line)
                     self._table[record["text"]] = EmbeddingVector(tuple(record["vector"]))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")
 
     def _embed(self, text: str) -> EmbeddingVector:
@@ -98,7 +98,10 @@ class EmbeddingServiceBackend(SimilarityBackend):
             raise TransportError(
                 f"embedding response length {len(vectors) if isinstance(vectors, list) else '?'} "
                 f"does not match request length {len(texts)}")
-        return [EmbeddingVector(tuple(v)) for v in vectors]
+        try:
+            return [EmbeddingVector(tuple(v)) for v in vectors]
+        except (TypeError, ValueError) as exc:
+            raise TransportError(f"malformed embedding service vector: {exc}")
 
 
 def post_json(url: str, payload: dict, key: str, timeout: float, service: str):

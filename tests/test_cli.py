@@ -10,7 +10,7 @@ from amrex.cli import dispatch
 from amrex.config import (RunConfig, apply_env, load_config_file, usable_cpus,
                           worker_count)
 from amrex.errors import ConfigError
-from amrex.graph import parse_penman
+from amrex.graph import parse_penman, serialize_penman
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING)
@@ -199,9 +199,9 @@ def test_ingest_stats_and_normalize(fever_files, tmp_path, capsys):
 def test_explain_text_and_prompt(fever_files, tmp_path, capsys):
     claims, amrs = fever_files
     verdicts = tmp_path / "verdicts.jsonl"
-    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs,
-            "--backend", "test:dim=64"]
-    assert dispatch(["verify", *base, "--out", str(verdicts)]) == 0
+    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", *base, "--backend", "test:dim=64",
+                     "--out", str(verdicts)]) == 0
     capsys.readouterr()
     pair = f"{verdicts}#c-rabies/e-rabies"
     assert dispatch(["explain", "--pair", pair, *base]) == 0
@@ -219,9 +219,9 @@ def test_explain_text_and_prompt(fever_files, tmp_path, capsys):
 def test_explain_recomputation_matches_verify(fever_files, tmp_path, capsys):
     claims, amrs = fever_files
     verdicts = tmp_path / "verdicts.jsonl"
-    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs,
-            "--backend", "test:dim=64", "--seed", "5"]
-    assert dispatch(["verify", *base, "--out", str(verdicts)]) == 0
+    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", *base, "--backend", "test:dim=64", "--seed", "5",
+                     "--out", str(verdicts)]) == 0
     capsys.readouterr()
     row = next(json.loads(l) for l in open(verdicts)
                if json.loads(l)["claim_id"] == "c-marnie")
@@ -230,6 +230,121 @@ def test_explain_recomputation_matches_verify(fever_files, tmp_path, capsys):
     text = capsys.readouterr().out
     assert f"combined (lambda=0): {row['pairs'][0]['f']:.4f}" in text
     assert f"verdict: {row['label']}" in text
+
+
+def test_explain_renders_the_stored_pair(fever_files, tmp_path, capsys,
+                                         monkeypatch):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", *base, "--backend", "test:dim=64",
+                     "--out", str(verdicts)]) == 0
+    capsys.readouterr()
+    row = next(json.loads(l) for l in open(verdicts)
+               if json.loads(l)["claim_id"] == "c-marnie")
+    stored = row["pairs"][0]
+    # Scoring settings that differ from the verify run, and an embedding
+    # service nobody listens on: explain must use none of them.
+    for key, value in {"LAMBDA": "1", "SEED": "9", "RESTARTS": "1",
+                       "INCLUDE_TOP": "0",
+                       "BACKEND": "service:http://127.0.0.1:9"}.items():
+        monkeypatch.setenv(f"AMREX_{key}", value)
+    assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
+                     *base]) == 0
+    text = capsys.readouterr().out
+    claim, evidence = parse_penman(MARNIE_CLAIM), parse_penman(MARNIE_EVIDENCE)
+    mapping_lines = [f"{hv}({claim.nodes[hv]}) --> {pv}({evidence.nodes[pv]})"
+                     for hv, pv in stored["mapping"]]
+    assert stored["mapping"] and [l for l in text.splitlines()
+                                  if "-->" in l] == mapping_lines
+    assert f"structural containment: {stored['smatch_p']:.4f}" in text
+    assert f"textual similarity: {stored['cosine']:.4f}" in text
+    assert f"combined (lambda={row['lambda']:g}): {stored['f']:.4f}" in text
+    assert f"decision: {stored['decision']:+d}" in text
+    assert f"verdict: {row['label']}" in text
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda pair: pair.pop("mapping"), "no stored 'mapping'; re-run verify"),
+    (lambda pair: pair.update(mapping=[["a0", "b99"]]), "missing from"),
+], ids=["no-mapping", "unknown-variable"])
+def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
+                                                        capsys, corrupt, message):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", *base, "--out", str(verdicts)]) == 0
+    rows = [json.loads(l) for l in open(verdicts)]
+    corrupt(rows[0]["pairs"][0])
+    verdicts.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
+                     *base]) == 1
+    assert message in capsys.readouterr().err
+
+
+_REQUIRED_ARGS = {
+    "smatch": ["--premise", "p.amr", "--hypothesis", "h.amr"],
+    "score-pair": ["--claim-amr", "c.amr", "--evidence-amr", "e.amr",
+                   "--claim-text", "c", "--evidence-text", "e"],
+    "ingest": ["--dataset", "fever", "--in", "claims.jsonl"],
+    "explain": ["--pair", "v.jsonl#c/e", "--dataset", "fever",
+                "--claims", "claims.jsonl", "--amrs", "amrs.jsonl"],
+}
+_SCORING_FLAGS = {"--lambda": ["0.5"], "--backend": ["test"], "--jobs": ["1"],
+                  "--restarts": ["1"], "--seed": ["1"], "--no-top": []}
+_UNREAD_FLAGS = ([("smatch", f) for f in ("--lambda", "--backend", "--jobs")]
+                 + [("score-pair", "--jobs")]
+                 + [(command, f) for command in ("ingest", "explain")
+                    for f in _SCORING_FLAGS])
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
+                         ids=[f"{c}{f}" for c, f in _UNREAD_FLAGS])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([command, *_REQUIRED_ARGS[command], flag, *_SCORING_FLAGS[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, content, where", [
+    (["parse", "--in", "{bad}"], None, ""),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"], None, ""),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "evidence": [{"text": "y"}]}', ":1: missing key 'label'"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"], "[1, 2]", ":1: expected a JSON object"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"], "[1, 2]", ":1: expected a JSON object"),
+    (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
+      "--amrs", "{amrs}"], None, ""),
+    (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
+      "--amrs", "{amrs}"], "not json", ":1: bad JSON"),
+], ids=["parse-missing", "claims-missing", "claims-no-label", "claims-not-object",
+        "amrs-not-object", "verdicts-missing", "verdicts-bad-json"])
+def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, capsys,
+                                                       argv, content, where):
+    claims, amrs = fever_files
+    bad = tmp_path / "bad.jsonl"
+    if content is not None:
+        bad.write_text(content + "\n")
+    argv = [a.format(bad=bad, claims=claims, amrs=amrs) for a in argv]
+    if argv[0] != "parse":
+        argv += ["--dataset", "fever"]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}{where}" in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = tmp_path / "g.amr"
+    src.write_text(MARNIE_CLAIM)
+    result = subprocess.run(
+        [sys.executable, "-m", "amrex.cli", "parse", "--in", str(src)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(amrex.__file__))})
+    assert result.returncode == 0
+    assert result.stdout.strip() == serialize_penman(parse_penman(MARNIE_CLAIM))
 
 
 def test_config_precedence_file_env_flag(fever_files, tmp_path, capsys,
@@ -246,7 +361,8 @@ def test_config_precedence_file_env_flag(fever_files, tmp_path, capsys,
     apply_env(cfg)
     assert cfg.lam == 0.4  # env overrides file
 
-    assert dispatch(["smatch", "--premise", amrs, "--hypothesis", amrs,
+    assert dispatch(["score-pair", "--claim-amr", amrs, "--evidence-amr", amrs,
+                     "--claim-text", "c", "--evidence-text", "e",
                      "--config", str(cfg_file), "--lambda", "0.9",
                      "--seed", "7"]) == 1  # amrs file is not penman: domain error
     err = capsys.readouterr().err

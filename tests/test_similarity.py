@@ -73,6 +73,14 @@ def test_precomputed_backend(tmp_path):
     assert "absent text" in str(exc.value)
 
 
+def test_precomputed_backend_bad_record(tmp_path):
+    path = tmp_path / "vecs.jsonl"
+    path.write_text(json.dumps({"text": "hello", "vector": ["x"]}) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        PrecomputedFileBackend(str(path))
+    assert f"{path}:1: bad embedding record" in str(exc.value)
+
+
 def test_backend_from_spec():
     assert isinstance(backend_from_spec("test"), DeterministicTestBackend)
     assert backend_from_spec("test:dim=32").dim == 32
@@ -95,6 +103,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             "/short/embed": {"vectors": vectors[:-1]},
             "/list/embed": [vectors],
             "/nokey/embed": {"vecs": vectors},
+            "/scalar/embed": {"vectors": [1.0 for _ in vectors]},
+            "/nonnumeric/embed": {"vectors": [["x"] for _ in vectors]},
         }
         if self.path == "/text/embed":
             data = b"not json"
@@ -143,6 +153,8 @@ def test_service_backend_length_mismatch(stub_server):
     ("/text", "malformed"),
     ("/list", "malformed"),
     ("/nokey", "malformed"),
+    ("/scalar", "malformed"),
+    ("/nonnumeric", "malformed"),
 ])
 def test_service_backend_bad_reply(stub_server, prefix, message):
     backend = EmbeddingServiceBackend(stub_server + prefix)
