@@ -14,7 +14,8 @@ import sys
 from dataclasses import fields
 
 from . import evaluation, explain, ingest
-from .config import RunConfig, apply_env, effective_config_lines, load_config_file
+from .config import (RunConfig, apply_env, effective_config_lines,
+                     load_config_file, setting_key)
 from .entailment import EntailmentScore, nli_pair
 from .errors import AmrexError, DatasetError
 from .graph import extract_triples, parse_penman, serialize_penman
@@ -23,42 +24,33 @@ from .smatch import AlignConfig, VariableMapping, align_hill_climb
 from .verdict import precompute_pair_components, verdict_at
 
 
-def _config_flag(p: argparse.ArgumentParser) -> None:
+def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
+    """``--config`` plus one flag per RunConfig field in *names*, declared
+    by the field; the run's stderr header lists the same settings."""
     p.add_argument("--config", help="key=value config file")
+    for f in fields(RunConfig):
+        if f.name in names:
+            flag = dict(f.metadata["flag"])
+            name = flag.pop("name", "--" + setting_key(f).replace("_", "-"))
+            if "action" not in flag:
+                flag.update(type=f.metadata["parse"], choices=f.metadata["choices"])
+            p.add_argument(name, dest=f.name, default=None, **flag)
+    p.set_defaults(settings=names)
 
 
-def _align_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-top", dest="include_top", action="store_false",
-                   default=None,
-                   help="exclude the top triple from alignment scoring")
-
-
-def _blend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="weight of the structural score in [0, 1]")
-    p.add_argument("--backend", default=None,
-                   help="similarity backend: test[:dim=N], file:<path>, service:<url>")
-
-
-def _jobs_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None,
-                   help="alignment worker processes, capped at usable CPUs; "
-                        "1 aligns in this process")
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults < --config file < AMREX_* environment < the flags in *args*;
-    each flag's dest is the name of the RunConfig field it sets."""
+def _configure(args: argparse.Namespace, unread=()) -> RunConfig:
+    """Defaults < --config file < AMREX_* environment < the flags in *args*.
+    Prints the settings the subcommand reads, less *unread*, to stderr."""
     cfg = RunConfig()
     if args.config:
         load_config_file(cfg, args.config)
     apply_env(cfg)
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(cfg, field.name, value)
+    for name in args.settings:
+        if (value := getattr(args, name)) is not None:
+            setattr(cfg, name, value)
+    for line in effective_config_lines(
+            cfg, [n for n in args.settings if n not in unread]):
+        print(line, file=sys.stderr)
     return cfg
 
 
@@ -67,17 +59,22 @@ def _align_config(cfg: RunConfig) -> AlignConfig:
                        include_top=cfg.include_top)
 
 
-def _print_header(cfg: RunConfig) -> None:
-    for line in effective_config_lines(cfg):
-        print(line, file=sys.stderr)
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise AmrexError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise AmrexError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise AmrexError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def cmd_parse(args) -> int:
@@ -96,8 +93,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_smatch(args) -> int:
-    cfg = _build_config(args)
-    _print_header(cfg)
+    cfg = _configure(args)
     premise = parse_penman(_read(args.premise))
     hypothesis = parse_penman(_read(args.hypothesis))
     result = align_hill_climb(premise, hypothesis, restarts=cfg.restarts,
@@ -117,8 +113,7 @@ def cmd_smatch(args) -> int:
 
 
 def cmd_score_pair(args) -> int:
-    cfg = _build_config(args)
-    _print_header(cfg)
+    cfg = _configure(args)
     backend = backend_from_spec(cfg.backend)
     claim_graph = parse_penman(_read(args.claim_amr))
     evidence_graph = parse_penman(_read(args.evidence_amr))
@@ -164,8 +159,7 @@ def _verdict_json(v, lam: float) -> str:
 
 
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
-    _print_header(cfg)
+    cfg = _configure(args)
     records = _verify_records(cfg, args.claims, args.amrs)
     backend = backend_from_spec(cfg.backend)
     lam = cfg.resolved_lambda()
@@ -174,19 +168,16 @@ def cmd_verify(args) -> int:
     verdicts = [verdict_at(r, components[r.claim_id], lam, cfg.empty_evidence)
                 for r in records]
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for v in verdicts:
-            out.write(_verdict_json(v, lam) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    text = "".join(_verdict_json(v, lam) + "\n" for v in verdicts)
+    if args.out:
+        _write(args.out, text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _build_config(args)
-    _print_header(cfg)
+    cfg = _configure(args, unread=("lam",) if args.sweep else ())
     records = _verify_records(cfg, args.claims, args.amrs)
     backend = backend_from_spec(cfg.backend)
     lambdas = (evaluation.sweep_range(args.sweep) if args.sweep
@@ -196,29 +187,28 @@ def cmd_evaluate(args) -> int:
                                       empty_evidence=cfg.empty_evidence,
                                       jobs=cfg.resolved_jobs())
     if args.report:
-        os.makedirs(args.report, exist_ok=True)
+        try:
+            os.makedirs(args.report, exist_ok=True)
+        except OSError as exc:
+            raise AmrexError(f"cannot write {args.report}: {exc.strerror or exc}")
         for r in reports:
-            path = os.path.join(args.report, f"report_lambda_{r.lam:g}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({
-                    "dataset": r.dataset, "lambda": r.lam,
-                    "accuracy": r.accuracy, "per_label_f1": r.per_label_f1,
-                    "macro_f1": r.macro_f1, "confusion": r.confusion,
-                    "n_claims": r.n_claims,
-                }, fh, indent=2)
-        table = os.path.join(args.report, "summary.md")
-        with open(table, "w", encoding="utf-8") as fh:
-            fh.write(evaluation.report_markdown(reports))
+            _write(os.path.join(args.report, f"report_lambda_{r.lam:g}.json"),
+                   json.dumps({
+                       "dataset": r.dataset, "lambda": r.lam,
+                       "accuracy": r.accuracy, "per_label_f1": r.per_label_f1,
+                       "macro_f1": r.macro_f1, "confusion": r.confusion,
+                       "n_claims": r.n_claims,
+                   }, indent=2))
+        _write(os.path.join(args.report, "summary.md"),
+               evaluation.report_markdown(reports))
     else:
         print(evaluation.report_markdown(reports), end="")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    cfg = _build_config(args)
-    _print_header(cfg)
-    records = ingest.load_claims(args.infile, cfg.dataset,
-                                 question_mode=cfg.question_mode)
+    cfg = _configure(args)
+    records = ingest.load_claims(args.infile, cfg.dataset)
     if args.out:
         ingest.write_normalized(records, args.out)
     if args.stats or not args.out:
@@ -267,8 +257,7 @@ def _stored_score(verdict_path: str, claim_id: str,
 
 
 def cmd_explain(args) -> int:
-    cfg = _build_config(args)
-    _print_header(cfg)
+    cfg = _configure(args)
     verdict_path, claim_id, evidence_id = _parse_pair_selector(args.pair)
     label, score = _stored_score(verdict_path, claim_id, evidence_id)
     records = _verify_records(cfg, args.claims, args.amrs)
@@ -299,6 +288,11 @@ def cmd_explain(args) -> int:
     return 0
 
 
+# The settings verify and evaluate read: all of them.
+_RUN_SETTINGS = ("dataset", "lam", "restarts", "seed", "include_top", "backend",
+                 "empty_evidence", "question_mode", "jobs")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amrex",
@@ -314,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--premise", required=True)
     p.add_argument("--hypothesis", required=True)
     p.add_argument("--json", action="store_true")
-    _config_flag(p)
-    _align_flags(p)
+    _add_settings(p, "restarts", "seed", "include_top")
     p.set_defaults(func=cmd_smatch)
 
     p = sub.add_parser("score-pair", help="score one claim/evidence pair")
@@ -324,64 +317,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim-text", required=True)
     p.add_argument("--evidence-text", required=True)
     p.add_argument("--json", action="store_true")
-    _config_flag(p)
-    _align_flags(p)
-    _blend_flags(p)
+    _add_settings(p, "restarts", "seed", "include_top", "lam", "backend")
     p.set_defaults(func=cmd_score_pair)
 
     p = sub.add_parser("verify", help="verdicts for a claims file")
-    p.add_argument("--dataset", required=True, choices=["fever", "averitec"])
     p.add_argument("--claims", required=True)
     p.add_argument("--amrs", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--empty-evidence", dest="empty_evidence",
-                   choices=["error", "label-N"], default=None)
-    p.add_argument("--question-mode", dest="question_mode",
-                   choices=["answer-only", "question-plus-answer"], default=None)
-    _config_flag(p)
-    _align_flags(p)
-    _blend_flags(p)
-    _jobs_flag(p)
+    _add_settings(p, *_RUN_SETTINGS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="metrics, optionally over a lambda sweep")
-    p.add_argument("--dataset", required=True, choices=["fever", "averitec"])
     p.add_argument("--claims", required=True)
     p.add_argument("--amrs", required=True)
     p.add_argument("--sweep", default=None, help="lambda sweep start:stop:step")
     p.add_argument("--report", default=None, help="directory for JSON/markdown reports")
-    p.add_argument("--empty-evidence", dest="empty_evidence",
-                   choices=["error", "label-N"], default=None)
-    p.add_argument("--question-mode", dest="question_mode",
-                   choices=["answer-only", "question-plus-answer"], default=None)
-    _config_flag(p)
-    _align_flags(p)
-    _blend_flags(p)
-    _jobs_flag(p)
+    _add_settings(p, *_RUN_SETTINGS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ingest", help="normalize a dataset file and print stats")
-    p.add_argument("--dataset", required=True, choices=["fever", "averitec"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--question-mode", dest="question_mode",
-                   choices=["answer-only", "question-plus-answer"], default=None)
-    _config_flag(p)
+    _add_settings(p, "dataset")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("explain", help="render the node-mapping justification of a scored pair")
     p.add_argument("--pair", required=True,
                    help="<verdicts.jsonl>#<claim_id>/<evidence_id>")
-    p.add_argument("--dataset", required=True, choices=["fever", "averitec"])
     p.add_argument("--claims", required=True)
     p.add_argument("--amrs", required=True)
     p.add_argument("--format", choices=["text", "markdown", "prompt"], default="text")
     p.add_argument("--generate", action="store_true")
     p.add_argument("--service", default=None, help="generation service URL")
-    p.add_argument("--question-mode", dest="question_mode",
-                   choices=["answer-only", "question-plus-answer"], default=None)
-    _config_flag(p)
+    _add_settings(p, "dataset", "question_mode")
     p.set_defaults(func=cmd_explain)
 
     return parser

@@ -2,30 +2,53 @@
 
 Precedence, lowest to highest: built-in defaults, config file (``key=value``
 lines, ``#`` comments), environment variables prefixed ``AMREX_``, then
-command-line flags.
+command-line flags.  Each RunConfig field declares its setting once: the
+file/env key, the parser of a raw value, the allowed values and the flag.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
 _DATASET_LAMBDA_DEFAULTS = {"fever": 0.0, "averitec": 0.9}
+QUESTION_MODES = ("answer-only", "question-plus-answer")
+
+
+def _parse_bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes", "on")
+
+
+def _setting(default, parse=str, key=None, choices=None, **flag):
+    """A RunConfig field: *key* names it in files and ``AMREX_*`` (the field
+    name unless given), *parse* reads a raw value, *choices* lists the values
+    allowed, and *flag* holds the extra argparse arguments of its flag
+    (``name`` spells a flag other than ``--key``)."""
+    return field(default=default, metadata={
+        "key": key, "parse": parse, "choices": choices, "flag": flag})
 
 
 @dataclass
 class RunConfig:
-    dataset: str | None = None
-    lam: float | None = None          # resolved per dataset when left unset
-    restarts: int = 4
-    seed: int = 0
-    include_top: bool = True
-    backend: str = "test"
-    empty_evidence: str = "error"     # or "label-N"
-    question_mode: str = "answer-only"
-    jobs: int = 0                     # 0 = every usable CPU
+    dataset: str | None = _setting(None, choices=tuple(_DATASET_LAMBDA_DEFAULTS),
+                                   required=True)
+    # resolved per dataset when left unset
+    lam: float | None = _setting(None, float, key="lambda",
+                                 help="weight of the structural score in [0, 1]")
+    restarts: int = _setting(4, int)
+    seed: int = _setting(0, int)
+    include_top: bool = _setting(
+        True, _parse_bool, name="--no-top", action="store_false",
+        help="exclude the top triple from alignment scoring")
+    backend: str = _setting(
+        "test", help="similarity backend: test[:dim=N], file:<path>, service:<url>")
+    empty_evidence: str = _setting("error", choices=("error", "label-N"))
+    question_mode: str = _setting("answer-only", choices=QUESTION_MODES)
+    # 0 = every usable CPU
+    jobs: int = _setting(0, int, help="alignment worker processes, capped at "
+                                      "usable CPUs; 1 aligns in this process")
 
     def resolved_lambda(self) -> float:
         lam = _DATASET_LAMBDA_DEFAULTS.get(self.dataset, 0.0) if self.lam is None else self.lam
@@ -35,6 +58,14 @@ class RunConfig:
 
     def resolved_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else usable_cpus()
+
+
+def setting_key(f) -> str:
+    """The name of RunConfig field *f* in config files, ``AMREX_*`` and flags."""
+    return f.metadata["key"] or f.name
+
+
+_BY_KEY = {setting_key(f): f for f in fields(RunConfig)}
 
 
 def usable_cpus() -> int:
@@ -51,55 +82,49 @@ def worker_count(jobs: int, pairs: int, cpus: int) -> int:
     return max(1, min(jobs, pairs, cpus))
 
 
-_COERCERS = {
-    "dataset": str, "lam": float, "restarts": int, "seed": int,
-    "include_top": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "backend": str, "empty_evidence": str, "question_mode": str, "jobs": int,
-}
-# Accept "lambda" as the user-facing name for the weight.
-_ALIASES = {"lambda": "lam"}
-
-
 def _apply(cfg: RunConfig, key: str, raw: str, origin: str) -> None:
-    key = _ALIASES.get(key, key)
-    if key not in _COERCERS:
+    f = _BY_KEY.get(key)
+    if f is None:
         raise ConfigError(f"{origin}: unknown configuration key {key!r}")
     try:
-        setattr(cfg, key, _COERCERS[key](raw))
+        value = f.metadata["parse"](raw)
     except ValueError:
         raise ConfigError(f"{origin}: bad value {raw!r} for {key!r}")
+    choices = f.metadata["choices"]
+    if choices and value not in choices:
+        raise ConfigError(f"{origin}: bad value {raw!r} for {key!r}; "
+                          f"choose from {', '.join(choices)}")
+    setattr(cfg, f.name, value)
 
 
 def load_config_file(cfg: RunConfig, path: str) -> None:
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            _apply(cfg, key.strip(), value.strip(), f"{path}:{lineno}")
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        _apply(cfg, key.strip(), value.strip(), f"{path}:{lineno}")
 
 
 def apply_env(cfg: RunConfig, environ=None) -> None:
     environ = os.environ if environ is None else environ
-    for field in fields(RunConfig):
-        for name in (field.name, *[a for a, t in _ALIASES.items() if t == field.name]):
-            env_key = f"AMREX_{name.upper()}"
-            if env_key in environ:
-                _apply(cfg, name, environ[env_key], env_key)
+    for key in _BY_KEY:
+        env_key = f"AMREX_{key.upper()}"
+        if env_key in environ:
+            _apply(cfg, key, environ[env_key], env_key)
 
 
-def effective_config_lines(cfg: RunConfig) -> list[str]:
-    """Key=value lines that make a run re-executable byte-identically."""
-    lines = []
-    for field in fields(RunConfig):
-        value = getattr(cfg, field.name)
-        name = "lambda" if field.name == "lam" else field.name
-        lines.append(f"# {name} = {value}")
-    return lines
+def effective_config_lines(cfg: RunConfig, names) -> list[str]:
+    """``# key = value`` lines for the RunConfig fields *names*, each with
+    the value a run uses, so the run can be repeated byte-identically."""
+    used = {"lam": cfg.resolved_lambda, "jobs": cfg.resolved_jobs}
+    return [f"# {setting_key(f)} = "
+            f"{used[f.name]() if f.name in used else getattr(cfg, f.name)}"
+            for f in fields(RunConfig) if f.name in names]

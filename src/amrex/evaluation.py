@@ -108,7 +108,9 @@ def sweep_range(spec: str) -> list[float]:
         v = round(start + k * step, 12)
         if v > stop + 1e-12:
             break
-        values.append(min(v, 1.0))
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"sweep {spec!r} leaves [0, 1] at lambda {v:g}")
+        values.append(v)
         k += 1
     return values
 

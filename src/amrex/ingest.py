@@ -20,6 +20,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
+from .config import QUESTION_MODES
 from .errors import DatasetError, PenmanParseError
 from .graph import AmrGraph, parse_penman
 from .verdict import AVERITEC, FEVER, VerdictLabel, label_set
@@ -74,10 +75,10 @@ class ClaimRecord:
 
 def read_jsonl(path: str):
     """Yield ``(line number, object)`` for each non-blank line of *path*.
-    An unreadable file, bad JSON and a value that is not an object are
-    DatasetErrors naming ``path:line``."""
+    An unreadable file, text that is not UTF-8, bad JSON and a value that
+    is not an object are DatasetErrors naming ``path:line``."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror or exc}")
     with fh:
@@ -85,7 +86,9 @@ def read_jsonl(path: str):
             if not line.strip():
                 continue
             try:
-                value = json.loads(line)
+                value = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: bad JSON: {exc}")
             if not isinstance(value, dict):
@@ -148,8 +151,7 @@ def load_fever(path: str) -> list[ClaimRecord]:
     return _load_records(path, parse_record)
 
 
-def _averitec_items_from_questions(questions, claim_id: str,
-                                   question_mode: str) -> list[EvidenceItem]:
+def _averitec_items_from_questions(questions, claim_id: str) -> list[EvidenceItem]:
     items = []
     n = 0
     for q in questions:
@@ -159,11 +161,9 @@ def _averitec_items_from_questions(questions, claim_id: str,
             if kind not in ("boolean", "extractive", "abstractive"):
                 raise DatasetError(
                     f"claim {claim_id!r}: unknown answer type {a.get('answer_type')!r}")
-            text = a.get("answer", "")
-            if question_mode == "question-plus-answer" and question:
-                text = f"{question} {text}"
-            items.append(EvidenceItem(evidence_id=f"{claim_id}-e{n}", text=text,
-                                      kind=kind, question=question or None))
+            items.append(EvidenceItem(evidence_id=f"{claim_id}-e{n}",
+                                      text=a.get("answer", ""), kind=kind,
+                                      question=question or None))
             n += 1
     return items
 
@@ -172,21 +172,21 @@ def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRe
     """Load 4-way claims, dropping boolean answers.
 
     *question_mode* selects whether evidence text is the answer alone or
-    the question prepended to it.
+    the question prepended to it; either schema is read first, so the
+    question is prepended once.
     """
-    if question_mode not in ("answer-only", "question-plus-answer"):
+    if question_mode not in QUESTION_MODES:
         raise DatasetError(f"unknown question mode {question_mode!r}")
     def parse_record(raw, lineno):
         claim_id = str(raw.get("claim_id", lineno))
         label = _map_label(raw["label"], AVERITEC_LABEL_MAP, AVERITEC, claim_id)
         if "questions" in raw:
-            items = _averitec_items_from_questions(raw["questions"], claim_id,
-                                                   question_mode)
+            items = _averitec_items_from_questions(raw["questions"], claim_id)
         else:
             items = _normalized_evidence(raw.get("evidence", []), claim_id, AVERITEC)
-            if question_mode == "question-plus-answer":
-                items = [replace(ev, text=f"{ev.question} {ev.text}")
-                         if ev.question else ev for ev in items]
+        if question_mode == "question-plus-answer":
+            items = [replace(ev, text=f"{ev.question} {ev.text}")
+                     if ev.question else ev for ev in items]
         items = [ev for ev in items if ev.kind != "boolean"]
         return ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
                            dataset=AVERITEC, gold_label=label, evidence=items)
@@ -255,15 +255,22 @@ def label_counts(records: list[ClaimRecord]) -> dict[str, int]:
 
 
 def write_normalized(records: list[ClaimRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "claim_id": r.claim_id,
-                "claim": r.claim_text,
-                "label": r.gold_label.value,
-                "evidence": [
-                    {"id": ev.evidence_id, "text": ev.text, "kind": ev.kind,
-                     **({"question": ev.question} if ev.question else {})}
-                    for ev in r.evidence
-                ],
-            }) + "\n")
+    """Write *records* in the normalized schema.  Each evidence text is
+    written as loaded, with its question apart: pass records loaded
+    answer-only, or a reload in question-plus-answer mode prepends the
+    question a second time."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for r in records:
+                fh.write(json.dumps({
+                    "claim_id": r.claim_id,
+                    "claim": r.claim_text,
+                    "label": r.gold_label.value,
+                    "evidence": [
+                        {"id": ev.evidence_id, "text": ev.text, "kind": ev.kind,
+                         **({"question": ev.question} if ev.question else {})}
+                        for ev in r.evidence
+                    ],
+                }) + "\n")
+    except OSError as exc:
+        raise DatasetError(f"cannot write {path}: {exc.strerror or exc}")

@@ -62,12 +62,17 @@ class PrecomputedFileBackend(SimilarityBackend):
         super().__init__()
         self.path = path
         self._table: dict[str, EmbeddingVector] = {}
-        with open(path, encoding="utf-8") as fh:
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise ConfigError(f"cannot read embeddings file {path}: "
+                              f"{exc.strerror or exc}")
+        with fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line.decode("utf-8"))
                     self._table[record["text"]] = EmbeddingVector(tuple(record["vector"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")

@@ -1,16 +1,19 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import amrex
-from amrex.cli import dispatch
+from amrex.cli import build_parser, dispatch
 from amrex.config import (RunConfig, apply_env, load_config_file, usable_cpus,
                           worker_count)
 from amrex.errors import ConfigError
 from amrex.graph import parse_penman, serialize_penman
+from amrex.ingest import load_averitec
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING)
@@ -74,7 +77,13 @@ def test_usage_error_exit_code_2(capsys):
     assert exc.value.code == 2
 
 
-def test_smatch_text_output(tmp_path, capsys):
+def _header(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("# ")]
+
+
+def test_smatch_text_output(tmp_path, capsys, monkeypatch):
+    # smatch reads no lambda: a value it would reject must not reach it.
+    monkeypatch.setenv("AMREX_LAMBDA", "5")
     prem = tmp_path / "prem.amr"
     prem.write_text(RABIES_EVIDENCE)
     hyp = tmp_path / "hyp.amr"
@@ -85,7 +94,8 @@ def test_smatch_text_output(tmp_path, capsys):
     for hv, pv in RABIES_MAPPING:
         assert f"{hv}(" in captured.out and f"--> {pv}(" in captured.out
     assert "precision: 0.4286" in captured.out
-    assert "include_top = False" in captured.err
+    assert _header(captured.err) == ["# restarts = 4", "# seed = 0",
+                                     "# include_top = False"]
 
 
 def test_smatch_json_output(tmp_path, capsys):
@@ -128,7 +138,9 @@ def test_verify_writes_jsonl(fever_files, tmp_path, capsys):
     for row in rows:
         assert row["label"] in {"S", "R", "N"}
         assert row["pairs"][0]["decision"] in (-1, 1)
-    assert "dataset = fever" in capsys.readouterr().err
+    header = _header(capsys.readouterr().err)
+    assert "# dataset = fever" in header
+    assert "# lambda = 0.0" in header  # the dataset default the run used
 
 
 @pytest.mark.parametrize("command", [
@@ -173,6 +185,8 @@ def test_evaluate_sweep_report_dir(fever_files, tmp_path, capsys):
     assert set(payload["per_label_f1"]) == {"S", "R", "N"}
     summary = (report_dir / "summary.md").read_text()
     assert summary.count("\n") == 5  # header + separator + three lambda rows
+    assert not any(line.startswith("# lambda")
+                   for line in _header(capsys.readouterr().err))
 
 
 def test_evaluate_stdout_table(fever_files, capsys):
@@ -251,7 +265,10 @@ def test_explain_renders_the_stored_pair(fever_files, tmp_path, capsys,
         monkeypatch.setenv(f"AMREX_{key}", value)
     assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
                      *base]) == 0
-    text = capsys.readouterr().out
+    captured = capsys.readouterr()
+    text = captured.out
+    assert _header(captured.err) == ["# dataset = fever",
+                                     "# question_mode = answer-only"]
     claim, evidence = parse_penman(MARNIE_CLAIM), parse_penman(MARNIE_EVIDENCE)
     mapping_lines = [f"{hv}({claim.nodes[hv]}) --> {pv}({evidence.nodes[pv]})"
                      for hv, pv in stored["mapping"]]
@@ -293,19 +310,24 @@ _REQUIRED_ARGS = {
 }
 _SCORING_FLAGS = {"--lambda": ["0.5"], "--backend": ["test"], "--jobs": ["1"],
                   "--restarts": ["1"], "--seed": ["1"], "--no-top": []}
+_FLAG_ARGS = {**_SCORING_FLAGS, "--question-mode": ["question-plus-answer"]}
 _UNREAD_FLAGS = ([("smatch", f) for f in ("--lambda", "--backend", "--jobs")]
                  + [("score-pair", "--jobs")]
                  + [(command, f) for command in ("ingest", "explain")
-                    for f in _SCORING_FLAGS])
+                    for f in _SCORING_FLAGS]
+                 + [("ingest", "--question-mode")])
 
 
 @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
                          ids=[f"{c}{f}" for c, f in _UNREAD_FLAGS])
 def test_subcommand_rejects_flags_it_does_not_read(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        dispatch([command, *_REQUIRED_ARGS[command], flag, *_SCORING_FLAGS[flag]])
+        dispatch([command, *_REQUIRED_ARGS[command], flag, *_FLAG_ARGS[flag]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe\n"
 
 
 @pytest.mark.parametrize("argv, content, where", [
@@ -319,13 +341,32 @@ def test_subcommand_rejects_flags_it_does_not_read(capsys, command, flag):
       "--amrs", "{amrs}"], None, ""),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
       "--amrs", "{amrs}"], "not json", ":1: bad JSON"),
+    (["parse", "--in", "{bad}"], NOT_UTF8, ": not UTF-8"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"], NOT_UTF8, ":1: not UTF-8"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--config", "{bad}"],
+     NOT_UTF8, ": 'utf-8' codec can't decode"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
+      "--backend", "file:{bad}"], NOT_UTF8, ":1: bad embedding record"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
+      "--backend", "file:{bad}"], None, ": No such file"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
+      "--out", "{bad}/v.jsonl"], None, "/v.jsonl: No such file"),
+    (["evaluate", "--claims", "{claims}", "--amrs", "{amrs}",
+      "--report", "{bad}/reports"], "a file", "/reports: "),
+    (["ingest", "--in", "{claims}", "--out", "{bad}/n.jsonl"], None,
+     "/n.jsonl: No such file"),
 ], ids=["parse-missing", "claims-missing", "claims-no-label", "claims-not-object",
-        "amrs-not-object", "verdicts-missing", "verdicts-bad-json"])
+        "amrs-not-object", "verdicts-missing", "verdicts-bad-json",
+        "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
+        "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
+        "evaluate-report-under-a-file", "ingest-out-no-dir"])
 def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, capsys,
                                                        argv, content, where):
     claims, amrs = fever_files
     bad = tmp_path / "bad.jsonl"
-    if content is not None:
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
         bad.write_text(content + "\n")
     argv = [a.format(bad=bad, claims=claims, amrs=amrs) for a in argv]
     if argv[0] != "parse":
@@ -368,6 +409,64 @@ def test_config_precedence_file_env_flag(fever_files, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "lambda = 0.9" in err  # flag overrides env overrides file
     assert "seed = 7" in err
+
+
+@pytest.mark.parametrize("env, config, where", [
+    ({"AMREX_EMPTY_EVIDENCE": "label-n"}, None, "AMREX_EMPTY_EVIDENCE"),
+    ({}, "seed = 1\nempty_evidence = bogus\n", "{config}:2"),
+    ({"AMREX_QUESTION_MODE": "answer"}, None, "AMREX_QUESTION_MODE"),
+    ({"AMREX_DATASET": "fevre"}, None, "AMREX_DATASET"),
+], ids=["env-empty-evidence", "file-empty-evidence", "env-question-mode",
+        "env-dataset"])
+def test_setting_outside_its_choices_is_config_error(fever_files, tmp_path, capsys,
+                                                     monkeypatch, env, config, where):
+    claims, amrs = fever_files
+    argv = ["verify", "--dataset", "fever", "--claims", claims, "--amrs", amrs]
+    cfg_file = tmp_path / "run.cfg"
+    if config is not None:
+        cfg_file.write_text(config)
+        argv += ["--config", str(cfg_file)]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {where.format(config=cfg_file)}: bad value" in err
+    assert "choose from" in err
+
+
+def test_ingest_then_reload_prefixes_the_question_once(tmp_path, monkeypatch):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({
+        "claim_id": "a1", "claim": "some claim", "label": "Refuted",
+        "questions": [{"question": "When?", "answers": [
+            {"answer": "in 2017", "answer_type": "Extractive"}]}],
+    }) + "\n")
+    normalized = tmp_path / "normalized.jsonl"
+    monkeypatch.setenv("AMREX_QUESTION_MODE", "question-plus-answer")
+    assert dispatch(["ingest", "--dataset", "averitec", "--in", str(raw),
+                     "--out", str(normalized)]) == 0
+    records = load_averitec(str(normalized), question_mode="question-plus-answer")
+    assert records[0].evidence[0].text == "When? in 2017"
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+                for line in fh if line.startswith(("| subcommand |", "| `"))]
+    columns = rows[0][1:]
+    table = {row[0]: {flag for flag, cell in zip(columns, row[1:]) if cell}
+             for row in rows[1:]}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(table) == set(subparsers)
+    settings = {f.name for f in fields(RunConfig)} | {"config"}
+    setting_flags = {opt for p in subparsers.values() for a in p._actions
+                     if a.dest in settings for opt in a.option_strings}
+    assert set(columns) == setting_flags
+    for name, subparser in subparsers.items():
+        accepted = {opt for a in subparser._actions for opt in a.option_strings}
+        assert table[name] == accepted & setting_flags, name
 
 
 def test_worker_count_never_exceeds_pairs_or_cpus():

@@ -146,6 +146,10 @@ def test_sweep_range_parsing():
         sweep_range("0:1")
     with pytest.raises(ConfigError):
         sweep_range("0:1:0")
+    with pytest.raises(ConfigError, match="leaves"):
+        sweep_range("0:2:0.5")
+    with pytest.raises(ConfigError, match="leaves"):
+        sweep_range("-0.5:1:0.5")
 
 
 def test_report_markdown_table_shape():
