@@ -16,11 +16,11 @@ from dataclasses import fields
 from . import evaluation, explain, ingest
 from .config import (RunConfig, apply_env, effective_config_lines,
                      load_config_file, setting_key)
-from .entailment import EntailmentScore, nli_pair
+from .entailment import nli_pair, pair_from_json, pair_json
 from .errors import AmrexError, DatasetError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
-from .smatch import AlignConfig, VariableMapping, align_hill_climb
+from .smatch import AlignConfig, align_hill_climb
 from .verdict import precompute_pair_components, verdict_at
 
 
@@ -120,14 +120,8 @@ def cmd_score_pair(args) -> int:
     score = nli_pair(args.evidence_text, evidence_graph,
                      args.claim_text, claim_graph,
                      cfg.resolved_lambda(), backend, _align_config(cfg))
-    payload = {
-        "lambda": score.lam, "smatch_p": score.smatch_p,
-        "cosine": score.cosine_sim, "f": score.f_value,
-        "decision": score.decision,
-        "mapping": [list(p) for p in score.mapping.pairs],
-    }
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps({"lambda": score.lam, **pair_json(score)}))
     else:
         bundle = explain.build_bundle(claim_graph, evidence_graph,
                                       args.claim_text, args.evidence_text, score)
@@ -142,19 +136,17 @@ def _verify_records(cfg: RunConfig, claims_path: str, amrs_path: str):
     return ingest.join_amrs(records, bundle, strict=True)
 
 
-def _verdict_json(v, lam: float) -> str:
+def _verdict_json(v, cfg: RunConfig) -> str:
+    """One verdict row: it stores what ``explain`` needs to render a pair."""
     return json.dumps({
         "claim_id": v.claim_id,
         "label": v.label.value,
         "e": float(v.e_value),
-        "lambda": lam,
-        "pairs": [
-            {"evidence_id": p.evidence_id, "f": p.score.f_value,
-             "smatch_p": p.score.smatch_p, "cosine": p.score.cosine_sim,
-             "decision": p.score.decision,
-             "mapping": [list(pair) for pair in p.score.mapping.pairs]}
-            for p in v.per_evidence
-        ],
+        "lambda": cfg.resolved_lambda(),
+        "dataset": cfg.dataset,
+        "question_mode": cfg.question_mode,
+        "pairs": [{"evidence_id": p.evidence_id, **pair_json(p.score)}
+                  for p in v.per_evidence],
     })
 
 
@@ -168,7 +160,7 @@ def cmd_verify(args) -> int:
     verdicts = [verdict_at(r, components[r.claim_id], lam, cfg.empty_evidence)
                 for r in records]
 
-    text = "".join(_verdict_json(v, lam) + "\n" for v in verdicts)
+    text = "".join(_verdict_json(v, cfg) + "\n" for v in verdicts)
     if args.out:
         _write(args.out, text)
     else:
@@ -178,10 +170,10 @@ def cmd_verify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _configure(args, unread=("lam",) if args.sweep else ())
-    records = _verify_records(cfg, args.claims, args.amrs)
-    backend = backend_from_spec(cfg.backend)
     lambdas = (evaluation.sweep_range(args.sweep) if args.sweep
                else [cfg.resolved_lambda()])
+    records = _verify_records(cfg, args.claims, args.amrs)
+    backend = backend_from_spec(cfg.backend)
     reports = evaluation.lambda_sweep(records, lambdas, backend,
                                       _align_config(cfg), seed=cfg.seed,
                                       empty_evidence=cfg.empty_evidence,
@@ -231,9 +223,9 @@ def _parse_pair_selector(spec: str) -> tuple[str, str, str]:
     return path, claim_id, evidence_id
 
 
-def _stored_score(verdict_path: str, claim_id: str,
-                  evidence_id: str) -> tuple[str, EntailmentScore]:
-    """The verdict label and the scored pair that ``verify`` stored."""
+def _stored_pair(verdict_path: str, claim_id: str, evidence_id: str):
+    """The settings the claims were loaded with, the verdict label and the
+    scored pair, all as ``verify`` stored them."""
     row = next((raw for _, raw in ingest.read_jsonl(verdict_path)
                 if raw.get("claim_id") == claim_id), None)
     if row is None:
@@ -245,10 +237,8 @@ def _stored_score(verdict_path: str, claim_id: str,
             raise AmrexError(
                 f"evidence {evidence_id!r} not found for claim {claim_id!r} "
                 f"in {verdict_path}")
-        return row["label"], EntailmentScore(
-            lam=row["lambda"], smatch_p=pair["smatch_p"],
-            cosine_sim=pair["cosine"], f_value=pair["f"],
-            decision=pair["decision"], mapping=VariableMapping(pair["mapping"]))
+        cfg = RunConfig(dataset=row["dataset"], question_mode=row["question_mode"])
+        return cfg, row["label"], pair_from_json(row["lambda"], pair)
     except KeyError as exc:
         raise DatasetError(
             f"{where}: no stored {exc}; re-run verify to record the scored pair")
@@ -256,10 +246,17 @@ def _stored_score(verdict_path: str, claim_id: str,
         raise DatasetError(f"{where}: malformed verdict row: {exc}")
 
 
+_RENDERERS = {"text": explain.render_text, "markdown": explain.render_markdown,
+              "prompt": explain.build_prompt}
+
+
 def cmd_explain(args) -> int:
-    cfg = _configure(args)
+    if args.generate and not args.service:
+        raise AmrexError("--generate requires --service <url>")
     verdict_path, claim_id, evidence_id = _parse_pair_selector(args.pair)
-    label, score = _stored_score(verdict_path, claim_id, evidence_id)
+    cfg, label, score = _stored_pair(verdict_path, claim_id, evidence_id)
+    for line in effective_config_lines(cfg, ("dataset", "question_mode")):
+        print(line, file=sys.stderr)
     records = _verify_records(cfg, args.claims, args.amrs)
     record = next((r for r in records if r.claim_id == claim_id), None)
     if record is None:
@@ -275,15 +272,8 @@ def cmd_explain(args) -> int:
 
     bundle = explain.build_bundle(record.claim_graph, item.graph,
                                   record.claim_text, item.text, score, label=label)
-    if args.format == "markdown":
-        print(explain.render_markdown(bundle))
-    elif args.format == "prompt":
-        print(explain.build_prompt(bundle))
-    else:
-        print(explain.render_text(bundle))
+    print(_RENDERERS[args.format](bundle))
     if args.generate:
-        if not args.service:
-            raise AmrexError("--generate requires --service <url>")
         print(explain.generate_explanation(explain.build_prompt(bundle), args.service))
     return 0
 
@@ -347,10 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="<verdicts.jsonl>#<claim_id>/<evidence_id>")
     p.add_argument("--claims", required=True)
     p.add_argument("--amrs", required=True)
-    p.add_argument("--format", choices=["text", "markdown", "prompt"], default="text")
+    p.add_argument("--format", choices=list(_RENDERERS), default="text")
     p.add_argument("--generate", action="store_true")
     p.add_argument("--service", default=None, help="generation service URL")
-    _add_settings(p, "dataset", "question_mode")
     p.set_defaults(func=cmd_explain)
 
     return parser

@@ -17,8 +17,14 @@ _DATASET_LAMBDA_DEFAULTS = {"fever": 0.0, "averitec": 0.9}
 QUESTION_MODES = ("answer-only", "question-plus-answer")
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes", "on")
+    if raw.lower() not in _BOOLS:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _BOOLS[raw.lower()]
 
 
 def _setting(default, parse=str, key=None, choices=None, **flag):

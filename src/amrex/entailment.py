@@ -52,6 +52,22 @@ def blend(lam: float, alignment: SmatchResult, cosine_sim: float) -> EntailmentS
                            decision=th1(f_value), mapping=alignment.mapping)
 
 
+def pair_json(score: EntailmentScore) -> dict:
+    """The stored form of a scored pair: a verdict row's pair and
+    ``score-pair --json`` (which adds the ``lambda`` a row keeps once)."""
+    return {"f": score.f_value, "smatch_p": score.smatch_p,
+            "cosine": score.cosine_sim, "decision": score.decision,
+            "mapping": [list(p) for p in score.mapping.pairs]}
+
+
+def pair_from_json(lam: float, pair: dict) -> EntailmentScore:
+    """Read back what :func:`pair_json` wrote; a missing key is a KeyError."""
+    return EntailmentScore(lam=lam, smatch_p=pair["smatch_p"],
+                           cosine_sim=pair["cosine"], f_value=pair["f"],
+                           decision=pair["decision"],
+                           mapping=VariableMapping(pair["mapping"]))
+
+
 def nli_pair(premise_text: str, premise_amr: AmrGraph,
              hypothesis_text: str, hypothesis_amr: AmrGraph,
              lam: float, backend: SimilarityBackend,

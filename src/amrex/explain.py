@@ -31,11 +31,7 @@ class ExplanationBundle:
     # claim-variable declaration order.
     mapping_lines: tuple[tuple[str, str, str, str], ...]
     unmapped: tuple[tuple[str, str], ...]
-    smatch_p: float
-    cosine_sim: float
-    lam: float
-    f_value: float
-    decision: int
+    score: EntailmentScore
     label: str | None = None
 
 
@@ -43,22 +39,15 @@ def build_bundle(claim_graph: AmrGraph, evidence_graph: AmrGraph,
                  claim_text: str, evidence_text: str,
                  score: EntailmentScore, label: str | None = None) -> ExplanationBundle:
     mapped = score.mapping.as_dict()
-    lines = []
-    unmapped = []
-    for hv, concept in claim_graph.nodes.items():
-        pv = mapped.get(hv)
-        if pv is None:
-            unmapped.append((hv, concept))
-        else:
-            lines.append((hv, concept, pv, evidence_graph.nodes[pv]))
+    nodes = claim_graph.nodes.items()
     return ExplanationBundle(
         claim_text=claim_text, evidence_text=evidence_text,
         claim_penman=serialize_penman(claim_graph),
         evidence_penman=serialize_penman(evidence_graph),
-        mapping_lines=tuple(lines), unmapped=tuple(unmapped),
-        smatch_p=score.smatch_p, cosine_sim=score.cosine_sim,
-        lam=score.lam, f_value=score.f_value, decision=score.decision,
-        label=label)
+        mapping_lines=tuple((hv, concept, mapped[hv], evidence_graph.nodes[mapped[hv]])
+                            for hv, concept in nodes if hv in mapped),
+        unmapped=tuple((hv, concept) for hv, concept in nodes if hv not in mapped),
+        score=score, label=label)
 
 
 def render_mapping(bundle: ExplanationBundle) -> str:
@@ -72,40 +61,38 @@ def render_mapping(bundle: ExplanationBundle) -> str:
     return "\n".join(lines)
 
 
+def _score_fields(score: EntailmentScore) -> dict[str, str]:
+    """The scores as text, keyed by their prompt placeholders."""
+    return {"smatch_precision": f"{score.smatch_p:.4f}",
+            "cosine": f"{score.cosine_sim:.4f}", "lambda": f"{score.lam:g}",
+            "combined": f"{score.f_value:.4f}",
+            "decision": "+1" if score.decision > 0 else "-1"}
+
+
+_SCORE_LINES = ("structural containment: {smatch_precision}",
+                "textual similarity: {cosine}",
+                "combined (lambda={lambda}): {combined}",
+                "decision: {decision}")
+
+
+def _score_lines(bundle: ExplanationBundle) -> list[str]:
+    """The score lines of the text and markdown renderings."""
+    fields = _score_fields(bundle.score)
+    lines = [line.format_map(fields) for line in _SCORE_LINES]
+    return lines + [f"verdict: {bundle.label}"] if bundle.label else lines
+
+
 def render_text(bundle: ExplanationBundle) -> str:
-    parts = [
-        f"claim: {bundle.claim_text}",
-        f"evidence: {bundle.evidence_text}",
-        "",
-        render_mapping(bundle),
-        "",
-        f"structural containment: {bundle.smatch_p:.4f}",
-        f"textual similarity: {bundle.cosine_sim:.4f}",
-        f"combined (lambda={bundle.lam:g}): {bundle.f_value:.4f}",
-        f"decision: {'+1' if bundle.decision > 0 else '-1'}",
-    ]
-    if bundle.label:
-        parts.append(f"verdict: {bundle.label}")
-    return "\n".join(parts)
+    return "\n".join([f"claim: {bundle.claim_text}",
+                      f"evidence: {bundle.evidence_text}", "",
+                      render_mapping(bundle), "", *_score_lines(bundle)])
 
 
 def render_markdown(bundle: ExplanationBundle) -> str:
-    parts = [
-        f"**Claim:** {bundle.claim_text}",
-        f"**Evidence:** {bundle.evidence_text}",
-        "",
-        "```",
-        render_mapping(bundle),
-        "```",
-        "",
-        f"- structural containment: {bundle.smatch_p:.4f}",
-        f"- textual similarity: {bundle.cosine_sim:.4f}",
-        f"- combined (lambda={bundle.lam:g}): {bundle.f_value:.4f}",
-        f"- decision: {'+1' if bundle.decision > 0 else '-1'}",
-    ]
-    if bundle.label:
-        parts.append(f"- verdict: {bundle.label}")
-    return "\n".join(parts)
+    return "\n".join([f"**Claim:** {bundle.claim_text}",
+                      f"**Evidence:** {bundle.evidence_text}", "",
+                      "```", render_mapping(bundle), "```", "",
+                      *(f"- {line}" for line in _score_lines(bundle))])
 
 
 DEFAULT_PROMPT_TEMPLATE = """\
@@ -152,13 +139,9 @@ def build_prompt(bundle: ExplanationBundle, template: str | None = None) -> str:
         claim_penman=bundle.claim_penman,
         evidence_penman=bundle.evidence_penman,
         mapping=render_mapping(bundle),
-        smatch_precision=f"{bundle.smatch_p:.4f}",
-        cosine=f"{bundle.cosine_sim:.4f}",
-        combined=f"{bundle.f_value:.4f}",
-        decision="+1" if bundle.decision > 0 else "-1",
         label=bundle.label or "",
+        **_score_fields(bundle.score),
     )
-    values["lambda"] = f"{bundle.lam:g}"
     return template.format_map(values)
 
 

@@ -27,6 +27,8 @@ Edge = tuple[str, str, str]        # (source var, role, target var)
 Attribute = tuple[str, str, str]   # (source var, role, constant)
 
 _TOKEN_RE = re.compile(r'[^\s()/:"]+')
+# Deepest nesting parsed: parser and serializer recurse once per level.
+MAX_DEPTH = 500
 
 
 class Triple(NamedTuple):
@@ -176,7 +178,9 @@ class _Parser:
                         edges=tuple(self.edges),
                         attributes=tuple(self.attributes))
 
-    def parse_node(self) -> str:
+    def parse_node(self, depth: int = 1) -> str:
+        if depth > MAX_DEPTH:
+            self.fail(f"nodes nested deeper than {MAX_DEPTH} levels")
         self.pos += 1  # consume '('
         self.skip_ws()
         var_offset = self.pos
@@ -215,7 +219,7 @@ class _Parser:
                 self.fail("unbalanced parenthesis")
             ch = self.peek()
             if ch == "(":
-                child = self.parse_node()
+                child = self.parse_node(depth + 1)
                 self.edges.append((var, role, child))
             elif ch == '"':
                 value = self.read_quoted()
@@ -236,8 +240,9 @@ def parse_penman(text: str) -> AmrGraph:
     """Parse one Penman form into an :class:`AmrGraph`.
 
     Raises :class:`PenmanParseError` with a byte offset on malformed input,
-    and :class:`GraphError` if the parsed structure violates a graph
-    invariant (e.g. a re-entrant edge closes a cycle).
+    nodes nested deeper than :data:`MAX_DEPTH` included, and
+    :class:`GraphError` if the parsed structure violates a graph invariant
+    (e.g. a re-entrant edge closes a cycle).
     """
     if not text or not text.strip():
         raise PenmanParseError("empty input", 0)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -164,7 +165,7 @@ def test_parallel_matches_serial_byte_for_byte(fever_files, tmp_path, command):
 def test_verify_missing_amr_is_domain_error(fever_files, tmp_path, capsys):
     claims, amrs = fever_files
     pruned = tmp_path / "pruned.jsonl"
-    rows = [json.loads(l) for l in open(amrs)][:-1]
+    rows = [json.loads(l) for l in Path(amrs).read_text().splitlines()][:-1]
     pruned.write_text("".join(json.dumps(r) + "\n" for r in rows))
     assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
                      "--amrs", str(pruned), "--backend", "test"]) == 1
@@ -213,9 +214,9 @@ def test_ingest_stats_and_normalize(fever_files, tmp_path, capsys):
 def test_explain_text_and_prompt(fever_files, tmp_path, capsys):
     claims, amrs = fever_files
     verdicts = tmp_path / "verdicts.jsonl"
-    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
-    assert dispatch(["verify", *base, "--backend", "test:dim=64",
-                     "--out", str(verdicts)]) == 0
+    base = ["--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", "--dataset", "fever", *base,
+                     "--backend", "test:dim=64", "--out", str(verdicts)]) == 0
     capsys.readouterr()
     pair = f"{verdicts}#c-rabies/e-rabies"
     assert dispatch(["explain", "--pair", pair, *base]) == 0
@@ -233,11 +234,12 @@ def test_explain_text_and_prompt(fever_files, tmp_path, capsys):
 def test_explain_recomputation_matches_verify(fever_files, tmp_path, capsys):
     claims, amrs = fever_files
     verdicts = tmp_path / "verdicts.jsonl"
-    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
-    assert dispatch(["verify", *base, "--backend", "test:dim=64", "--seed", "5",
+    base = ["--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", "--dataset", "fever", *base,
+                     "--backend", "test:dim=64", "--seed", "5",
                      "--out", str(verdicts)]) == 0
     capsys.readouterr()
-    row = next(json.loads(l) for l in open(verdicts)
+    row = next(json.loads(l) for l in verdicts.read_text().splitlines()
                if json.loads(l)["claim_id"] == "c-marnie")
     assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
                      *base]) == 0
@@ -250,11 +252,11 @@ def test_explain_renders_the_stored_pair(fever_files, tmp_path, capsys,
                                          monkeypatch):
     claims, amrs = fever_files
     verdicts = tmp_path / "verdicts.jsonl"
-    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
-    assert dispatch(["verify", *base, "--backend", "test:dim=64",
-                     "--out", str(verdicts)]) == 0
+    base = ["--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", "--dataset", "fever", *base,
+                     "--backend", "test:dim=64", "--out", str(verdicts)]) == 0
     capsys.readouterr()
-    row = next(json.loads(l) for l in open(verdicts)
+    row = next(json.loads(l) for l in verdicts.read_text().splitlines()
                if json.loads(l)["claim_id"] == "c-marnie")
     stored = row["pairs"][0]
     # Scoring settings that differ from the verify run, and an embedding
@@ -281,23 +283,74 @@ def test_explain_renders_the_stored_pair(fever_files, tmp_path, capsys,
     assert f"verdict: {row['label']}" in text
 
 
+_WHERE = "{verdicts}: claim 'c-marnie' / evidence 'e-marnie': "
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda pair: pair.pop("mapping"), "no stored 'mapping'; re-run verify"),
-    (lambda pair: pair.update(mapping=[["a0", "b99"]]), "missing from"),
-], ids=["no-mapping", "unknown-variable"])
+    (lambda row: row["pairs"][0].pop("mapping"), "no stored 'mapping'; re-run verify"),
+    (lambda row: row["pairs"][0].update(mapping=[["a0", "b99"]]), "missing from"),
+    (lambda row: row.pop("dataset"), _WHERE + "no stored 'dataset'; re-run verify"),
+    (lambda row: row.pop("question_mode"),
+     _WHERE + "no stored 'question_mode'; re-run verify"),
+], ids=["no-mapping", "unknown-variable", "no-dataset", "no-question-mode"])
 def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
                                                         capsys, corrupt, message):
     claims, amrs = fever_files
     verdicts = tmp_path / "verdicts.jsonl"
-    base = ["--dataset", "fever", "--claims", claims, "--amrs", amrs]
-    assert dispatch(["verify", *base, "--out", str(verdicts)]) == 0
-    rows = [json.loads(l) for l in open(verdicts)]
-    corrupt(rows[0]["pairs"][0])
+    base = ["--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", "--dataset", "fever", *base,
+                     "--out", str(verdicts)]) == 0
+    rows = [json.loads(l) for l in verdicts.read_text().splitlines()]
+    corrupt(rows[0])
     verdicts.write_text("".join(json.dumps(r) + "\n" for r in rows))
     capsys.readouterr()
     assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
                      *base]) == 1
-    assert message in capsys.readouterr().err
+    assert message.format(verdicts=verdicts) in capsys.readouterr().err
+
+
+def test_explain_renders_the_text_verify_scored(tmp_path, capsys, monkeypatch):
+    claims = tmp_path / "claims.jsonl"
+    claims.write_text(json.dumps({
+        "claim_id": "c-marnie", "claim": "Marnie is a romantic film",
+        "label": "Supported",
+        "evidence": [{"id": "e-marnie", "text": "It is a 1964 thriller film",
+                      "kind": "abstractive", "question": "What is Marnie?"}],
+    }) + "\n")
+    amrs = tmp_path / "amrs.jsonl"
+    amrs.write_text(json.dumps({"id": "c-marnie", "penman": MARNIE_CLAIM}) + "\n"
+                    + json.dumps({"id": "e-marnie", "penman": MARNIE_EVIDENCE})
+                    + "\n")
+    verdicts = tmp_path / "verdicts.jsonl"
+    base = ["--claims", str(claims), "--amrs", str(amrs)]
+    assert dispatch(["verify", "--dataset", "averitec", *base,
+                     "--question-mode", "question-plus-answer",
+                     "--out", str(verdicts)]) == 0
+    capsys.readouterr()
+    # Settings that differ from the verify run: explain must read neither.
+    monkeypatch.setenv("AMREX_DATASET", "fever")
+    monkeypatch.setenv("AMREX_QUESTION_MODE", "answer-only")
+    assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
+                     *base]) == 0
+    captured = capsys.readouterr()
+    assert "evidence: What is Marnie? It is a 1964 thriller film" in captured.out
+    assert _header(captured.err) == ["# dataset = averitec",
+                                     "# question_mode = question-plus-answer"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--dataset", "fever", "--sweep", "0:2:0.5"], "leaves [0, 1]"),
+    (["explain", "--pair", "{missing}#c/e", "--generate"],
+     "--generate requires --service"),
+], ids=["evaluate-bad-sweep", "explain-generate-without-service"])
+def test_argument_errors_come_before_any_file_is_read(tmp_path, capsys,
+                                                      argv, message):
+    missing = tmp_path / "missing.jsonl"
+    argv = [a.format(missing=missing) for a in argv]
+    assert dispatch([*argv, "--claims", str(missing), "--amrs", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and str(missing) not in captured.err
+    assert captured.out == ""
 
 
 _REQUIRED_ARGS = {
@@ -305,17 +358,20 @@ _REQUIRED_ARGS = {
     "score-pair": ["--claim-amr", "c.amr", "--evidence-amr", "e.amr",
                    "--claim-text", "c", "--evidence-text", "e"],
     "ingest": ["--dataset", "fever", "--in", "claims.jsonl"],
-    "explain": ["--pair", "v.jsonl#c/e", "--dataset", "fever",
+    "explain": ["--pair", "v.jsonl#c/e",
                 "--claims", "claims.jsonl", "--amrs", "amrs.jsonl"],
 }
 _SCORING_FLAGS = {"--lambda": ["0.5"], "--backend": ["test"], "--jobs": ["1"],
                   "--restarts": ["1"], "--seed": ["1"], "--no-top": []}
-_FLAG_ARGS = {**_SCORING_FLAGS, "--question-mode": ["question-plus-answer"]}
+_FLAG_ARGS = {**_SCORING_FLAGS, "--question-mode": ["question-plus-answer"],
+              "--dataset": ["fever"], "--config": ["run.cfg"]}
 _UNREAD_FLAGS = ([("smatch", f) for f in ("--lambda", "--backend", "--jobs")]
                  + [("score-pair", "--jobs")]
                  + [(command, f) for command in ("ingest", "explain")
                     for f in _SCORING_FLAGS]
-                 + [("ingest", "--question-mode")])
+                 + [("ingest", "--question-mode")]
+                 + [("explain", f)
+                    for f in ("--config", "--dataset", "--question-mode")])
 
 
 @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
@@ -369,7 +425,7 @@ def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, ca
     elif content is not None:
         bad.write_text(content + "\n")
     argv = [a.format(bad=bad, claims=claims, amrs=amrs) for a in argv]
-    if argv[0] != "parse":
+    if argv[0] not in ("parse", "explain"):
         argv += ["--dataset", "fever"]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
@@ -502,5 +558,9 @@ def test_config_validation(tmp_path):
     bad.write_text("mystery = 1\n")
     with pytest.raises(ConfigError):
         load_config_file(cfg, str(bad))
+    apply_env(cfg, {"AMREX_INCLUDE_TOP": "OFF"})
+    assert cfg.include_top is False
+    with pytest.raises(ConfigError, match="AMREX_INCLUDE_TOP: bad value 'ture'"):
+        apply_env(cfg, {"AMREX_INCLUDE_TOP": "ture"})
     with pytest.raises(ConfigError):
         RunConfig(dataset="fever", lam=1.5).resolved_lambda()

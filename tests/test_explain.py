@@ -70,9 +70,9 @@ def test_prompt_contains_required_sections_and_values():
     for section in ("Key Mappings", "Explanation", "Classification"):
         assert section in prompt
     assert render_mapping(bundle) in prompt
-    assert f"{bundle.smatch_p:.4f}" in prompt
-    assert f"{bundle.cosine_sim:.4f}" in prompt
-    assert f"{bundle.f_value:.4f}" in prompt
+    assert f"{bundle.score.smatch_p:.4f}" in prompt
+    assert f"{bundle.score.cosine_sim:.4f}" in prompt
+    assert f"{bundle.score.f_value:.4f}" in prompt
     assert "{" not in prompt.replace("{", "", 0) or "{claim}" not in prompt
 
 
@@ -83,7 +83,7 @@ def test_prompt_is_deterministic():
 def test_custom_template_and_unknown_placeholder():
     bundle = _rabies_bundle()
     assert build_prompt(bundle, "score={smatch_precision}") == \
-        f"score={bundle.smatch_p:.4f}"
+        f"score={bundle.score.smatch_p:.4f}"
     assert build_prompt(bundle, "no placeholders") == "no placeholders"
     with pytest.raises(TemplateError) as exc:
         build_prompt(bundle, "oops {no_such_field}")
@@ -155,5 +155,5 @@ def test_marnie_bundle_label_supports():
     score = nli_pair("e", evidence, "c", claim, lam=1.0,
                      backend=DeterministicTestBackend(dim=16))
     bundle = build_bundle(claim, evidence, "c", "e", score, label="S")
-    assert bundle.decision == 1
+    assert bundle.score.decision == 1
     assert "verdict: S" in render_text(bundle)

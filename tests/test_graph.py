@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrex.errors import GraphError, PenmanParseError
-from amrex.graph import (AmrGraph, Triple, extract_triples, parse_penman,
-                         serialize_penman, triple_multiset)
+from amrex.graph import (MAX_DEPTH, AmrGraph, Triple, extract_triples,
+                         parse_penman, serialize_penman, triple_multiset)
 
 from _fixtures import (ALL_PENMAN, MARNIE_CLAIM, RABIES_CLAIM, WISH_EVIDENCE,
                        random_graph)
@@ -84,6 +84,39 @@ def test_empty_input_rejected():
 def test_reentrant_cycle_rejected():
     with pytest.raises(GraphError):
         parse_penman("(a/x :mod (b/y :mod a))")
+
+
+def _nested(depth: int) -> str:
+    """A chain of *depth* nodes, each the ``:mod`` child of the one before."""
+    return "".join(f"(n{i}/x :mod " for i in range(depth - 1)) + \
+        f"(n{depth - 1}/x" + ")" * depth
+
+
+def test_deepest_nesting_round_trips():
+    g = parse_penman(_nested(MAX_DEPTH))
+    assert len(g.nodes) == MAX_DEPTH
+    assert triple_multiset(parse_penman(serialize_penman(g))) == triple_multiset(g)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+def test_nesting_too_deep_is_a_parse_error(depth):
+    text = _nested(depth)
+    with pytest.raises(PenmanParseError) as exc:
+        parse_penman(text)
+    assert "nested deeper than" in str(exc.value)
+    assert exc.value.offset == text.index(f"(n{MAX_DEPTH}/")
+
+
+_PENMAN_ALPHABET = '()/:" \nabxy01-'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=_PENMAN_ALPHABET)))
+def test_parse_arbitrary_text_raises_only_typed_errors(text):
+    try:
+        parse_penman(text)
+    except (PenmanParseError, GraphError):
+        pass
 
 
 def test_graph_invariants_enforced():
