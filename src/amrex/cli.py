@@ -257,20 +257,27 @@ def cmd_explain(args) -> int:
     cfg, label, score = _stored_pair(verdict_path, claim_id, evidence_id)
     for line in effective_config_lines(cfg, ("dataset", "question_mode")):
         print(line, file=sys.stderr)
-    records = _verify_records(cfg, args.claims, args.amrs)
+    records = ingest.load_claims(args.claims, cfg.dataset,
+                                 question_mode=cfg.question_mode)
     record = next((r for r in records if r.claim_id == claim_id), None)
     if record is None:
         raise AmrexError(f"claim {claim_id!r} not found in {args.claims}")
     item = next((ev for ev in record.evidence if ev.evidence_id == evidence_id), None)
     if item is None:
         raise AmrexError(f"evidence {evidence_id!r} not found for claim {claim_id!r}")
-    if not all(hv in record.claim_graph.nodes and pv in item.graph.nodes
+    # Only this pair's graphs: an id missing for another claim is no error here.
+    amrs = ingest.load_amr_bundle(args.amrs)
+    missing = [i for i in (claim_id, evidence_id) if i not in amrs]
+    if missing:
+        raise DatasetError(f"AMR bundle {args.amrs} is missing ids: {missing}")
+    claim_graph, evidence_graph = amrs[claim_id], amrs[evidence_id]
+    if not all(hv in claim_graph.nodes and pv in evidence_graph.nodes
                for hv, pv in score.mapping.pairs):
         raise DatasetError(
             f"claim {claim_id!r} / evidence {evidence_id!r}: the stored mapping "
             f"names variables missing from {args.amrs}; re-run verify")
 
-    bundle = explain.build_bundle(record.claim_graph, item.graph,
+    bundle = explain.build_bundle(claim_graph, evidence_graph,
                                   record.claim_text, item.text, score, label=label)
     print(_RENDERERS[args.format](bundle))
     if args.generate:

@@ -43,11 +43,3 @@ class ConfigError(AmrexError):
 
 class DatasetError(AmrexError):
     """A dataset file is malformed or incomplete."""
-
-
-class TemplateError(AmrexError):
-    """A prompt template references an unknown placeholder."""
-
-    def __init__(self, placeholder: str):
-        super().__init__(f"unknown placeholder: {placeholder!r}")
-        self.placeholder = placeholder

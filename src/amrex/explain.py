@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .entailment import EntailmentScore
-from .errors import TemplateError, TransportError
-from .graph import AmrGraph, serialize_penman
+from .errors import TransportError
+from .graph import AmrGraph
 from .similarity import post_json
 
 
@@ -25,8 +25,6 @@ from .similarity import post_json
 class ExplanationBundle:
     claim_text: str
     evidence_text: str
-    claim_penman: str
-    evidence_penman: str
     # (claim var, claim concept, evidence var, evidence concept), ordered by
     # claim-variable declaration order.
     mapping_lines: tuple[tuple[str, str, str, str], ...]
@@ -42,8 +40,6 @@ def build_bundle(claim_graph: AmrGraph, evidence_graph: AmrGraph,
     nodes = claim_graph.nodes.items()
     return ExplanationBundle(
         claim_text=claim_text, evidence_text=evidence_text,
-        claim_penman=serialize_penman(claim_graph),
-        evidence_penman=serialize_penman(evidence_graph),
         mapping_lines=tuple((hv, concept, mapped[hv], evidence_graph.nodes[mapped[hv]])
                             for hv, concept in nodes if hv in mapped),
         unmapped=tuple((hv, concept) for hv, concept in nodes if hv not in mapped),
@@ -120,29 +116,11 @@ pair and justify it from the mappings alone.
 """
 
 
-class _StrictDict(dict):
-    def __missing__(self, key):
-        raise TemplateError(key)
-
-
-def build_prompt(bundle: ExplanationBundle, template: str | None = None) -> str:
-    """Deterministically substitute bundle fields into *template*.
-
-    Unknown placeholders raise :class:`TemplateError`; a template without
-    placeholders comes back unchanged.
-    """
-    if template is None:
-        template = DEFAULT_PROMPT_TEMPLATE
-    values = _StrictDict(
-        claim=bundle.claim_text,
-        evidence=bundle.evidence_text,
-        claim_penman=bundle.claim_penman,
-        evidence_penman=bundle.evidence_penman,
-        mapping=render_mapping(bundle),
-        label=bundle.label or "",
-        **_score_fields(bundle.score),
-    )
-    return template.format_map(values)
+def build_prompt(bundle: ExplanationBundle) -> str:
+    """Deterministically substitute bundle fields into the prompt template."""
+    return DEFAULT_PROMPT_TEMPLATE.format(
+        claim=bundle.claim_text, evidence=bundle.evidence_text,
+        mapping=render_mapping(bundle), **_score_fields(bundle.score))
 
 
 def generate_explanation(prompt: str, service_url: str,

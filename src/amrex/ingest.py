@@ -173,7 +173,8 @@ def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRe
 
     *question_mode* selects whether evidence text is the answer alone or
     the question prepended to it; either schema is read first, so the
-    question is prepended once.
+    question is prepended once, and a prefixed item keeps no question of
+    its own.
     """
     if question_mode not in QUESTION_MODES:
         raise DatasetError(f"unknown question mode {question_mode!r}")
@@ -185,7 +186,7 @@ def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRe
         else:
             items = _normalized_evidence(raw.get("evidence", []), claim_id, AVERITEC)
         if question_mode == "question-plus-answer":
-            items = [replace(ev, text=f"{ev.question} {ev.text}")
+            items = [replace(ev, text=f"{ev.question} {ev.text}", question=None)
                      if ev.question else ev for ev in items]
         items = [ev for ev in items if ev.kind != "boolean"]
         return ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
@@ -255,10 +256,8 @@ def label_counts(records: list[ClaimRecord]) -> dict[str, int]:
 
 
 def write_normalized(records: list[ClaimRecord], path: str) -> None:
-    """Write *records* in the normalized schema.  Each evidence text is
-    written as loaded, with its question apart: pass records loaded
-    answer-only, or a reload in question-plus-answer mode prepends the
-    question a second time."""
+    """Write *records* in the normalized schema, each evidence text as
+    loaded and any question it still keeps apart."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for r in records:

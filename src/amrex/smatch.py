@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ConfigError, GraphError, MappingError
@@ -94,6 +95,13 @@ class _MatchContext:
         self.hyp_attrs_at: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
         for attr in self.hyp_attrs:
             self.hyp_attrs_at[attr[0]].append(attr)
+        self.prem_edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
+        self.prem_out: dict[str, set[str]] = defaultdict(set)
+        self.prem_in: dict[str, set[str]] = defaultdict(set)
+        for s, r, t in self.prem_rel:
+            self.prem_edges_by_role[r].append((s, t))
+            self.prem_out[s].add(t)
+            self.prem_in[t].add(s)
 
     def count(self, m: dict[str, str]) -> int:
         """Matched hypothesis triples under mapping *m* (multiset-aware)."""
@@ -178,6 +186,14 @@ def _random_init(ctx: _MatchContext, pvars: list[str], rng: random.Random) -> di
     return {hv: free[i] for i, hv in enumerate(ctx.hyp_vars) if i < len(free)}
 
 
+def _assign(m: dict[str, str], hv: str, pv: str | None) -> None:
+    """Map hv -> pv in *m*, or unmap hv when pv is None."""
+    if pv is None:
+        m.pop(hv, None)
+    else:
+        m[hv] = pv
+
+
 def _place(trial: dict[str, str], hv: str, pv: str) -> None:
     """Assign hv -> pv in *trial*, moving any current occupant of pv to
     hv's vacated premise variable (or unmapping it)."""
@@ -185,76 +201,66 @@ def _place(trial: dict[str, str], hv: str, pv: str) -> None:
     vacated = trial.get(hv)
     trial[hv] = pv
     if occupant is not None and occupant != hv:
-        if vacated is not None:
-            trial[occupant] = vacated
-        else:
-            del trial[occupant]
+        _assign(trial, occupant, vacated)
 
 
-def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> dict[str, str]:
-    """Greedy local search until no gain.
+def _neighbours(ctx: _MatchContext, pvars: list[str],
+                m: dict[str, str]) -> Iterator[dict[str, str]]:
+    """Yield every neighbour of *m* as a new mapping, in search order.
 
-    The neighborhood is single moves, swaps, and edge plantings: for a
-    hypothesis edge and a premise edge with the same role, map both
-    endpoints onto the premise edge in one step.  The coordinated move is
-    what lets a relation match be reached when neither endpoint alone
-    gains anything.
+    First single moves (each hypothesis variable to each free premise
+    variable, then to unmapped), then swaps of two hypothesis variables
+    with different images, then edge plantings: for a hypothesis edge and a
+    premise edge with the same role, map both endpoints onto the premise
+    edge in one step.  The coordinated move is what lets a relation match
+    be reached when neither endpoint alone gains anything.
     """
+    used = set(m.values())
+    for hv in ctx.hyp_vars:
+        cur_pv = m.get(hv)
+        for pv in pvars + [None]:
+            if pv == cur_pv or (pv is not None and pv in used):
+                continue
+            trial = dict(m)
+            _assign(trial, hv, pv)
+            yield trial
+    for i, h1 in enumerate(ctx.hyp_vars):
+        for h2 in ctx.hyp_vars[i + 1:]:
+            p1, p2 = m.get(h1), m.get(h2)
+            if p1 == p2:
+                continue
+            trial = dict(m)
+            _assign(trial, h1, p2)
+            _assign(trial, h2, p1)
+            yield trial
+    for s, r, t in ctx.hyp_edges:
+        if s == t:
+            continue
+        for ps, pt in ctx.prem_edges_by_role.get(r, ()):
+            if ps == pt or (m.get(s) == ps and m.get(t) == pt):
+                continue
+            trial = dict(m)
+            _place(trial, s, ps)
+            if trial.get(t) != pt:
+                _place(trial, t, pt)
+            yield trial
+
+
+def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dict[str, str], int]:
+    """Greedy local search until no gain: each step takes the first
+    neighbour with the largest strict gain.  Returns the mapping and its
+    count."""
     current = ctx.count(m)
-    prem_edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for s, r, t in ctx.prem_rel:
-        prem_edges_by_role[r].append((s, t))
     while True:
         best_gain = 0
         best_next: dict[str, str] | None = None
-        used = {pv: hv for hv, pv in m.items()}
-        for hv in ctx.hyp_vars:
-            cur_pv = m.get(hv)
-            # Move hv to a free premise variable or unmap it.
-            for pv in pvars + [None]:
-                if pv == cur_pv or (pv is not None and pv in used):
-                    continue
-                trial = dict(m)
-                if pv is None:
-                    trial.pop(hv, None)
-                else:
-                    trial[hv] = pv
-                gain = ctx.count(trial) - current
-                if gain > best_gain:
-                    best_gain = gain
-                    best_next = trial
-        hyp_list = ctx.hyp_vars
-        for i, h1 in enumerate(hyp_list):
-            for h2 in hyp_list[i + 1:]:
-                p1, p2 = m.get(h1), m.get(h2)
-                if p1 == p2:
-                    continue
-                trial = dict(m)
-                for hv, pv in ((h1, p2), (h2, p1)):
-                    if pv is None:
-                        trial.pop(hv, None)
-                    else:
-                        trial[hv] = pv
-                gain = ctx.count(trial) - current
-                if gain > best_gain:
-                    best_gain = gain
-                    best_next = trial
-        for s, r, t in ctx.hyp_edges:
-            if s == t:
-                continue
-            for ps, pt in prem_edges_by_role.get(r, ()):
-                if ps == pt or (m.get(s) == ps and m.get(t) == pt):
-                    continue
-                trial = dict(m)
-                _place(trial, s, ps)
-                if trial.get(t) != pt:
-                    _place(trial, t, pt)
-                gain = ctx.count(trial) - current
-                if gain > best_gain:
-                    best_gain = gain
-                    best_next = trial
+        for trial in _neighbours(ctx, pvars, m):
+            gain = ctx.count(trial) - current
+            if gain > best_gain:
+                best_gain = gain
+                best_next = trial
         if best_next is None:
-            return m
+            return m, current
         m = best_next
         current += best_gain
 
@@ -270,39 +276,30 @@ def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> di
     count but pins the reported mapping.
     """
     m = dict(m)
-    prem_out: dict[str, set[str]] = defaultdict(set)
-    prem_in: dict[str, set[str]] = defaultdict(set)
-    for s, _r, t in ctx.prem_rel:
-        prem_out[s].add(t)
-        prem_in[t].add(s)
-    prem_index = {pv: i for i, pv in enumerate(pvars)}
-
-    def contribution(mapping: dict[str, str], hv: str) -> int:
-        if hv not in mapping:
-            return 0
-        without = dict(mapping)
-        del without[hv]
-        return ctx.count(mapping) - ctx.count(without)
-
-    floating = [hv for hv in ctx.hyp_vars if contribution(m, hv) == 0]
-    for hv in floating:
-        m.pop(hv, None)
+    # A triple's match depends only on its own variables' images, so
+    # unmapping a floating variable leaves the others' contributions alone.
+    base = ctx.count(m)
+    floating = []
+    for hv in ctx.hyp_vars:
+        pv = m.pop(hv, None)
+        if pv is not None and ctx.count(m) != base:
+            m[hv] = pv
+        else:
+            floating.append(hv)
     used = set(m.values())
     for hv in floating:
         free = [pv for pv in pvars if pv not in used]
         if not free:
             continue
-        best_key = None
-        best_pv = None
+        base = ctx.count(m)
+        best_key = best_pv = None
         for pv in free:
-            trial = dict(m)
-            trial[hv] = pv
-            contrib = contribution(trial, hv)
+            m[hv] = pv
             out_adj = sum(1 for s, _r, t in ctx.hyp_edges_at[hv]
-                          if s == hv and t in trial and trial[t] in prem_out[pv])
+                          if s == hv and t in m and m[t] in ctx.prem_out[pv])
             in_adj = sum(1 for s, _r, t in ctx.hyp_edges_at[hv]
-                         if t == hv and s in trial and trial[s] in prem_in[pv])
-            key = (contrib, out_adj, in_adj, -prem_index[pv])
+                         if t == hv and s in m and m[s] in ctx.prem_in[pv])
+            key = (ctx.count(m) - base, out_adj, in_adj)
             if best_key is None or key > best_key:
                 best_key = key
                 best_pv = pv
@@ -318,7 +315,8 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
 
     The first restart starts from a concept-match-greedy mapping, the rest
     from random injective mappings; each run applies the best single
-    move/swap until no gain.  Deterministic for a fixed seed.
+    move, swap or edge planting until no gain.  Deterministic for a fixed
+    seed.
     """
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
@@ -329,8 +327,7 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     best_count = -1
     for r in range(restarts):
         init = _greedy_init(ctx, pvars, rng) if r == 0 else _random_init(ctx, pvars, rng)
-        m = _climb(ctx, pvars, init)
-        c = ctx.count(m)
+        m, c = _climb(ctx, pvars, init)
         if c > best_count:
             best_count = c
             best_m = m

@@ -309,6 +309,28 @@ def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
     assert message.format(verdicts=verdicts) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dropped", ["c-rabies", "e-rabies", "c-marnie", "e-marnie"])
+def test_explain_reads_only_the_graphs_of_its_pair(fever_files, tmp_path, capsys,
+                                                   dropped):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
+                     "--amrs", amrs, "--out", str(verdicts)]) == 0
+    pruned = tmp_path / "pruned.jsonl"
+    rows = [json.loads(l) for l in Path(amrs).read_text().splitlines()]
+    pruned.write_text("".join(json.dumps(r) + "\n" for r in rows
+                              if r["id"] != dropped))
+    capsys.readouterr()
+    status = dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
+                       "--claims", claims, "--amrs", str(pruned)])
+    captured = capsys.readouterr()
+    if dropped.endswith("-marnie"):
+        assert status == 1 and captured.out == ""
+        assert f"AMR bundle {pruned} is missing ids: ['{dropped}']" in captured.err
+    else:
+        assert status == 0 and "claim: a film was directed" in captured.out
+
+
 def test_explain_renders_the_text_verify_scored(tmp_path, capsys, monkeypatch):
     claims = tmp_path / "claims.jsonl"
     claims.write_text(json.dumps({

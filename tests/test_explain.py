@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from amrex.entailment import nli_pair
-from amrex.errors import TemplateError, TransportError
+from amrex.errors import TransportError
 from amrex.explain import (DEFAULT_PROMPT_TEMPLATE, build_bundle, build_prompt,
                            generate_explanation, render_mapping,
                            render_markdown, render_text)
@@ -78,16 +78,6 @@ def test_prompt_contains_required_sections_and_values():
 
 def test_prompt_is_deterministic():
     assert build_prompt(_rabies_bundle()) == build_prompt(_rabies_bundle())
-
-
-def test_custom_template_and_unknown_placeholder():
-    bundle = _rabies_bundle()
-    assert build_prompt(bundle, "score={smatch_precision}") == \
-        f"score={bundle.score.smatch_p:.4f}"
-    assert build_prompt(bundle, "no placeholders") == "no placeholders"
-    with pytest.raises(TemplateError) as exc:
-        build_prompt(bundle, "oops {no_such_field}")
-    assert "no_such_field" in str(exc.value)
 
 
 def test_default_template_placeholders_all_resolve():

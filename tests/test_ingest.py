@@ -85,6 +85,21 @@ def test_load_averitec_question_plus_answer_mode(tmp_path):
         load_averitec(path, question_mode="bogus")
 
 
+def test_question_plus_answer_records_round_trip_without_a_second_prefix(tmp_path):
+    rows = [{
+        "claim_id": "c-marnie", "claim": "Marnie is a film.", "label": "Supported",
+        "questions": [{"question": "What is Marnie?", "answers": [
+            {"answer": "a 1964 film", "answer_type": "Abstractive"}]}],
+    }]
+    path = _write_jsonl(tmp_path / "av.jsonl", rows)
+    records = load_averitec(path, question_mode="question-plus-answer")
+    out = str(tmp_path / "normalized.jsonl")
+    write_normalized(records, out)
+    reloaded = load_averitec(out, question_mode="question-plus-answer")
+    assert reloaded[0].evidence[0].text == "What is Marnie? a 1964 film"
+    assert reloaded == records
+
+
 def test_load_averitec_normalized_schema(tmp_path):
     rows = [{
         "claim_id": "a2", "claim": "c", "label": "Conflicting Evidence/Cherrypicking",

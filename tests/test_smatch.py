@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -137,6 +138,24 @@ def test_hill_climb_matches_exhaustive_oracle():
                                   include_top=include_top)
             assert hc.matched <= oracle.matched
             assert hc.matched == oracle.matched
+
+
+_GOLDEN_MAPPINGS_SHA256 = "ec89214b164c29a38305fb45972e419551fa54295055f86f16514b1aaec87b09"
+
+
+def test_hill_climb_mappings_match_golden_digest():
+    """Pins the climber's exact mappings on graphs beyond the oracle's size:
+    a change to the neighbour order, the tie rule or canonicalization
+    changes the SHA-256 of the 40 (mapping, matched) results."""
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for i in range(40):
+        premise = random_graph(rng, max_nodes=24, prefix="p")
+        hypothesis = random_graph(rng, max_nodes=14, prefix="h")
+        r = align_hill_climb(premise, hypothesis, restarts=4, seed=i,
+                             include_top=i % 2 == 0)
+        digest.update(repr((r.mapping.pairs, r.matched)).encode())
+    assert digest.hexdigest() == _GOLDEN_MAPPINGS_SHA256
 
 
 def test_result_bounds_and_f1():
