@@ -257,7 +257,9 @@ def cmd_explain(args) -> int:
     cfg, label, score = _stored_pair(verdict_path, claim_id, evidence_id)
     for line in effective_config_lines(cfg, ("dataset", "question_mode")):
         print(line, file=sys.stderr)
-    records = ingest.load_claims(args.claims, cfg.dataset,
+    # Claims up to the selected one and only this pair's graphs: a graph
+    # missing or malformed for another claim is no error here.
+    records = ingest.iter_claims(args.claims, cfg.dataset,
                                  question_mode=cfg.question_mode)
     record = next((r for r in records if r.claim_id == claim_id), None)
     if record is None:
@@ -265,8 +267,7 @@ def cmd_explain(args) -> int:
     item = next((ev for ev in record.evidence if ev.evidence_id == evidence_id), None)
     if item is None:
         raise AmrexError(f"evidence {evidence_id!r} not found for claim {claim_id!r}")
-    # Only this pair's graphs: an id missing for another claim is no error here.
-    amrs = ingest.load_amr_bundle(args.amrs)
+    amrs = ingest.load_amr_bundle(args.amrs, ids=(claim_id, evidence_id))
     missing = [i for i in (claim_id, evidence_id) if i not in amrs]
     if missing:
         raise DatasetError(f"AMR bundle {args.amrs} is missing ids: {missing}")

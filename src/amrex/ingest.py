@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from .config import QUESTION_MODES
@@ -97,22 +98,38 @@ def read_jsonl(path: str):
             yield lineno, value
 
 
-def _load_records(path: str, parse_record) -> list[ClaimRecord]:
-    """``parse_record(raw, lineno)`` for each line of *path*; a missing
-    required key is a DatasetError naming ``path:line``."""
-    records = []
+class _WrongType(DatasetError):
+    """A JSON field of the wrong type; ``_records`` places it at path:line."""
+
+
+_JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, field: str, optional: bool = False):
+    """*value* if it is a *kind* (or None when *optional*), else _WrongType."""
+    if isinstance(value, kind) or (optional and value is None):
+        return value
+    raise _WrongType(f"{field} must be {_JSON_TYPE_NAMES[kind]}, "
+                     f"got {type(value).__name__}")
+
+
+def _records(path: str, parse_record) -> Iterator[ClaimRecord]:
+    """``parse_record(raw, lineno)`` for each line of *path*, read as they
+    are consumed; a missing required key or a wrong-typed field is a
+    DatasetError naming ``path:line``."""
     for lineno, raw in read_jsonl(path):
         try:
-            records.append(parse_record(raw, lineno))
+            yield parse_record(raw, lineno)
         except KeyError as exc:
             raise DatasetError(f"{path}:{lineno}: missing key {exc}")
-    return records
+        except _WrongType as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}")
 
 
 def _map_label(raw: str, mapping: dict[str, str], dataset: str,
                claim_id: str) -> VerdictLabel:
     try:
-        return VerdictLabel(mapping[raw], dataset)
+        return VerdictLabel(mapping[_typed(raw, str, "label")], dataset)
     except KeyError:
         raise DatasetError(
             f"claim {claim_id!r}: unknown label {raw!r} for dataset {dataset!r}")
@@ -120,7 +137,8 @@ def _map_label(raw: str, mapping: dict[str, str], dataset: str,
 
 def _normalized_evidence(raw_items, claim_id: str, dataset: str) -> list[EvidenceItem]:
     items = []
-    for i, raw in enumerate(raw_items):
+    for i, raw in enumerate(_typed(raw_items, list, "evidence")):
+        _typed(raw, dict, "evidence item")
         kind = raw.get("kind", "sentence")
         if kind not in EVIDENCE_KINDS:
             raise DatasetError(
@@ -130,55 +148,57 @@ def _normalized_evidence(raw_items, claim_id: str, dataset: str) -> list[Evidenc
                 f"claim {claim_id!r}: 3-way evidence must have kind 'sentence'")
         items.append(EvidenceItem(
             evidence_id=str(raw.get("id", f"{claim_id}-e{i}")),
-            text=raw["text"], kind=kind, question=raw.get("question")))
+            text=_typed(raw["text"], str, "evidence text"), kind=kind,
+            question=_typed(raw.get("question"), str, "evidence question",
+                            optional=True)))
     return items
 
 
-def load_fever(path: str) -> list[ClaimRecord]:
-    """Load 3-way claims.  Every claim, N-labelled ones included, must
-    carry at least one evidence sentence (the N-augmented release)."""
-    def parse_record(raw, lineno):
-        claim_id = str(raw.get("claim_id", lineno))
-        label = _map_label(raw["label"], FEVER_LABEL_MAP, FEVER, claim_id)
-        evidence = _normalized_evidence(raw.get("evidence", []), claim_id, FEVER)
-        if not evidence:
-            raise DatasetError(
-                f"claim {claim_id!r} has no evidence; expected the release "
-                "that provides evidence for N-labelled claims")
-        return ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
-                           dataset=FEVER, gold_label=label, evidence=evidence)
+def _fever_record(raw, lineno) -> ClaimRecord:
+    """A 3-way claim.  Every claim, N-labelled ones included, must carry at
+    least one evidence sentence (the N-augmented release)."""
+    claim_id = str(raw.get("claim_id", lineno))
+    label = _map_label(raw["label"], FEVER_LABEL_MAP, FEVER, claim_id)
+    evidence = _normalized_evidence(raw.get("evidence", []), claim_id, FEVER)
+    if not evidence:
+        raise DatasetError(
+            f"claim {claim_id!r} has no evidence; expected the release "
+            "that provides evidence for N-labelled claims")
+    return ClaimRecord(claim_id=claim_id, claim_text=_typed(raw["claim"], str, "claim"),
+                       dataset=FEVER, gold_label=label, evidence=evidence)
 
-    return _load_records(path, parse_record)
+
+def load_fever(path: str) -> list[ClaimRecord]:
+    """Load 3-way claims."""
+    return load_claims(path, FEVER)
 
 
 def _averitec_items_from_questions(questions, claim_id: str) -> list[EvidenceItem]:
     items = []
     n = 0
-    for q in questions:
-        question = q.get("question", "")
-        for a in q.get("answers", []):
-            kind = str(a.get("answer_type", "")).lower()
+    for q in _typed(questions, list, "questions"):
+        question = _typed(_typed(q, dict, "question item").get("question", ""),
+                          str, "question")
+        for a in _typed(q.get("answers", []), list, "answers"):
+            kind = str(_typed(a, dict, "answer item").get("answer_type", "")).lower()
             if kind not in ("boolean", "extractive", "abstractive"):
                 raise DatasetError(
                     f"claim {claim_id!r}: unknown answer type {a.get('answer_type')!r}")
             items.append(EvidenceItem(evidence_id=f"{claim_id}-e{n}",
-                                      text=a.get("answer", ""), kind=kind,
-                                      question=question or None))
+                                      text=_typed(a.get("answer", ""), str, "answer"),
+                                      kind=kind, question=question or None))
             n += 1
     return items
 
 
-def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRecord]:
-    """Load 4-way claims, dropping boolean answers.
-
-    *question_mode* selects whether evidence text is the answer alone or
-    the question prepended to it; either schema is read first, so the
-    question is prepended once, and a prefixed item keeps no question of
-    its own.
-    """
+def _averitec_record(question_mode: str):
+    """The parser of 4-way claims in *question_mode*: either schema is read
+    first, so the question is prepended once, and a prefixed item keeps no
+    question of its own.  Boolean answers are dropped."""
     if question_mode not in QUESTION_MODES:
         raise DatasetError(f"unknown question mode {question_mode!r}")
-    def parse_record(raw, lineno):
+
+    def parse_record(raw, lineno) -> ClaimRecord:
         claim_id = str(raw.get("claim_id", lineno))
         label = _map_label(raw["label"], AVERITEC_LABEL_MAP, AVERITEC, claim_id)
         if "questions" in raw:
@@ -189,33 +209,54 @@ def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRe
             items = [replace(ev, text=f"{ev.question} {ev.text}", question=None)
                      if ev.question else ev for ev in items]
         items = [ev for ev in items if ev.kind != "boolean"]
-        return ClaimRecord(claim_id=claim_id, claim_text=raw["claim"],
+        return ClaimRecord(claim_id=claim_id,
+                           claim_text=_typed(raw["claim"], str, "claim"),
                            dataset=AVERITEC, gold_label=label, evidence=items)
 
-    return _load_records(path, parse_record)
+    return parse_record
+
+
+def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRecord]:
+    """Load 4-way claims; *question_mode* selects whether evidence text is
+    the answer alone or the question prepended to it."""
+    return load_claims(path, AVERITEC, question_mode)
+
+
+def iter_claims(path: str, dataset: str,
+                question_mode: str = "answer-only") -> Iterator[ClaimRecord]:
+    """The claims of *path*, parsed one line at a time as they are consumed."""
+    if dataset == FEVER:
+        return _records(path, _fever_record)
+    if dataset == AVERITEC:
+        return _records(path, _averitec_record(question_mode))
+    raise DatasetError(f"unknown dataset {dataset!r}")
 
 
 def load_claims(path: str, dataset: str,
                 question_mode: str = "answer-only") -> list[ClaimRecord]:
-    if dataset == FEVER:
-        return load_fever(path)
-    if dataset == AVERITEC:
-        return load_averitec(path, question_mode=question_mode)
-    raise DatasetError(f"unknown dataset {dataset!r}")
+    return list(iter_claims(path, dataset, question_mode))
 
 
-def load_amr_bundle(path: str) -> dict[str, AmrGraph]:
+def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, AmrGraph]:
     """Parse an ``{"id", "penman"}`` JSONL bundle into graphs, annotating
-    parse failures with the offending id."""
+    parse failures with the offending id.  With *ids*, only those rows'
+    graphs are parsed; every row's id and type are still checked."""
+    wanted = None if ids is None else set(ids)
+    seen: set[str] = set()
     bundle: dict[str, AmrGraph] = {}
     for lineno, raw in read_jsonl(path):
         try:
             rid = str(raw["id"])
-            text = raw["penman"]
+            text = _typed(raw["penman"], str, "penman")
         except KeyError as exc:
             raise DatasetError(f"{path}:{lineno}: missing key {exc}")
-        if rid in bundle:
+        except _WrongType as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}")
+        if rid in seen:
             raise DatasetError(f"{path}:{lineno}: duplicate bundle id {rid!r}")
+        seen.add(rid)
+        if wanted is not None and rid not in wanted:
+            continue
         try:
             bundle[rid] = parse_penman(text)
         except PenmanParseError as exc:

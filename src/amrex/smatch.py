@@ -85,13 +85,13 @@ class _MatchContext:
                           + len(hypothesis.attributes) + (1 if include_top else 0))
         self.prem_total = (len(premise.nodes) + len(premise.edges)
                            + len(premise.attributes) + (1 if include_top else 0))
-        # Edges incident to each hypothesis variable, for gain bookkeeping.
-        self.hyp_edges_at: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
-        for edge in self.hyp_edges:
-            s, _r, t = edge
-            self.hyp_edges_at[s].append(edge)
+        # Indices into hyp_edges of the edges incident to each hypothesis
+        # variable (a self-loop once), for gain bookkeeping.
+        self.hyp_edges_at: dict[str, list[int]] = defaultdict(list)
+        for i, (s, _r, t) in enumerate(self.hyp_edges):
+            self.hyp_edges_at[s].append(i)
             if t != s:
-                self.hyp_edges_at[t].append(edge)
+                self.hyp_edges_at[t].append(i)
         self.hyp_attrs_at: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
         for attr in self.hyp_attrs:
             self.hyp_attrs_at[attr[0]].append(attr)
@@ -194,19 +194,24 @@ def _assign(m: dict[str, str], hv: str, pv: str | None) -> None:
         m[hv] = pv
 
 
-def _place(trial: dict[str, str], hv: str, pv: str) -> None:
-    """Assign hv -> pv in *trial*, moving any current occupant of pv to
-    hv's vacated premise variable (or unmapping it)."""
-    occupant = next((h for h, p in trial.items() if p == pv), None)
-    vacated = trial.get(hv)
-    trial[hv] = pv
+def _place(m: dict[str, str], inv: dict[str, str], changes: dict[str, str | None],
+           hv: str, pv: str) -> None:
+    """Add hv -> pv to the change set *changes* of *m*, moving any occupant
+    of pv to hv's vacated premise variable (or unmapping it).  *inv* is
+    *m*'s inverse, premise -> hypothesis."""
+    occupant = next((h for h, p in changes.items() if p == pv), None)
+    if occupant is None and inv.get(pv) not in changes:
+        occupant = inv.get(pv)
+    vacated = changes.get(hv, m.get(hv))
+    changes[hv] = pv
     if occupant is not None and occupant != hv:
-        _assign(trial, occupant, vacated)
+        changes[occupant] = vacated
 
 
 def _neighbours(ctx: _MatchContext, pvars: list[str],
-                m: dict[str, str]) -> Iterator[dict[str, str]]:
-    """Yield every neighbour of *m* as a new mapping, in search order.
+                m: dict[str, str]) -> Iterator[dict[str, str | None]]:
+    """Yield every neighbour of *m* as a change set ``{hv: new pv or None}``,
+    in search order.
 
     First single moves (each hypothesis variable to each free premise
     variable, then to unmapped), then swaps of two hypothesis variables
@@ -215,35 +220,95 @@ def _neighbours(ctx: _MatchContext, pvars: list[str],
     edge in one step.  The coordinated move is what lets a relation match
     be reached when neither endpoint alone gains anything.
     """
-    used = set(m.values())
+    inv = {pv: hv for hv, pv in m.items()}
     for hv in ctx.hyp_vars:
         cur_pv = m.get(hv)
         for pv in pvars + [None]:
-            if pv == cur_pv or (pv is not None and pv in used):
+            if pv == cur_pv or (pv is not None and pv in inv):
                 continue
-            trial = dict(m)
-            _assign(trial, hv, pv)
-            yield trial
+            yield {hv: pv}
     for i, h1 in enumerate(ctx.hyp_vars):
         for h2 in ctx.hyp_vars[i + 1:]:
             p1, p2 = m.get(h1), m.get(h2)
             if p1 == p2:
                 continue
-            trial = dict(m)
-            _assign(trial, h1, p2)
-            _assign(trial, h2, p1)
-            yield trial
+            yield {h1: p2, h2: p1}
     for s, r, t in ctx.hyp_edges:
         if s == t:
             continue
         for ps, pt in ctx.prem_edges_by_role.get(r, ()):
             if ps == pt or (m.get(s) == ps and m.get(t) == pt):
                 continue
-            trial = dict(m)
-            _place(trial, s, ps)
-            if trial.get(t) != pt:
-                _place(trial, t, pt)
-            yield trial
+            changes: dict[str, str | None] = {}
+            _place(m, inv, changes, s, ps)
+            if changes.get(t, m.get(t)) != pt:
+                _place(m, inv, changes, t, pt)
+            yield changes
+
+
+def _substituted(ctx: _MatchContext, m: dict[str, str]) -> tuple[Counter, Counter]:
+    """How often each premise relation and attribute triple is the image
+    of a hypothesis triple under *m*: the ``n`` that ``count`` caps."""
+    rel: Counter = Counter()
+    for s, r, t in ctx.hyp_edges:
+        key = (m.get(s), r, m.get(t))
+        if key in ctx.prem_rel:
+            rel[key] += 1
+    attr: Counter = Counter()
+    for s, r, v in ctx.hyp_attrs:
+        key = (m.get(s), r, v)
+        if key in ctx.prem_attr:
+            attr[key] += 1
+    return rel, attr
+
+
+def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None],
+          rel: Counter, attr: Counter) -> int:
+    """``count(m + changes) - count(m)`` from the triples incident to the
+    changed variables; *rel* and *attr* are ``_substituted(ctx, m)``."""
+    gain = 0
+    prem_concepts, prem_rel, prem_attr = ctx.prem_concepts, ctx.prem_rel, ctx.prem_attr
+    edges: list[int] = []
+    rel_delta: dict[tuple, int] = {}
+    attr_delta: dict[tuple, int] = {}
+    for hv, new in changes.items():
+        old = m.get(hv)
+        if old == new:
+            continue
+        concept = ctx.hyp_nodes[hv]
+        if new is not None and prem_concepts[new] == concept:
+            gain += 1
+        if old is not None and prem_concepts[old] == concept:
+            gain -= 1
+        edges += ctx.hyp_edges_at[hv]
+        for _s, r, v in ctx.hyp_attrs_at[hv]:
+            if (key := (old, r, v)) in prem_attr:
+                attr_delta[key] = attr_delta.get(key, 0) - 1
+            if (key := (new, r, v)) in prem_attr:
+                attr_delta[key] = attr_delta.get(key, 0) + 1
+    # A swap or planting reaches an edge between two changed variables
+    # twice, and duplicate edges are equal tuples: dedupe by index.
+    for i in (set(edges) if len(changes) > 1 else edges):
+        s, r, t = ctx.hyp_edges[i]
+        old_s, old_t = m.get(s), m.get(t)
+        if (key := (old_s, r, old_t)) in prem_rel:
+            rel_delta[key] = rel_delta.get(key, 0) - 1
+        if (key := (changes.get(s, old_s), r, changes.get(t, old_t))) in prem_rel:
+            rel_delta[key] = rel_delta.get(key, 0) + 1
+    # count() caps a key's matches at its premise multiplicity p, so a key
+    # substituted n times before and n + d times after adds
+    # min(n + d, p) - min(n, p), spelled out as it is the hot path.
+    for delta, substituted, prem in ((rel_delta, rel, prem_rel),
+                                     (attr_delta, attr, prem_attr)):
+        for key, d in delta.items():
+            if d:
+                p, n = prem[key], substituted.get(key, 0)
+                gain += (n + d if n + d < p else p) - (n if n < p else p)
+    root = ctx.hyp_root
+    if (ctx.include_top and root in changes
+            and ctx.hyp_nodes[root] == prem_concepts[ctx.prem_root]):
+        gain += (changes[root] == ctx.prem_root) - (m.get(root) == ctx.prem_root)
+    return gain
 
 
 def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dict[str, str], int]:
@@ -252,16 +317,18 @@ def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dic
     count."""
     current = ctx.count(m)
     while True:
+        rel, attr = _substituted(ctx, m)
         best_gain = 0
-        best_next: dict[str, str] | None = None
-        for trial in _neighbours(ctx, pvars, m):
-            gain = ctx.count(trial) - current
+        best: dict[str, str | None] | None = None
+        for changes in _neighbours(ctx, pvars, m):
+            gain = _gain(ctx, m, changes, rel, attr)
             if gain > best_gain:
                 best_gain = gain
-                best_next = trial
-        if best_next is None:
+                best = changes
+        if best is None:
             return m, current
-        m = best_next
+        for hv, pv in best.items():
+            _assign(m, hv, pv)
         current += best_gain
 
 
@@ -276,30 +343,31 @@ def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> di
     count but pins the reported mapping.
     """
     m = dict(m)
-    # A triple's match depends only on its own variables' images, so
-    # unmapping a floating variable leaves the others' contributions alone.
-    base = ctx.count(m)
+    rel, attr = _substituted(ctx, m)
     floating = []
     for hv in ctx.hyp_vars:
-        pv = m.pop(hv, None)
-        if pv is not None and ctx.count(m) != base:
-            m[hv] = pv
-        else:
-            floating.append(hv)
+        if hv in m and _gain(ctx, m, {hv: None}, rel, attr) != 0:
+            continue
+        if m.pop(hv, None) is not None:
+            rel, attr = _substituted(ctx, m)
+        floating.append(hv)
     used = set(m.values())
     for hv in floating:
         free = [pv for pv in pvars if pv not in used]
         if not free:
             continue
-        base = ctx.count(m)
+        rel, attr = _substituted(ctx, m)
+        edges = [ctx.hyp_edges[i] for i in ctx.hyp_edges_at[hv]]
         best_key = best_pv = None
         for pv in free:
+            gain = _gain(ctx, m, {hv: pv}, rel, attr)
             m[hv] = pv
-            out_adj = sum(1 for s, _r, t in ctx.hyp_edges_at[hv]
+            out_adj = sum(1 for s, _r, t in edges
                           if s == hv and t in m and m[t] in ctx.prem_out[pv])
-            in_adj = sum(1 for s, _r, t in ctx.hyp_edges_at[hv]
+            in_adj = sum(1 for s, _r, t in edges
                          if t == hv and s in m and m[s] in ctx.prem_in[pv])
-            key = (ctx.count(m) - base, out_adj, in_adj)
+            del m[hv]
+            key = (gain, out_adj, in_adj)
             if best_key is None or key > best_key:
                 best_key = key
                 best_pv = pv
@@ -363,7 +431,8 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
     for i in range(len(hvars) - 1, -1, -1):
         hv = hvars[i]
         p = 1 + len(ctx.hyp_attrs_at[hv])
-        for s, _r, t in ctx.hyp_edges_at[hv]:
+        for j in ctx.hyp_edges_at[hv]:
+            s, _r, t = ctx.hyp_edges[j]
             later = max(order[s], order[t])
             if later == i:
                 p += 1
@@ -384,7 +453,8 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
         undo = []
         if ctx.prem_concepts[pv] == ctx.hyp_nodes[hv]:
             gain += 1
-        for s, r, t in ctx.hyp_edges_at[hv]:
+        for j in ctx.hyp_edges_at[hv]:
+            s, r, t = ctx.hyp_edges[j]
             if s == hv and t == hv:
                 key = (pv, r, pv)
             elif s == hv:

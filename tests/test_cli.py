@@ -331,6 +331,42 @@ def test_explain_reads_only_the_graphs_of_its_pair(fever_files, tmp_path, capsys
         assert status == 0 and "claim: a film was directed" in captured.out
 
 
+@pytest.mark.parametrize("broken", ["c-rabies", "e-rabies", "c-marnie", "e-marnie"])
+def test_explain_parses_only_the_graphs_of_its_pair(fever_files, tmp_path, capsys,
+                                                    broken):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
+                     "--amrs", amrs, "--out", str(verdicts)]) == 0
+    rows = [json.loads(l) for l in Path(amrs).read_text().splitlines()]
+    for row in rows:
+        if row["id"] == broken:
+            row["penman"] = "(x/a :mod"
+    Path(amrs).write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    status = dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
+                       "--claims", claims, "--amrs", amrs])
+    captured = capsys.readouterr()
+    if broken.endswith("-marnie"):
+        assert status == 1 and captured.out == ""
+        assert f"error: bundle id '{broken}': " in captured.err
+    else:
+        assert status == 0 and "claim: a film was directed" in captured.out
+
+
+def test_explain_reads_the_claims_only_up_to_its_claim(fever_files, tmp_path, capsys):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
+                     "--amrs", amrs, "--out", str(verdicts)]) == 0
+    with open(claims, "a", encoding="utf-8") as fh:
+        fh.write('{"claim_id": "c-later", "label": ["S"]}\n')
+    capsys.readouterr()
+    assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
+                     "--claims", claims, "--amrs", amrs]) == 0
+    assert "claim: a film was directed" in capsys.readouterr().out
+
+
 def test_explain_renders_the_text_verify_scored(tmp_path, capsys, monkeypatch):
     claims = tmp_path / "claims.jsonl"
     claims.write_text(json.dumps({
@@ -415,6 +451,17 @@ NOT_UTF8 = b"\xff\xfe\n"
      '{"claim_id": "c", "claim": "x", "evidence": [{"text": "y"}]}', ":1: missing key 'label'"),
     (["verify", "--claims", "{bad}", "--amrs", "{amrs}"], "[1, 2]", ":1: expected a JSON object"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"], "[1, 2]", ":1: expected a JSON object"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "evidence": "abc"}',
+     ":1: evidence must be a list, got str"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "evidence": [{"text": 5}]}',
+     ":1: evidence text must be a string, got int"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": ["S"], "evidence": [{"text": "y"}]}',
+     ":1: label must be a string, got list"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"], '{"id": "c", "penman": 5}',
+     ":1: penman must be a string, got int"),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
       "--amrs", "{amrs}"], None, ""),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
@@ -434,7 +481,8 @@ NOT_UTF8 = b"\xff\xfe\n"
     (["ingest", "--in", "{claims}", "--out", "{bad}/n.jsonl"], None,
      "/n.jsonl: No such file"),
 ], ids=["parse-missing", "claims-missing", "claims-no-label", "claims-not-object",
-        "amrs-not-object", "verdicts-missing", "verdicts-bad-json",
+        "amrs-not-object", "evidence-not-a-list", "evidence-text-not-a-string",
+        "label-not-a-string", "penman-not-a-string", "verdicts-missing", "verdicts-bad-json",
         "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
         "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
         "evaluate-report-under-a-file", "ingest-out-no-dir"])

@@ -1,6 +1,10 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrex.errors import DatasetError
 from amrex.ingest import (REFERENCE_LABEL_COUNTS, join_amrs, label_counts,
@@ -175,3 +179,64 @@ def test_write_normalized_round_trips(tmp_path):
     write_normalized(records, str(out))
     again = load_fever(str(out))
     assert again == records
+
+
+_VALID_ROWS = {
+    "fever": {"claim_id": "c1", "claim": "x", "label": "S",
+              "evidence": [{"id": "e1", "text": "t", "kind": "sentence",
+                            "question": "Q?"}]},
+    "averitec-normalized": {"claim_id": "a1", "claim": "x", "label": "S",
+                            "evidence": [{"id": "e1", "text": "t",
+                                          "kind": "extractive", "question": "Q?"}]},
+    "averitec-questions": {"claim_id": "a2", "claim": "x", "label": "S",
+                           "questions": [{"question": "Q?", "answers": [
+                               {"answer": "a", "answer_type": "Extractive"}]}]},
+    "bundle": {"id": "c1", "penman": "(x/hello)"},
+}
+_LOADERS = {
+    "fever": lambda path: load_claims(path, FEVER),
+    "averitec-normalized": lambda path: (
+        load_claims(path, AVERITEC),
+        load_claims(path, AVERITEC, question_mode="question-plus-answer")),
+    "bundle": load_amr_bundle,
+}
+_LOADERS["averitec-questions"] = _LOADERS["averitec-normalized"]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=8)
+
+
+def _field_paths(value, prefix=()):
+    """The path of every field and list item nested in *value*."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def test_valid_rows_load():
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, row in _VALID_ROWS.items():
+            _LOADERS[kind](_write_jsonl(Path(tmp) / f"{kind}.jsonl", [row]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_VALID_ROWS)), st.data())
+def test_any_json_value_in_a_field_loads_or_is_a_dataset_error(kind, data):
+    row = copy.deepcopy(_VALID_ROWS[kind])
+    *parents, last = data.draw(st.sampled_from(list(_field_paths(row))))
+    container = row
+    for key in parents:
+        container = container[key]
+    container[last] = data.draw(_JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_jsonl(Path(tmp) / "rows.jsonl", [row])
+        try:
+            _LOADERS[kind](path)
+        except DatasetError:
+            pass

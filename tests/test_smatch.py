@@ -2,11 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrex.errors import ConfigError, GraphError, MappingError
-from amrex.graph import parse_penman
-from amrex.smatch import (AlignConfig, VariableMapping, align_exhaustive,
-                          align_hill_climb, matched_triples, smatch_precision)
+from amrex.graph import AmrGraph, parse_penman
+from amrex.smatch import (AlignConfig, VariableMapping, _assign, _gain,
+                          _MatchContext, _neighbours, _substituted,
+                          align_exhaustive, align_hill_climb, matched_triples,
+                          smatch_precision)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -180,3 +183,100 @@ def test_zero_triple_hypothesis_has_zero_precision():
     r = align_hill_climb(parse_penman("(p/cat)"), parse_penman("(h/dog)"))
     assert r.precision == 0.0
     assert r.f1 == 0.0
+
+
+def _unchecked_graph(nodes, edges=(), attributes=()) -> AmrGraph:
+    """An AmrGraph built without validation, so it may hold self-loops,
+    cycles and duplicate edges and attributes."""
+    g = object.__new__(AmrGraph)
+    for name, value in (("root", next(iter(nodes))), ("nodes", dict(nodes)),
+                        ("edges", tuple(edges)), ("attributes", tuple(attributes))):
+        object.__setattr__(g, name, value)
+    return g
+
+
+@st.composite
+def _graphs(draw, prefix: str, max_nodes: int):
+    """Small graphs over few concepts, roles and constants, so that matches,
+    duplicates and self-loops are common."""
+    n = draw(st.integers(1, max_nodes))
+    variables = [f"{prefix}{i}" for i in range(n)]
+    nodes = {v: draw(st.sampled_from("abc")) for v in variables}
+    var = st.sampled_from(variables)
+    role = st.sampled_from(("ARG0", "ARG1"))
+    edges = draw(st.lists(st.tuples(var, role, var), max_size=2 * n))
+    attributes = draw(st.lists(st.tuples(var, role, st.sampled_from("12")),
+                               max_size=n))
+    return _unchecked_graph(nodes, edges, attributes)
+
+
+def _copied_neighbours(ctx, pvars, m):
+    """The climber's neighbourhood in search order, each neighbour built as
+    a whole copied mapping: the reference for the change sets."""
+    def place(trial, hv, pv):
+        occupant = next((h for h, p in trial.items() if p == pv), None)
+        vacated = trial.get(hv)
+        trial[hv] = pv
+        if occupant is not None and occupant != hv:
+            _assign(trial, occupant, vacated)
+
+    for hv in ctx.hyp_vars:
+        for pv in pvars + [None]:
+            if pv != m.get(hv) and (pv is None or pv not in m.values()):
+                trial = dict(m)
+                _assign(trial, hv, pv)
+                yield trial
+    for i, h1 in enumerate(ctx.hyp_vars):
+        for h2 in ctx.hyp_vars[i + 1:]:
+            if m.get(h1) != m.get(h2):
+                trial = dict(m)
+                _assign(trial, h1, m.get(h2))
+                _assign(trial, h2, m.get(h1))
+                yield trial
+    for s, r, t in ctx.hyp_edges:
+        for ps, pt in ctx.prem_edges_by_role.get(r, ()):
+            if s != t and ps != pt and (m.get(s), m.get(t)) != (ps, pt):
+                trial = dict(m)
+                place(trial, s, ps)
+                if trial.get(t) != pt:
+                    place(trial, t, pt)
+                yield trial
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gain_of_every_neighbour_equals_count_difference(data):
+    """count() is the oracle for the climber's incremental scoring: for every
+    change set a mapping's neighbourhood yields, the gain equals the count
+    after applying it minus the count before.  Applied in order, the change
+    sets are the neighbours built by copying the mapping."""
+    premise = data.draw(_graphs("p", 6))
+    hypothesis = data.draw(_graphs("h", 5))
+    pvars = list(premise.nodes)
+    images = data.draw(st.permutations(pvars))
+    mapped = data.draw(st.lists(st.booleans(), min_size=len(hypothesis.nodes),
+                                max_size=len(hypothesis.nodes)))
+    m = {hv: pv for hv, pv, keep in zip(hypothesis.nodes, images, mapped) if keep}
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        rel, attr = _substituted(ctx, m)
+        before = ctx.count(m)
+        applied = []
+        for changes in _neighbours(ctx, pvars, m):
+            after = dict(m)
+            for hv, pv in changes.items():
+                _assign(after, hv, pv)
+            applied.append(after)
+            assert _gain(ctx, m, changes, rel, attr) == ctx.count(after) - before
+        assert applied == list(_copied_neighbours(ctx, pvars, m))
+
+
+def test_gain_caps_duplicate_edges_at_the_premise_count():
+    # Two equal hypothesis edges land on the one premise edge: one match.
+    premise = _unchecked_graph({"p0": "a", "p1": "c"}, [("p0", "ARG0", "p1")])
+    hypothesis = _unchecked_graph({"h0": "a", "h1": "b"},
+                                  [("h0", "ARG0", "h1"), ("h0", "ARG0", "h1")])
+    ctx = _MatchContext(premise, hypothesis, include_top=False)
+    m = {"h0": "p0"}
+    assert _gain(ctx, m, {"h1": "p1"}, *_substituted(ctx, m)) == 1
+    assert ctx.count({"h0": "p0", "h1": "p1"}) - ctx.count(m) == 1
