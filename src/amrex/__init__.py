@@ -1,6 +1,6 @@
 """Deterministic, explainable fact verification over AMR graphs."""
 
-from .entailment import EntailmentScore, combined_score, nli_pair, th1
+from .entailment import EntailmentScore, combined_score, th1
 from .errors import AmrexError, PenmanParseError
 from .evaluation import EvaluationReport, lambda_sweep, score_predictions
 from .explain import ExplanationBundle, build_bundle, build_prompt, render_mapping
@@ -26,7 +26,7 @@ __all__ = [
     "align_hill_climb", "backend_from_spec", "build_bundle", "build_prompt",
     "combined_score", "cosine", "extract_triples", "join_amrs",
     "lambda_sweep", "load_amr_bundle", "load_claims", "matched_triples",
-    "nli_pair", "parse_penman", "render_mapping", "score_predictions",
+    "parse_penman", "render_mapping", "score_predictions",
     "serialize_penman", "smatch_precision", "th1", "th2_averitec",
     "th2_fever", "verify_claim",
 ]

@@ -16,12 +16,12 @@ from dataclasses import fields
 from . import evaluation, explain, ingest
 from .config import (RunConfig, apply_env, effective_config_lines,
                      load_config_file, setting_key)
-from .entailment import nli_pair, pair_from_json, pair_json
-from .errors import AmrexError, DatasetError
+from .entailment import blend, pair_from_json, pair_json
+from .errors import AmrexError, DatasetError, MappingError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
 from .smatch import AlignConfig, align_hill_climb
-from .verdict import precompute_pair_components, verdict_at
+from .verdict import label_set, precompute_pair_components, score_pairs, verdict_at
 
 
 def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
@@ -117,9 +117,10 @@ def cmd_score_pair(args) -> int:
     backend = backend_from_spec(cfg.backend)
     claim_graph = parse_penman(_read(args.claim_amr))
     evidence_graph = parse_penman(_read(args.evidence_amr))
-    score = nli_pair(args.evidence_text, evidence_graph,
-                     args.claim_text, claim_graph,
-                     cfg.resolved_lambda(), backend, _align_config(cfg))
+    [(alignment, sim)] = score_pairs([(args.evidence_text, evidence_graph,
+                                       args.claim_text, claim_graph,
+                                       _align_config(cfg))], backend)
+    score = blend(cfg.resolved_lambda(), alignment, sim)
     if args.json:
         print(json.dumps({"lambda": score.lam, **pair_json(score)}))
     else:
@@ -223,26 +224,41 @@ def _parse_pair_selector(spec: str) -> tuple[str, str, str]:
     return path, claim_id, evidence_id
 
 
+def _stored_choice(row: dict, key: str, choices):
+    """``row[key]`` if it is one of *choices*, else a TypeError."""
+    if (value := row[key]) not in choices:
+        raise TypeError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _stored_pair(verdict_path: str, claim_id: str, evidence_id: str):
     """The settings the claims were loaded with, the verdict label and the
-    scored pair, all as ``verify`` stored them."""
+    scored pair, all as ``verify`` stored them.  A row that lacks one of
+    them or holds one of the wrong type is a DatasetError."""
     row = next((raw for _, raw in ingest.read_jsonl(verdict_path)
                 if raw.get("claim_id") == claim_id), None)
     if row is None:
-        raise AmrexError(f"claim {claim_id!r} not found in {verdict_path}")
+        raise DatasetError(f"claim {claim_id!r} not found in {verdict_path}")
     where = f"{verdict_path}: claim {claim_id!r} / evidence {evidence_id!r}"
     try:
-        pair = next((p for p in row["pairs"] if p["evidence_id"] == evidence_id), None)
+        pairs = row["pairs"]
+        if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
+            raise TypeError("pairs must be a list of objects")
+        pair = next((p for p in pairs if p["evidence_id"] == evidence_id), None)
         if pair is None:
-            raise AmrexError(
+            raise DatasetError(
                 f"evidence {evidence_id!r} not found for claim {claim_id!r} "
                 f"in {verdict_path}")
-        cfg = RunConfig(dataset=row["dataset"], question_mode=row["question_mode"])
-        return cfg, row["label"], pair_from_json(row["lambda"], pair)
+        choices = {f.name: f.metadata["choices"] for f in fields(RunConfig)}
+        cfg = RunConfig()
+        for name in ("dataset", "question_mode"):
+            setattr(cfg, name, _stored_choice(row, name, choices[name]))
+        label = _stored_choice(row, "label", label_set(cfg.dataset))
+        return cfg, label, pair_from_json(row["lambda"], pair)
     except KeyError as exc:
         raise DatasetError(
             f"{where}: no stored {exc}; re-run verify to record the scored pair")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MappingError) as exc:
         raise DatasetError(f"{where}: malformed verdict row: {exc}")
 
 

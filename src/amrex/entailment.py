@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .graph import AmrGraph
-from .similarity import SimilarityBackend, cosine
-from .smatch import AlignConfig, SmatchResult, VariableMapping, smatch_precision
+from .smatch import SmatchResult, VariableMapping
 
 ENTAILMENT_THRESHOLD = 0.6
 
@@ -60,24 +58,25 @@ def pair_json(score: EntailmentScore) -> dict:
             "mapping": [list(p) for p in score.mapping.pairs]}
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    return value
+
+
 def pair_from_json(lam: float, pair: dict) -> EntailmentScore:
-    """Read back what :func:`pair_json` wrote; a missing key is a KeyError."""
-    return EntailmentScore(lam=lam, smatch_p=pair["smatch_p"],
-                           cosine_sim=pair["cosine"], f_value=pair["f"],
-                           decision=pair["decision"],
-                           mapping=VariableMapping(pair["mapping"]))
-
-
-def nli_pair(premise_text: str, premise_amr: AmrGraph,
-             hypothesis_text: str, hypothesis_amr: AmrGraph,
-             lam: float, backend: SimilarityBackend,
-             cfg: AlignConfig = AlignConfig()) -> EntailmentScore:
-    """Score one (evidence, claim) pair.
-
-    Runs the alignment with the claim as hypothesis, embeds both texts,
-    blends the scores and thresholds.  Embedding misses propagate as typed
-    errors; they never degrade to a default score.
-    """
-    alignment = smatch_precision(premise_amr, hypothesis_amr, cfg)
-    sim = cosine(backend.embed(premise_text), backend.embed(hypothesis_text))
-    return blend(lam, alignment, sim)
+    """Read back what :func:`pair_json` wrote; a missing key is a KeyError
+    and a value of the wrong type or out of range a TypeError."""
+    decision, mapping = pair["decision"], pair["mapping"]
+    if type(decision) is not int or decision not in (1, -1):
+        raise TypeError(f"decision must be 1 or -1, got {decision!r}")
+    if not (isinstance(mapping, list)
+            and all(isinstance(p, list) and len(p) == 2
+                    and all(isinstance(v, str) for v in p) for p in mapping)):
+        raise TypeError("mapping must be a list of [claim variable, "
+                        "evidence variable] string pairs")
+    return EntailmentScore(lam=_number(lam, "lambda"),
+                           smatch_p=_number(pair["smatch_p"], "smatch_p"),
+                           cosine_sim=_number(pair["cosine"], "cosine"),
+                           f_value=_number(pair["f"], "f"), decision=decision,
+                           mapping=VariableMapping(mapping))

@@ -113,6 +113,15 @@ def _typed(value, kind: type, field: str, optional: bool = False):
                      f"got {type(value).__name__}")
 
 
+def _id(value, field: str) -> str:
+    """An id given as a JSON string or integer, as a string; any other JSON
+    value (a bool, float, list, object or null) is _WrongType."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise _WrongType(f"{field} must be a string or an integer, "
+                     f"got {type(value).__name__}")
+
+
 def _records(path: str, parse_record) -> Iterator[ClaimRecord]:
     """``parse_record(raw, lineno)`` for each line of *path*, read as they
     are consumed; a missing required key or a wrong-typed field is a
@@ -147,7 +156,7 @@ def _normalized_evidence(raw_items, claim_id: str, dataset: str) -> list[Evidenc
             raise DatasetError(
                 f"claim {claim_id!r}: 3-way evidence must have kind 'sentence'")
         items.append(EvidenceItem(
-            evidence_id=str(raw.get("id", f"{claim_id}-e{i}")),
+            evidence_id=_id(raw.get("id", f"{claim_id}-e{i}"), "evidence id"),
             text=_typed(raw["text"], str, "evidence text"), kind=kind,
             question=_typed(raw.get("question"), str, "evidence question",
                             optional=True)))
@@ -157,7 +166,7 @@ def _normalized_evidence(raw_items, claim_id: str, dataset: str) -> list[Evidenc
 def _fever_record(raw, lineno) -> ClaimRecord:
     """A 3-way claim.  Every claim, N-labelled ones included, must carry at
     least one evidence sentence (the N-augmented release)."""
-    claim_id = str(raw.get("claim_id", lineno))
+    claim_id = _id(raw.get("claim_id", lineno), "claim_id")
     label = _map_label(raw["label"], FEVER_LABEL_MAP, FEVER, claim_id)
     evidence = _normalized_evidence(raw.get("evidence", []), claim_id, FEVER)
     if not evidence:
@@ -199,7 +208,7 @@ def _averitec_record(question_mode: str):
         raise DatasetError(f"unknown question mode {question_mode!r}")
 
     def parse_record(raw, lineno) -> ClaimRecord:
-        claim_id = str(raw.get("claim_id", lineno))
+        claim_id = _id(raw.get("claim_id", lineno), "claim_id")
         label = _map_label(raw["label"], AVERITEC_LABEL_MAP, AVERITEC, claim_id)
         if "questions" in raw:
             items = _averitec_items_from_questions(raw["questions"], claim_id)
@@ -246,7 +255,7 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
     bundle: dict[str, AmrGraph] = {}
     for lineno, raw in read_jsonl(path):
         try:
-            rid = str(raw["id"])
+            rid = _id(raw["id"], "bundle id")
             text = _typed(raw["penman"], str, "penman")
         except KeyError as exc:
             raise DatasetError(f"{path}:{lineno}: missing key {exc}")

@@ -25,7 +25,10 @@ class EmbeddingVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        try:
+            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        except OverflowError:  # an integer too large for a float
+            raise SimilarityError("non-finite value in embedding vector") from None
         if not self.values:
             raise SimilarityError("empty embedding vector")
         if not all(math.isfinite(v) for v in self.values):
@@ -74,7 +77,7 @@ class PrecomputedFileBackend(SimilarityBackend):
                 try:
                     record = json.loads(line.decode("utf-8"))
                     self._table[record["text"]] = EmbeddingVector(tuple(record["vector"]))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, SimilarityError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")
 
     def _embed(self, text: str) -> EmbeddingVector:
@@ -103,10 +106,12 @@ class EmbeddingServiceBackend(SimilarityBackend):
             raise TransportError(
                 f"embedding response length {len(vectors) if isinstance(vectors, list) else '?'} "
                 f"does not match request length {len(texts)}")
-        try:
-            return [EmbeddingVector(tuple(v)) for v in vectors]
-        except (TypeError, ValueError) as exc:
-            raise TransportError(f"malformed embedding service vector: {exc}")
+        if not all(isinstance(v, list) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+                for v in vectors):
+            raise TransportError("malformed embedding service vector: "
+                                 "expected a list of numbers per text")
+        return [EmbeddingVector(tuple(v)) for v in vectors]
 
 
 def post_json(url: str, payload: dict, key: str, timeout: float, service: str):

@@ -98,10 +98,38 @@ class _MatchContext:
         self.prem_edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
         self.prem_out: dict[str, set[str]] = defaultdict(set)
         self.prem_in: dict[str, set[str]] = defaultdict(set)
+        out_roles: dict[str, set[str]] = defaultdict(set)
+        in_roles: dict[str, set[str]] = defaultdict(set)
         for s, r, t in self.prem_rel:
             self.prem_edges_by_role[r].append((s, t))
             self.prem_out[s].add(t)
             self.prem_in[t].add(s)
+            out_roles[s].add(r)
+            in_roles[t].add(r)
+        # bound[hv][pv]: the most triples mapping hv -> pv can ever match,
+        # each counted once: the instance, every incident edge whose role
+        # leaves (hv the source) or enters (hv the target) pv in the premise,
+        # a self-loop only onto a premise self-loop, every attribute pv also
+        # has, and the top triple.  Unmapping never gains and a capped key
+        # adds at most one per newly substituted triple, so a change set
+        # gains at most the sum of its entries; the entry for None is 0.
+        self.bound: dict[str, dict[str | None, int]] = {}
+        for hv, concept in self.hyp_nodes.items():
+            edges = [self.hyp_edges[i] for i in self.hyp_edges_at[hv]]
+            attrs = self.hyp_attrs_at[hv]
+            row = self.bound[hv] = {None: 0}
+            for pv, prem_concept in self.prem_concepts.items():
+                outs, ins = out_roles[pv], in_roles[pv]
+                b = prem_concept == concept
+                for s, r, t in edges:
+                    b += ((pv, r, pv) in self.prem_rel if s == t
+                          else r in outs if s == hv else r in ins)
+                for _s, r, v in attrs:
+                    b += (pv, r, v) in self.prem_attr
+                if (include_top and hv == self.hyp_root and pv == self.prem_root
+                        and prem_concept == concept):
+                    b += 1
+                row[pv] = b
 
     def count(self, m: dict[str, str]) -> int:
         """Matched hypothesis triples under mapping *m* (multiset-aware)."""
@@ -314,13 +342,21 @@ def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None],
 def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dict[str, str], int]:
     """Greedy local search until no gain: each step takes the first
     neighbour with the largest strict gain.  Returns the mapping and its
-    count."""
+    count.  A neighbour whose ``ctx.bound`` sum cannot beat the step's best
+    gain so far is not scored: it could not be taken, so the step is the
+    same."""
+    bound = ctx.bound
     current = ctx.count(m)
     while True:
         rel, attr = _substituted(ctx, m)
         best_gain = 0
         best: dict[str, str | None] | None = None
         for changes in _neighbours(ctx, pvars, m):
+            ub = 0
+            for hv, pv in changes.items():
+                ub += bound[hv][pv]
+            if ub <= best_gain:
+                continue
             gain = _gain(ctx, m, changes, rel, attr)
             if gain > best_gain:
                 best_gain = gain

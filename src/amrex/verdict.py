@@ -130,14 +130,35 @@ class PairComponents:
     cosine_sim: float
 
 
+def score_pairs(pairs, backend: SimilarityBackend,
+                jobs: int = 1) -> list[tuple[SmatchResult, float]]:
+    """``(alignment, cosine)`` of each ``(evidence text, evidence graph,
+    claim text, claim graph, AlignConfig)`` in *pairs*: the one scoring
+    path of ``verify``, ``evaluate`` and ``score-pair``.
+
+    Embeds every text in this process, evidence before claim.  The
+    alignments run here at ``jobs == 1``, else in worker processes.
+    """
+    sims = [cosine(backend.embed(ev_text), backend.embed(claim_text))
+            for ev_text, _, claim_text, _, _ in pairs]
+    columns = ([p[1] for p in pairs], [p[3] for p in pairs], [p[4] for p in pairs])
+    workers = worker_count(jobs, len(pairs), usable_cpus())
+    if workers == 1:
+        alignments = list(map(smatch_precision, *columns))
+    else:
+        # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+            alignments = list(pool.map(smatch_precision, *columns))
+    return list(zip(alignments, sims))
+
+
 def precompute_pair_components(records, backend: SimilarityBackend,
                                cfg: AlignConfig = AlignConfig(), seed: int = 0,
                                jobs: int = 1) -> dict[str, list[PairComponents]]:
     """Per-pair components of every joined :class:`amrex.ingest.ClaimRecord`.
 
-    Drops boolean evidence and embeds every text in this process.  The
-    alignments run here at ``jobs == 1``, else in worker processes; each
-    pair has its own seed, so the result does not depend on *jobs*.
+    Drops boolean evidence and scores the rest with :func:`score_pairs`;
+    each pair has its own seed, so the result does not depend on *jobs*.
     """
     components: dict[str, list[PairComponents]] = {}
     pairs = []
@@ -153,20 +174,11 @@ def precompute_pair_components(records, backend: SimilarityBackend,
                     f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}: "
                     "AMR graph not joined")
             pairs.append((record, ev))
-    sims = [cosine(backend.embed(ev.text), backend.embed(record.claim_text))
-            for record, ev in pairs]
-    columns = ([ev.graph for _, ev in pairs],
-               [record.claim_graph for record, _ in pairs],
-               [replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id))
-                for record, ev in pairs])
-    workers = worker_count(jobs, len(pairs), usable_cpus())
-    if workers == 1:
-        alignments = list(map(smatch_precision, *columns))
-    else:
-        # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
-            alignments = list(pool.map(smatch_precision, *columns))
-    for (record, ev), alignment, sim in zip(pairs, alignments, sims):
+    scored = score_pairs(
+        [(ev.text, ev.graph, record.claim_text, record.claim_graph,
+          replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id)))
+         for record, ev in pairs], backend, jobs)
+    for (record, ev), (alignment, sim) in zip(pairs, scored):
         components[record.claim_id].append(
             PairComponents(ev.evidence_id, alignment, sim))
     return components

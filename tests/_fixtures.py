@@ -1,9 +1,15 @@
-"""Shared test fixtures: the three reference claim/evidence AMR pairs and a
-seeded random graph generator."""
+"""Shared test fixtures: the three reference claim/evidence AMR pairs, a
+seeded random graph generator, one-pair scoring, and any JSON value with
+the paths to put it at."""
 
 import random
 
+from hypothesis import strategies as st
+
+from amrex.entailment import blend
 from amrex.graph import AmrGraph
+from amrex.smatch import AlignConfig
+from amrex.verdict import score_pairs
 
 # Claim: "Wish Upon was released in the 21st century."
 WISH_CLAIM = """(a0/release-01
@@ -104,9 +110,11 @@ _ROLES = ("ARG0", "ARG1", "mod", "name", "op1", "op2", "time")
 _CONSTS = ("1", "2", "21", '"X"', "seven")
 
 
-def random_graph(rng: random.Random, max_nodes: int = 8, prefix: str = "n") -> AmrGraph:
+def random_graph(rng: random.Random, max_nodes: int = 8, prefix: str = "n",
+                 max_attributes: int = 2) -> AmrGraph:
     """A random rooted DAG: a spanning tree plus forward extra edges so the
-    result is always acyclic and root-reachable."""
+    result is always acyclic and root-reachable, and up to *max_attributes*
+    attributes."""
     n = rng.randint(1, max_nodes)
     variables = [f"{prefix}{i}" for i in range(n)]
     nodes = {v: rng.choice(_CONCEPTS) for v in variables}
@@ -118,8 +126,34 @@ def random_graph(rng: random.Random, max_nodes: int = 8, prefix: str = "n") -> A
         if i < j:
             edges.append((variables[i], rng.choice(_ROLES), variables[j]))
     attributes = []
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(0, max_attributes)):
         attributes.append((rng.choice(variables), rng.choice(_ROLES),
                            rng.choice(_CONSTS)))
     return AmrGraph(root=variables[0], nodes=nodes, edges=tuple(edges),
                     attributes=tuple(attributes))
+
+
+def score_pair(premise_text, premise_amr, hypothesis_text, hypothesis_amr,
+               lam, backend, cfg=AlignConfig()):
+    """One (evidence, claim) pair scored and blended at *lam*, as
+    ``score-pair`` scores it."""
+    [(alignment, sim)] = score_pairs([(premise_text, premise_amr, hypothesis_text,
+                                       hypothesis_amr, cfg)], backend)
+    return blend(lam, alignment, sim)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=8)
+
+
+def field_paths(value, prefix=()):
+    """The path of every field and list item nested in *value*."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import subprocess
@@ -7,17 +8,18 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import amrex
 from amrex.cli import build_parser, dispatch
 from amrex.config import (RunConfig, apply_env, load_config_file, usable_cpus,
                           worker_count)
-from amrex.errors import ConfigError
+from amrex.errors import ConfigError, DatasetError
 from amrex.graph import parse_penman, serialize_penman
 from amrex.ingest import load_averitec
 
-from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
-                       RABIES_EVIDENCE, RABIES_MAPPING)
+from _fixtures import (JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
+                       RABIES_EVIDENCE, RABIES_MAPPING, field_paths)
 
 
 @pytest.fixture
@@ -292,7 +294,22 @@ _WHERE = "{verdicts}: claim 'c-marnie' / evidence 'e-marnie': "
     (lambda row: row.pop("dataset"), _WHERE + "no stored 'dataset'; re-run verify"),
     (lambda row: row.pop("question_mode"),
      _WHERE + "no stored 'question_mode'; re-run verify"),
-], ids=["no-mapping", "unknown-variable", "no-dataset", "no-question-mode"])
+    (lambda row: row["pairs"][0].update(smatch_p="abc"),
+     _WHERE + "malformed verdict row: smatch_p must be a number, got str"),
+    (lambda row: row.update({"lambda": True}),
+     _WHERE + "malformed verdict row: lambda must be a number, got bool"),
+    (lambda row: row["pairs"][0].update(decision=0),
+     _WHERE + "malformed verdict row: decision must be 1 or -1, got 0"),
+    (lambda row: row["pairs"][0].update(mapping=[["a0", "b0"], ["a1", "b0"]]),
+     _WHERE + "malformed verdict row: premise variable 'b0' mapped twice"),
+    (lambda row: row.update(question_mode=[1]),
+     _WHERE + "malformed verdict row: question_mode must be one of "
+              "answer-only, question-plus-answer, got [1]"),
+    (lambda row: row.update(label=3),
+     _WHERE + "malformed verdict row: label must be one of S, R, N, got 3"),
+], ids=["no-mapping", "unknown-variable", "no-dataset", "no-question-mode",
+        "smatch-p-a-string", "lambda-a-bool", "decision-zero", "mapping-not-injective",
+        "question-mode-a-list", "label-a-number"])
 def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
                                                         capsys, corrupt, message):
     claims, amrs = fever_files
@@ -307,6 +324,37 @@ def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
     assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
                      *base]) == 1
     assert message.format(verdicts=verdicts) in capsys.readouterr().err
+
+
+def test_any_json_value_in_a_stored_row_renders_or_is_a_dataset_error(
+        fever_files, tmp_path):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
+                     "--amrs", amrs, "--out", str(verdicts)]) == 0
+    row = json.loads(verdicts.read_text().splitlines()[0])
+    stored = tmp_path / "stored.jsonl"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        corrupted = copy.deepcopy(row)
+        *parents, last = data.draw(st.sampled_from(list(field_paths(corrupted))))
+        container = corrupted
+        for key in parents:
+            container = container[key]
+        container[last] = data.draw(JSON_VALUES)
+        stored.write_text(json.dumps(corrupted) + "\n")
+        args = build_parser().parse_args([
+            "explain", "--pair", f"{stored}#c-marnie/e-marnie", "--claims", claims,
+            "--amrs", amrs, "--format", data.draw(st.sampled_from(("text", "markdown",
+                                                                   "prompt")))])
+        try:
+            assert args.func(args) == 0
+        except DatasetError:
+            pass
+
+    check()
 
 
 @pytest.mark.parametrize("dropped", ["c-rabies", "e-rabies", "c-marnie", "e-marnie"])
@@ -462,6 +510,19 @@ NOT_UTF8 = b"\xff\xfe\n"
      ":1: label must be a string, got list"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"], '{"id": "c", "penman": 5}',
      ":1: penman must be a string, got int"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": [1], "claim": "x", "label": "S", "evidence": [{"text": "y"}]}',
+     ":1: claim_id must be a string or an integer, got list"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": true, "claim": "x", "label": "S", "evidence": [{"text": "y"}]}',
+     ":1: claim_id must be a string or an integer, got bool"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "evidence": [{"id": 1.5, "text": "y"}]}',
+     ":1: evidence id must be a string or an integer, got float"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"], '{"id": null, "penman": "(x / y)"}',
+     ":1: bundle id must be a string or an integer, got NoneType"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"], '{"id": {"a": 1}, "penman": "(x / y)"}',
+     ":1: bundle id must be a string or an integer, got dict"),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
       "--amrs", "{amrs}"], None, ""),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
@@ -482,7 +543,9 @@ NOT_UTF8 = b"\xff\xfe\n"
      "/n.jsonl: No such file"),
 ], ids=["parse-missing", "claims-missing", "claims-no-label", "claims-not-object",
         "amrs-not-object", "evidence-not-a-list", "evidence-text-not-a-string",
-        "label-not-a-string", "penman-not-a-string", "verdicts-missing", "verdicts-bad-json",
+        "label-not-a-string", "penman-not-a-string", "claim-id-a-list",
+        "claim-id-a-bool", "evidence-id-a-float", "bundle-id-null",
+        "bundle-id-an-object", "verdicts-missing", "verdicts-bad-json",
         "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
         "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
         "evaluate-report-under-a-file", "ingest-out-no-dir"])

@@ -1,13 +1,13 @@
 import pytest
 
-from amrex.entailment import combined_score, nli_pair, th1
+from amrex.entailment import combined_score, th1
 from amrex.errors import ConfigError, EmbeddingMissError
 from amrex.graph import parse_penman
 from amrex.similarity import DeterministicTestBackend, PrecomputedFileBackend
 from amrex.smatch import AlignConfig
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
-                       RABIES_EVIDENCE)
+                       RABIES_EVIDENCE, score_pair)
 
 
 def test_combined_score_endpoints():
@@ -61,10 +61,10 @@ def _fixture_backend(tmp_path, scores):
 
 def test_nli_pair_rabies_reference_arithmetic(tmp_path):
     backend = _fixture_backend(tmp_path, {("evidence A", "claim A"): 0.59})
-    score = nli_pair("evidence A", parse_penman(RABIES_EVIDENCE),
-                     "claim A", parse_penman(RABIES_CLAIM),
-                     lam=0.5, backend=backend,
-                     cfg=AlignConfig(include_top=False))
+    score = score_pair("evidence A", parse_penman(RABIES_EVIDENCE),
+                       "claim A", parse_penman(RABIES_CLAIM),
+                       lam=0.5, backend=backend,
+                       cfg=AlignConfig(include_top=False))
     assert score.cosine_sim == pytest.approx(0.59)
     assert score.smatch_p == pytest.approx(6 / 14)
     assert score.f_value == pytest.approx(0.5 * (6 / 14) + 0.5 * 0.59)
@@ -74,9 +74,9 @@ def test_nli_pair_rabies_reference_arithmetic(tmp_path):
 def test_nli_pair_marnie_always_entails(tmp_path):
     backend = _fixture_backend(tmp_path, {("evidence B", "claim B"): 0.70})
     for lam in [0.0, 0.3, 0.5, 0.9, 1.0]:
-        score = nli_pair("evidence B", parse_penman(MARNIE_EVIDENCE),
-                         "claim B", parse_penman(MARNIE_CLAIM),
-                         lam=lam, backend=backend)
+        score = score_pair("evidence B", parse_penman(MARNIE_EVIDENCE),
+                           "claim B", parse_penman(MARNIE_CLAIM),
+                           lam=lam, backend=backend)
         assert score.smatch_p == pytest.approx(0.75)
         assert score.f_value >= 0.70 - 1e-12
         assert score.decision == 1
@@ -85,7 +85,7 @@ def test_nli_pair_marnie_always_entails(tmp_path):
 def test_nli_pair_self_entailment():
     backend = DeterministicTestBackend()
     g = parse_penman(MARNIE_CLAIM)
-    score = nli_pair("same text", g, "same text", g, lam=1.0, backend=backend)
+    score = score_pair("same text", g, "same text", g, lam=1.0, backend=backend)
     assert score.f_value == pytest.approx(1.0)
     assert score.decision == 1
 
@@ -93,6 +93,6 @@ def test_nli_pair_self_entailment():
 def test_nli_pair_embedding_miss_aborts(tmp_path):
     backend = _fixture_backend(tmp_path, {("evidence A", "claim A"): 0.5})
     with pytest.raises(EmbeddingMissError):
-        nli_pair("unknown evidence", parse_penman(RABIES_EVIDENCE),
-                 "claim A", parse_penman(RABIES_CLAIM),
-                 lam=0.5, backend=backend)
+        score_pair("unknown evidence", parse_penman(RABIES_EVIDENCE),
+                   "claim A", parse_penman(RABIES_CLAIM),
+                   lam=0.5, backend=backend)

@@ -4,7 +4,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from amrex.entailment import nli_pair
 from amrex.errors import TransportError
 from amrex.explain import (DEFAULT_PROMPT_TEMPLATE, build_bundle, build_prompt,
                            generate_explanation, render_mapping,
@@ -14,16 +13,16 @@ from amrex.similarity import DeterministicTestBackend
 from amrex.smatch import AlignConfig
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
-                       RABIES_EVIDENCE, RABIES_MAPPING)
+                       RABIES_EVIDENCE, RABIES_MAPPING, score_pair)
 
 
 def _rabies_bundle(label=None):
     claim = parse_penman(RABIES_CLAIM)
     evidence = parse_penman(RABIES_EVIDENCE)
-    score = nli_pair("the evidence sentence", evidence,
-                     "the claim sentence", claim,
-                     lam=0.5, backend=DeterministicTestBackend(dim=64),
-                     cfg=AlignConfig(restarts=4, seed=0, include_top=True))
+    score = score_pair("the evidence sentence", evidence,
+                       "the claim sentence", claim,
+                       lam=0.5, backend=DeterministicTestBackend(dim=64),
+                       cfg=AlignConfig(restarts=4, seed=0, include_top=True))
     return build_bundle(claim, evidence, "the claim sentence",
                         "the evidence sentence", score, label=label)
 
@@ -43,8 +42,8 @@ def test_mapping_lines_follow_alignment():
 def test_unmapped_section_lists_leftover_claim_variables():
     claim = parse_penman("(c0 / cat :mod (c1 / black) :ARG0-of (c2 / run-02))")
     evidence = parse_penman("(d0 / cat)")
-    score = nli_pair("e", evidence, "c", claim, lam=1.0,
-                     backend=DeterministicTestBackend(dim=16))
+    score = score_pair("e", evidence, "c", claim, lam=1.0,
+                       backend=DeterministicTestBackend(dim=16))
     bundle = build_bundle(claim, evidence, "c", "e", score)
     rendered = render_mapping(bundle)
     assert "c0(cat) --> d0(cat)" in rendered
@@ -142,8 +141,8 @@ def test_generation_error_paths(generate_server):
 def test_marnie_bundle_label_supports():
     claim = parse_penman(MARNIE_CLAIM)
     evidence = parse_penman(MARNIE_EVIDENCE)
-    score = nli_pair("e", evidence, "c", claim, lam=1.0,
-                     backend=DeterministicTestBackend(dim=16))
+    score = score_pair("e", evidence, "c", claim, lam=1.0,
+                       backend=DeterministicTestBackend(dim=16))
     bundle = build_bundle(claim, evidence, "c", "e", score, label="S")
     assert bundle.score.decision == 1
     assert "verdict: S" in render_text(bundle)

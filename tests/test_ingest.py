@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from amrex.ingest import (REFERENCE_LABEL_COUNTS, join_amrs, label_counts,
                           load_fever, write_normalized)
 from amrex.verdict import AVERITEC, FEVER
 
-from _fixtures import ALL_PENMAN, MARNIE_CLAIM, MARNIE_EVIDENCE
+from _fixtures import (ALL_PENMAN, JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE,
+                       field_paths)
 
 
 def _write_jsonl(path, rows):
@@ -202,22 +204,6 @@ _LOADERS = {
 }
 _LOADERS["averitec-questions"] = _LOADERS["averitec-normalized"]
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
-    lambda children: (st.lists(children, max_size=3)
-                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
-    max_leaves=8)
-
-
-def _field_paths(value, prefix=()):
-    """The path of every field and list item nested in *value*."""
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _field_paths(child, prefix + (key,))
-
 
 def test_valid_rows_load():
     with tempfile.TemporaryDirectory() as tmp:
@@ -229,14 +215,48 @@ def test_valid_rows_load():
 @given(st.sampled_from(sorted(_VALID_ROWS)), st.data())
 def test_any_json_value_in_a_field_loads_or_is_a_dataset_error(kind, data):
     row = copy.deepcopy(_VALID_ROWS[kind])
-    *parents, last = data.draw(st.sampled_from(list(_field_paths(row))))
+    *parents, last = data.draw(st.sampled_from(list(field_paths(row))))
     container = row
     for key in parents:
         container = container[key]
-    container[last] = data.draw(_JSON_VALUES)
+    container[last] = data.draw(JSON_VALUES)
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_jsonl(Path(tmp) / "rows.jsonl", [row])
         try:
             _LOADERS[kind](path)
         except DatasetError:
             pass
+
+
+_ID_FIELDS = {"fever": [("claim_id",), ("evidence", 0, "id")],
+              "averitec-normalized": [("claim_id",), ("evidence", 0, "id")],
+              "averitec-questions": [("claim_id",)],
+              "bundle": [("id",)]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_ID_FIELDS)), st.data())
+def test_an_id_is_a_string_or_an_integer(kind, data):
+    """An id loads as its string only when it is a JSON string or integer;
+    any other JSON value is a DatasetError naming path:line."""
+    row = copy.deepcopy(_VALID_ROWS[kind])
+    *parents, last = data.draw(st.sampled_from(_ID_FIELDS[kind]))
+    container = row
+    for key in parents:
+        container = container[key]
+    value = container[last] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_jsonl(Path(tmp) / "rows.jsonl", [row])
+        if isinstance(value, str) or type(value) is int:
+            loaded = _LOADERS[kind](path)
+            if kind == "bundle":
+                assert list(loaded) == [str(value)]
+            else:
+                record = loaded[0][0] if isinstance(loaded, tuple) else loaded[0]
+                ids = ([record.claim_id] if last == "claim_id"
+                       else [ev.evidence_id for ev in record.evidence])
+                assert ids == [str(value)]
+        else:
+            with pytest.raises(DatasetError, match=re.escape(f"{path}:1: ")
+                               + ".*id must be a string or an integer"):
+                _LOADERS[kind](path)

@@ -1,13 +1,17 @@
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrex.errors import ConfigError, EmbeddingMissError, SimilarityError, TransportError
 from amrex.similarity import (DeterministicTestBackend, EmbeddingServiceBackend,
                               EmbeddingVector, PrecomputedFileBackend,
                               backend_from_spec, cosine)
+
+from _fixtures import JSON_VALUES
 
 
 def test_vector_validation():
@@ -93,10 +97,20 @@ def test_backend_from_spec():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Answers ``POST <prefix>/embed``; the prefix picks the reply."""
+    """Answers ``POST <prefix>/embed``; the prefix picks the reply, and
+    ``/scripted`` sends the status and body held in ``scripted``."""
+
+    scripted: tuple[int, bytes] = (200, b"")
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/scripted/embed":
+            status, data = self.scripted
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+            return
         vectors = [[float(len(t)), 1.0] for t in body["texts"]]
         replies = {
             "/embed": {"vectors": vectors},
@@ -169,3 +183,66 @@ def test_service_backend_unreachable():
         backend.embed("hello")
     with pytest.raises(TransportError):
         EmbeddingServiceBackend("no-scheme-host").embed("hello")
+
+
+
+_NUMBERS = (st.floats() | st.integers() | st.integers(min_value=10 ** 308)
+            | st.booleans() | st.text(max_size=3))
+_FINITE = st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                  | st.integers(-9, 9), min_size=1, max_size=3)
+_ANY_FLOATS = st.lists(st.floats() | st.integers(min_value=10 ** 308), max_size=2)
+_VECTORS = st.one_of(_FINITE, _FINITE, _FINITE, _ANY_FLOATS,
+                     st.lists(_NUMBERS, max_size=3), JSON_VALUES)
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _expected_reply(status: int, body: bytes, n: int):
+    """The vectors a service reply must give for *n* texts, or the type of
+    the error it must raise."""
+    try:
+        reply = json.loads(body)
+    except ValueError:
+        return TransportError
+    if (status != 200 or not isinstance(reply, dict)
+            or not isinstance(reply.get("vectors"), list) or len(reply["vectors"]) != n):
+        return TransportError
+    vectors = reply["vectors"]
+    if not all(isinstance(v, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+            for v in vectors):
+        return TransportError
+    if not all(v and all(map(_finite, v)) for v in vectors):
+        return SimilarityError
+    return [tuple(map(float, v)) for v in vectors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_service_reply_gives_vectors_or_a_typed_error(stub_server, data):
+    """A reply of any status, body and vector shape gives the vectors, a
+    TransportError for a transport or shape fault, or a SimilarityError for
+    an empty or non-finite vector; never another exception."""
+    n = data.draw(st.integers(1, 3))
+    # Mostly well-formed replies, so that every outcome is common.
+    shaped = st.lists(_VECTORS, min_size=n, max_size=n)
+    vectors = st.one_of(shaped, shaped, st.lists(_VECTORS, max_size=4))
+    replies = st.builds(lambda v: {"vectors": v}, vectors)
+    reply = data.draw(st.one_of(replies, replies, JSON_VALUES))
+    encoded = st.just(json.dumps(reply).encode())
+    body = data.draw(st.one_of(encoded, encoded, encoded, st.binary(max_size=16)))
+    status = data.draw(st.sampled_from([200] * 12 + [201, 204, 400, 404, 500, 503]))
+    _StubHandler.scripted = (status, body)
+    backend = EmbeddingServiceBackend(f"{stub_server}/scripted", timeout=5)
+    expected = _expected_reply(status, body, n)
+    try:
+        got = [v.values for v in backend.embed_many(["t"] * n)]
+    except SimilarityError as exc:
+        assert type(exc) is expected, exc
+    else:
+        assert got == expected

@@ -161,6 +161,26 @@ def test_hill_climb_mappings_match_golden_digest():
     assert digest.hexdigest() == _GOLDEN_MAPPINGS_SHA256
 
 
+_GOLDEN_LONG_MAPPINGS_SHA256 = "ec077fa2a501d182a856905381da3af225008bc5aab887f250ca4c7210284796"
+
+
+def test_hill_climb_mappings_at_long_evidence_scale_match_golden_digest():
+    """Pins the climber's mappings where most neighbours are skipped by
+    their gain bound: premises of up to 40 nodes and 20 attributes,
+    hypotheses of up to 20 nodes and 10 attributes.  A bound that drops
+    its edge or attribute term skips a step the climber needs and changes
+    the digest."""
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for i in range(10):
+        premise = random_graph(rng, max_nodes=40, prefix="p", max_attributes=20)
+        hypothesis = random_graph(rng, max_nodes=20, prefix="h", max_attributes=10)
+        r = align_hill_climb(premise, hypothesis, restarts=4, seed=i,
+                             include_top=i % 2 == 0)
+        digest.update(repr((r.mapping.pairs, r.matched)).encode())
+    assert digest.hexdigest() == _GOLDEN_LONG_MAPPINGS_SHA256
+
+
 def test_result_bounds_and_f1():
     rng = random.Random(11)
     for _ in range(20):
@@ -210,6 +230,19 @@ def _graphs(draw, prefix: str, max_nodes: int):
     return _unchecked_graph(nodes, edges, attributes)
 
 
+@st.composite
+def _mapped_graphs(draw):
+    """A premise, a hypothesis and a random injective partial mapping of
+    the hypothesis variables onto the premise's."""
+    premise = draw(_graphs("p", 6))
+    hypothesis = draw(_graphs("h", 5))
+    images = draw(st.permutations(list(premise.nodes)))
+    mapped = draw(st.lists(st.booleans(), min_size=len(hypothesis.nodes),
+                           max_size=len(hypothesis.nodes)))
+    m = {hv: pv for hv, pv, keep in zip(hypothesis.nodes, images, mapped) if keep}
+    return premise, hypothesis, m
+
+
 def _copied_neighbours(ctx, pvars, m):
     """The climber's neighbourhood in search order, each neighbour built as
     a whole copied mapping: the reference for the change sets."""
@@ -244,19 +277,14 @@ def _copied_neighbours(ctx, pvars, m):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_gain_of_every_neighbour_equals_count_difference(data):
+@given(_mapped_graphs())
+def test_gain_of_every_neighbour_equals_count_difference(graphs):
     """count() is the oracle for the climber's incremental scoring: for every
     change set a mapping's neighbourhood yields, the gain equals the count
     after applying it minus the count before.  Applied in order, the change
     sets are the neighbours built by copying the mapping."""
-    premise = data.draw(_graphs("p", 6))
-    hypothesis = data.draw(_graphs("h", 5))
+    premise, hypothesis, m = graphs
     pvars = list(premise.nodes)
-    images = data.draw(st.permutations(pvars))
-    mapped = data.draw(st.lists(st.booleans(), min_size=len(hypothesis.nodes),
-                                max_size=len(hypothesis.nodes)))
-    m = {hv: pv for hv, pv, keep in zip(hypothesis.nodes, images, mapped) if keep}
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
         rel, attr = _substituted(ctx, m)
@@ -269,6 +297,23 @@ def test_gain_of_every_neighbour_equals_count_difference(data):
             applied.append(after)
             assert _gain(ctx, m, changes, rel, attr) == ctx.count(after) - before
         assert applied == list(_copied_neighbours(ctx, pvars, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_graphs())
+def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
+    """The climber skips a neighbour whose bound cannot beat the step's best
+    gain, so the bound must hold: for every change set a mapping's
+    neighbourhood yields, the gain is at most the sum of ``ctx.bound``
+    over the change set's entries."""
+    premise, hypothesis, m = graphs
+    pvars = list(premise.nodes)
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        rel, attr = _substituted(ctx, m)
+        for changes in _neighbours(ctx, pvars, m):
+            bound = sum(ctx.bound[hv][pv] for hv, pv in changes.items())
+            assert _gain(ctx, m, changes, rel, attr) <= bound
 
 
 def test_gain_caps_duplicate_edges_at_the_premise_count():
