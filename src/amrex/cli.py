@@ -325,7 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_settings(p, "restarts", "seed", "include_top")
     p.set_defaults(func=cmd_smatch)
 
-    p = sub.add_parser("score-pair", help="score one claim/evidence pair")
+    p = sub.add_parser(
+        "score-pair", help="score one claim/evidence pair",
+        description="Score one claim/evidence pair, aligned with --seed as "
+                    "given.  verify aligns each pair with a seed derived from "
+                    "--seed and the pair's ids, so the mapping here need not "
+                    "be the one verify stored; explain renders that one.")
     p.add_argument("--claim-amr", required=True)
     p.add_argument("--evidence-amr", required=True)
     p.add_argument("--claim-text", required=True)

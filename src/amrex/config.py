@@ -27,6 +27,17 @@ def _parse_bool(raw: str) -> bool:
     return _BOOLS[raw.lower()]
 
 
+def _int_at_least(low: int, name: str):
+    """A parser of integers >= *low*; *name* is how a usage error calls it."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
 def _setting(default, parse=str, key=None, choices=None, **flag):
     """A RunConfig field: *key* names it in files and ``AMREX_*`` (the field
     name unless given), *parse* reads a raw value, *choices* lists the values
@@ -43,7 +54,7 @@ class RunConfig:
     # resolved per dataset when left unset
     lam: float | None = _setting(None, float, key="lambda",
                                  help="weight of the structural score in [0, 1]")
-    restarts: int = _setting(4, int)
+    restarts: int = _setting(4, _int_at_least(1, "positive int"))
     seed: int = _setting(0, int)
     include_top: bool = _setting(
         True, _parse_bool, name="--no-top", action="store_false",
@@ -52,9 +63,10 @@ class RunConfig:
         "test", help="similarity backend: test[:dim=N], file:<path>, service:<url>")
     empty_evidence: str = _setting("error", choices=("error", "label-N"))
     question_mode: str = _setting("answer-only", choices=QUESTION_MODES)
-    # 0 = every usable CPU
-    jobs: int = _setting(0, int, help="alignment worker processes, capped at "
-                                      "usable CPUs; 1 aligns in this process")
+    jobs: int = _setting(0, _int_at_least(0, "non-negative int"),
+                         help="alignment worker processes, capped at usable "
+                              "CPUs; 0 uses every usable CPU, 1 aligns in "
+                              "this process")
 
     def resolved_lambda(self) -> float:
         lam = _DATASET_LAMBDA_DEFAULTS.get(self.dataset, 0.0) if self.lam is None else self.lam

@@ -190,13 +190,19 @@ def backend_from_spec(spec: str) -> SimilarityBackend:
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """dot(a, b) / (|a| |b|).  Dimension mismatch and zero-norm vectors are
-    errors rather than silent defaults."""
+    """dot(a, b) / (|a| |b|).  Dimension mismatch, zero-norm vectors and
+    vectors too large to square in floats are errors rather than silent
+    defaults."""
     if a.dim != b.dim:
         raise SimilarityError(f"dimension mismatch: {a.dim} vs {b.dim}")
     norm_a = math.sqrt(sum(v * v for v in a.values))
     norm_b = math.sqrt(sum(v * v for v in b.values))
     if norm_a == 0.0 or norm_b == 0.0:
         raise SimilarityError("cosine of zero-norm vector")
+    # A finite product of the norms bounds the dot product (Cauchy-Schwarz),
+    # so the quotient is finite too.
+    norms = norm_a * norm_b
+    if not math.isfinite(norms):
+        raise SimilarityError("cosine overflow: vector norms too large for floats")
     dot = sum(x * y for x, y in zip(a.values, b.values))
-    return dot / (norm_a * norm_b)
+    return dot / norms

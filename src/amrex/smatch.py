@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ConfigError, GraphError, MappingError
-from .graph import AmrGraph
+from .graph import AmrGraph, extract_triples
 
 _EXHAUSTIVE_MAX_HYP = 10
 _EXHAUSTIVE_MAX_PREM = 12
@@ -68,23 +68,47 @@ class AlignConfig:
 
 
 class _MatchContext:
-    """Premise-side lookup tables plus hypothesis triple lists."""
+    """Both graphs' triples, from ``extract_triples``, as alignment tables.
+
+    A relation triple depends on two variables' images.  Every other triple
+    (instance, attribute, top) depends on one variable's image, and since a
+    mapping is injective only hv's own such triples can land on pv's: their
+    matches are the exact table ``unary[hv][pv]``, the multiset intersection
+    of the two variables' ``(kind, role, value)`` triples, 0 for pv None.
+    """
 
     def __init__(self, premise: AmrGraph, hypothesis: AmrGraph, include_top: bool):
-        self.include_top = include_top
         self.prem_concepts = premise.nodes
-        self.prem_rel = Counter((s, r, t) for s, r, t in premise.edges)
-        self.prem_attr = Counter(premise.attributes)
-        self.prem_root = premise.root
         self.hyp_nodes = hypothesis.nodes
         self.hyp_vars = list(hypothesis.nodes)
-        self.hyp_edges = list(hypothesis.edges)
-        self.hyp_attrs = list(hypothesis.attributes)
-        self.hyp_root = hypothesis.root
-        self.hyp_total = (len(hypothesis.nodes) + len(hypothesis.edges)
-                          + len(hypothesis.attributes) + (1 if include_top else 0))
-        self.prem_total = (len(premise.nodes) + len(premise.edges)
-                           + len(premise.attributes) + (1 if include_top else 0))
+        prem_triples = extract_triples(premise, include_top)
+        hyp_triples = extract_triples(hypothesis, include_top)
+        self.prem_total = len(prem_triples)
+        self.hyp_total = len(hyp_triples)
+        self.prem_rel: Counter = Counter()
+        # (kind, role, value) -> {premise variable: multiplicity}
+        prem_unary: dict[tuple[str, str, str], dict[str, int]] = defaultdict(dict)
+        for kind, var, role, value in prem_triples:
+            if kind == "relation":
+                self.prem_rel[(var, role, value)] += 1
+            else:
+                counts = prem_unary[(kind, role, value)]
+                counts[var] = counts.get(var, 0) + 1
+        self.hyp_edges: list[tuple[str, str, str]] = []
+        hyp_unary: dict[str, dict[tuple[str, str, str], int]] = defaultdict(dict)
+        for kind, var, role, value in hyp_triples:
+            if kind == "relation":
+                self.hyp_edges.append((var, role, value))
+            else:
+                counts, key = hyp_unary[var], (kind, role, value)
+                counts[key] = counts.get(key, 0) + 1
+        self.unary: dict[str, dict[str | None, int]] = {}
+        for hv in self.hyp_vars:
+            row = self.unary[hv] = dict.fromkeys(self.prem_concepts, 0)
+            row[None] = 0
+            for key, n in hyp_unary[hv].items():
+                for pv, p in prem_unary.get(key, {}).items():
+                    row[pv] += min(n, p)
         # Indices into hyp_edges of the edges incident to each hypothesis
         # variable (a self-loop once), for gain bookkeeping.
         self.hyp_edges_at: dict[str, list[int]] = defaultdict(list)
@@ -92,9 +116,6 @@ class _MatchContext:
             self.hyp_edges_at[s].append(i)
             if t != s:
                 self.hyp_edges_at[t].append(i)
-        self.hyp_attrs_at: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
-        for attr in self.hyp_attrs:
-            self.hyp_attrs_at[attr[0]].append(attr)
         self.prem_edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
         self.prem_out: dict[str, set[str]] = defaultdict(set)
         self.prem_in: dict[str, set[str]] = defaultdict(set)
@@ -106,57 +127,28 @@ class _MatchContext:
             self.prem_in[t].add(s)
             out_roles[s].add(r)
             in_roles[t].add(r)
-        # bound[hv][pv]: the most triples mapping hv -> pv can ever match,
-        # each counted once: the instance, every incident edge whose role
-        # leaves (hv the source) or enters (hv the target) pv in the premise,
-        # a self-loop only onto a premise self-loop, every attribute pv also
-        # has, and the top triple.  Unmapping never gains and a capped key
-        # adds at most one per newly substituted triple, so a change set
-        # gains at most the sum of its entries; the entry for None is 0.
+        # bound[hv][pv]: the most triples mapping hv -> pv can ever match:
+        # unary[hv][pv] plus every incident edge whose role leaves (hv the
+        # source) or enters (hv the target) pv in the premise, a self-loop
+        # only onto a premise self-loop.  Unmapping never gains and a capped
+        # key adds at most one per newly substituted triple, so a change set
+        # gains at most the sum of its entries.
         self.bound: dict[str, dict[str | None, int]] = {}
-        for hv, concept in self.hyp_nodes.items():
+        for hv, row in self.unary.items():
             edges = [self.hyp_edges[i] for i in self.hyp_edges_at[hv]]
-            attrs = self.hyp_attrs_at[hv]
-            row = self.bound[hv] = {None: 0}
-            for pv, prem_concept in self.prem_concepts.items():
+            bound = self.bound[hv] = dict(row)
+            for pv in self.prem_concepts:
                 outs, ins = out_roles[pv], in_roles[pv]
-                b = prem_concept == concept
                 for s, r, t in edges:
-                    b += ((pv, r, pv) in self.prem_rel if s == t
-                          else r in outs if s == hv else r in ins)
-                for _s, r, v in attrs:
-                    b += (pv, r, v) in self.prem_attr
-                if (include_top and hv == self.hyp_root and pv == self.prem_root
-                        and prem_concept == concept):
-                    b += 1
-                row[pv] = b
+                    bound[pv] += ((pv, r, pv) in self.prem_rel if s == t
+                                  else r in outs if s == hv else r in ins)
 
     def count(self, m: dict[str, str]) -> int:
         """Matched hypothesis triples under mapping *m* (multiset-aware)."""
-        matched = 0
-        prem_concepts = self.prem_concepts
-        for hv, concept in self.hyp_nodes.items():
-            pv = m.get(hv)
-            if pv is not None and prem_concepts.get(pv) == concept:
-                matched += 1
-        substituted = Counter()
-        for s, r, t in self.hyp_edges:
-            ps, pt = m.get(s), m.get(t)
-            if ps is not None and pt is not None:
-                substituted[(ps, r, pt)] += 1
-        for key, n in substituted.items():
-            matched += min(n, self.prem_rel.get(key, 0))
-        substituted = Counter()
-        for s, r, v in self.hyp_attrs:
-            ps = m.get(s)
-            if ps is not None:
-                substituted[(ps, r, v)] += 1
-        for key, n in substituted.items():
-            matched += min(n, self.prem_attr.get(key, 0))
-        if (self.include_top
-                and m.get(self.hyp_root) == self.prem_root
-                and self.hyp_nodes[self.hyp_root] == self.prem_concepts[self.prem_root]):
-            matched += 1
+        unary, prem_rel = self.unary, self.prem_rel
+        matched = sum(unary[hv][pv] for hv, pv in m.items())
+        for key, n in _substituted(self, m).items():
+            matched += min(n, prem_rel[key])
         return matched
 
 
@@ -274,68 +266,48 @@ def _neighbours(ctx: _MatchContext, pvars: list[str],
             yield changes
 
 
-def _substituted(ctx: _MatchContext, m: dict[str, str]) -> tuple[Counter, Counter]:
-    """How often each premise relation and attribute triple is the image
-    of a hypothesis triple under *m*: the ``n`` that ``count`` caps."""
+def _substituted(ctx: _MatchContext, m: dict[str, str]) -> Counter:
+    """How often each premise relation triple is the image of a hypothesis
+    relation triple under *m*: the ``n`` that ``count`` caps."""
     rel: Counter = Counter()
     for s, r, t in ctx.hyp_edges:
         key = (m.get(s), r, m.get(t))
         if key in ctx.prem_rel:
             rel[key] += 1
-    attr: Counter = Counter()
-    for s, r, v in ctx.hyp_attrs:
-        key = (m.get(s), r, v)
-        if key in ctx.prem_attr:
-            attr[key] += 1
-    return rel, attr
+    return rel
 
 
 def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None],
-          rel: Counter, attr: Counter) -> int:
-    """``count(m + changes) - count(m)`` from the triples incident to the
-    changed variables; *rel* and *attr* are ``_substituted(ctx, m)``."""
+          rel: Counter) -> int:
+    """``count(m + changes) - count(m)`` from the changed variables' unary
+    entries and incident edges; *rel* is ``_substituted(ctx, m)``."""
     gain = 0
-    prem_concepts, prem_rel, prem_attr = ctx.prem_concepts, ctx.prem_rel, ctx.prem_attr
+    unary, prem_rel = ctx.unary, ctx.prem_rel
     edges: list[int] = []
-    rel_delta: dict[tuple, int] = {}
-    attr_delta: dict[tuple, int] = {}
     for hv, new in changes.items():
         old = m.get(hv)
         if old == new:
             continue
-        concept = ctx.hyp_nodes[hv]
-        if new is not None and prem_concepts[new] == concept:
-            gain += 1
-        if old is not None and prem_concepts[old] == concept:
-            gain -= 1
+        row = unary[hv]
+        gain += row[new] - row[old]
         edges += ctx.hyp_edges_at[hv]
-        for _s, r, v in ctx.hyp_attrs_at[hv]:
-            if (key := (old, r, v)) in prem_attr:
-                attr_delta[key] = attr_delta.get(key, 0) - 1
-            if (key := (new, r, v)) in prem_attr:
-                attr_delta[key] = attr_delta.get(key, 0) + 1
     # A swap or planting reaches an edge between two changed variables
     # twice, and duplicate edges are equal tuples: dedupe by index.
+    delta: dict[tuple, int] = {}
     for i in (set(edges) if len(changes) > 1 else edges):
         s, r, t = ctx.hyp_edges[i]
         old_s, old_t = m.get(s), m.get(t)
         if (key := (old_s, r, old_t)) in prem_rel:
-            rel_delta[key] = rel_delta.get(key, 0) - 1
+            delta[key] = delta.get(key, 0) - 1
         if (key := (changes.get(s, old_s), r, changes.get(t, old_t))) in prem_rel:
-            rel_delta[key] = rel_delta.get(key, 0) + 1
+            delta[key] = delta.get(key, 0) + 1
     # count() caps a key's matches at its premise multiplicity p, so a key
     # substituted n times before and n + d times after adds
     # min(n + d, p) - min(n, p), spelled out as it is the hot path.
-    for delta, substituted, prem in ((rel_delta, rel, prem_rel),
-                                     (attr_delta, attr, prem_attr)):
-        for key, d in delta.items():
-            if d:
-                p, n = prem[key], substituted.get(key, 0)
-                gain += (n + d if n + d < p else p) - (n if n < p else p)
-    root = ctx.hyp_root
-    if (ctx.include_top and root in changes
-            and ctx.hyp_nodes[root] == prem_concepts[ctx.prem_root]):
-        gain += (changes[root] == ctx.prem_root) - (m.get(root) == ctx.prem_root)
+    for key, d in delta.items():
+        if d:
+            p, n = prem_rel[key], rel.get(key, 0)
+            gain += (n + d if n + d < p else p) - (n if n < p else p)
     return gain
 
 
@@ -348,7 +320,7 @@ def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dic
     bound = ctx.bound
     current = ctx.count(m)
     while True:
-        rel, attr = _substituted(ctx, m)
+        rel = _substituted(ctx, m)
         best_gain = 0
         best: dict[str, str | None] | None = None
         for changes in _neighbours(ctx, pvars, m):
@@ -357,7 +329,7 @@ def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dic
                 ub += bound[hv][pv]
             if ub <= best_gain:
                 continue
-            gain = _gain(ctx, m, changes, rel, attr)
+            gain = _gain(ctx, m, changes, rel)
             if gain > best_gain:
                 best_gain = gain
                 best = changes
@@ -379,24 +351,24 @@ def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> di
     count but pins the reported mapping.
     """
     m = dict(m)
-    rel, attr = _substituted(ctx, m)
+    rel = _substituted(ctx, m)
     floating = []
     for hv in ctx.hyp_vars:
-        if hv in m and _gain(ctx, m, {hv: None}, rel, attr) != 0:
+        if hv in m and _gain(ctx, m, {hv: None}, rel) != 0:
             continue
         if m.pop(hv, None) is not None:
-            rel, attr = _substituted(ctx, m)
+            rel = _substituted(ctx, m)
         floating.append(hv)
     used = set(m.values())
     for hv in floating:
         free = [pv for pv in pvars if pv not in used]
         if not free:
             continue
-        rel, attr = _substituted(ctx, m)
+        rel = _substituted(ctx, m)
         edges = [ctx.hyp_edges[i] for i in ctx.hyp_edges_at[hv]]
         best_key = best_pv = None
         for pv in free:
-            gain = _gain(ctx, m, {hv: pv}, rel, attr)
+            gain = _gain(ctx, m, {hv: pv}, rel)
             m[hv] = pv
             out_adj = sum(1 for s, _r, t in edges
                           if s == hv and t in m and m[t] in ctx.prem_out[pv])
@@ -460,35 +432,28 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
     hvars = ctx.hyp_vars
     order = {hv: i for i, hv in enumerate(hvars)}
 
-    # Upper bound on what variables hvars[i:] can still add: their instance
-    # triples, their attributes, edges whose later endpoint they are, and
-    # the top triple when the root is among them.
+    # Upper bound on what variables hvars[i:] can still add: their best
+    # unary entries and the edges whose later endpoint they are.
     potential = [0] * (len(hvars) + 1)
     for i in range(len(hvars) - 1, -1, -1):
         hv = hvars[i]
-        p = 1 + len(ctx.hyp_attrs_at[hv])
+        p = max(ctx.unary[hv].values())
         for j in ctx.hyp_edges_at[hv]:
             s, _r, t = ctx.hyp_edges[j]
-            later = max(order[s], order[t])
-            if later == i:
+            if max(order[s], order[t]) == i:
                 p += 1
-        if include_top and hv == ctx.hyp_root:
-            p += 1
         potential[i] = potential[i + 1] + p
 
     best = {"count": -1, "m": {}}
     m: dict[str, str] = {}
     used: set[str] = set()
     prem_rel = dict(ctx.prem_rel)
-    prem_attr = dict(ctx.prem_attr)
 
     def assign_gain(hv: str, pv: str) -> tuple[int, list]:
         """Gain from mapping hv->pv given current m; decrements premise
-        multiset counters and returns an undo list."""
-        gain = 0
+        relation counters and returns the keys to restore."""
+        gain = ctx.unary[hv][pv]
         undo = []
-        if ctx.prem_concepts[pv] == ctx.hyp_nodes[hv]:
-            gain += 1
         for j in ctx.hyp_edges_at[hv]:
             s, r, t = ctx.hyp_edges[j]
             if s == hv and t == hv:
@@ -503,25 +468,9 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
                 key = (m[s], r, pv)
             if prem_rel.get(key, 0) > 0:
                 prem_rel[key] -= 1
-                undo.append(("rel", key))
+                undo.append(key)
                 gain += 1
-        for s, r, v in ctx.hyp_attrs_at[hv]:
-            key = (pv, r, v)
-            if prem_attr.get(key, 0) > 0:
-                prem_attr[key] -= 1
-                undo.append(("attr", key))
-                gain += 1
-        if (include_top and hv == ctx.hyp_root and pv == ctx.prem_root
-                and ctx.hyp_nodes[hv] == ctx.prem_concepts[pv]):
-            gain += 1
         return gain, undo
-
-    def undo_assign(undo: list) -> None:
-        for kind, key in undo:
-            if kind == "rel":
-                prem_rel[key] += 1
-            else:
-                prem_attr[key] += 1
 
     def dfs(i: int, current: int) -> None:
         if current + potential[i] <= best["count"]:
@@ -541,7 +490,8 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
             dfs(i + 1, current + gain)
             used.discard(pv)
             del m[hv]
-            undo_assign(undo)
+            for key in undo:
+                prem_rel[key] += 1
         dfs(i + 1, current)  # leave hv unmapped
 
     dfs(0, 0)

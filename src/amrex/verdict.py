@@ -24,7 +24,7 @@ from numbers import Rational
 
 from .config import usable_cpus, worker_count
 from .entailment import EntailmentScore, blend
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, SimilarityError
 from .similarity import SimilarityBackend, cosine
 from .smatch import AlignConfig, SmatchResult, smatch_precision
 
@@ -130,17 +130,25 @@ class PairComponents:
     cosine_sim: float
 
 
-def score_pairs(pairs, backend: SimilarityBackend,
-                jobs: int = 1) -> list[tuple[SmatchResult, float]]:
+def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
+                names=()) -> list[tuple[SmatchResult, float]]:
     """``(alignment, cosine)`` of each ``(evidence text, evidence graph,
     claim text, claim graph, AlignConfig)`` in *pairs*: the one scoring
     path of ``verify``, ``evaluate`` and ``score-pair``.
 
-    Embeds every text in this process, evidence before claim.  The
-    alignments run here at ``jobs == 1``, else in worker processes.
+    Embeds every text in this process, evidence before claim; a
+    SimilarityError for the i-th pair is prefixed with ``names[i]`` when
+    given.  The alignments run here at ``jobs == 1``, else in worker
+    processes.
     """
-    sims = [cosine(backend.embed(ev_text), backend.embed(claim_text))
-            for ev_text, _, claim_text, _, _ in pairs]
+    sims = []
+    for i, (ev_text, _, claim_text, _, _) in enumerate(pairs):
+        try:
+            sims.append(cosine(backend.embed(ev_text), backend.embed(claim_text)))
+        except SimilarityError as exc:
+            if i < len(names):
+                raise SimilarityError(f"{names[i]}: {exc}") from exc
+            raise
     columns = ([p[1] for p in pairs], [p[3] for p in pairs], [p[4] for p in pairs])
     workers = worker_count(jobs, len(pairs), usable_cpus())
     if workers == 1:
@@ -162,6 +170,7 @@ def precompute_pair_components(records, backend: SimilarityBackend,
     """
     components: dict[str, list[PairComponents]] = {}
     pairs = []
+    names = []
     for record in records:
         if record.claim_id in components:
             raise DatasetError(f"claim {record.claim_id!r} appears twice")
@@ -169,15 +178,15 @@ def precompute_pair_components(records, backend: SimilarityBackend,
         for ev in record.evidence:
             if ev.kind == "boolean":
                 continue
+            name = f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}"
             if record.claim_graph is None or ev.graph is None:
-                raise DatasetError(
-                    f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}: "
-                    "AMR graph not joined")
+                raise DatasetError(f"{name}: AMR graph not joined")
             pairs.append((record, ev))
+            names.append(name)
     scored = score_pairs(
         [(ev.text, ev.graph, record.claim_text, record.claim_graph,
           replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id)))
-         for record, ev in pairs], backend, jobs)
+         for record, ev in pairs], backend, jobs, names)
     for (record, ev), (alignment, sim) in zip(pairs, scored):
         components[record.claim_id].append(
             PairComponents(ev.evidence_id, alignment, sim))

@@ -78,6 +78,12 @@ def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["no-such-command"])
     assert exc.value.code == 2
+    for flag, value in (("--jobs", "-3"), ("--restarts", "0")):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["verify", "--dataset", "fever", "--claims", "c", "--amrs", "a",
+                      flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
 def _header(err: str) -> list[str]:
@@ -577,6 +583,28 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert result.stdout.strip() == serialize_penman(parse_penman(MARNIE_CLAIM))
 
 
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+@pytest.mark.parametrize("claim_vector, evidence_vector, message", [
+    ([0.0, 0.0], [1.0, 2.0], "cosine of zero-norm vector"),
+    ([1.0, 2.0, 3.0], [1.0, 2.0], "dimension mismatch: 2 vs 3"),
+    ([1e200, 1e200], [1e200, 1e200], "cosine overflow"),
+], ids=["zero-vector", "dimension-mismatch", "overflow"])
+def test_a_scoring_error_names_the_pair(fever_files, tmp_path, capsys, command,
+                                        claim_vector, evidence_vector, message):
+    claims, amrs = fever_files
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("".join(json.dumps({"text": t, "vector": v}) + "\n" for t, v in [
+        ("a film was directed", claim_vector),
+        ("the director made the film", evidence_vector),
+        ("a disease can ride", [1.0, 0.0]),
+        ("vaccination prevents it", [0.0, 1.0])]))
+    assert dispatch([command, "--dataset", "fever", "--claims", claims, "--amrs", amrs,
+                     "--backend", f"file:{vectors}", "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: claim 'c-marnie' / evidence 'e-marnie': {message}" in err
+    assert "Traceback" not in err
+
+
 def test_config_precedence_file_env_flag(fever_files, tmp_path, capsys,
                                          monkeypatch):
     claims, amrs = fever_files
@@ -695,5 +723,17 @@ def test_config_validation(tmp_path):
     assert cfg.include_top is False
     with pytest.raises(ConfigError, match="AMREX_INCLUDE_TOP: bad value 'ture'"):
         apply_env(cfg, {"AMREX_INCLUDE_TOP": "ture"})
+    with pytest.raises(ConfigError, match="AMREX_JOBS: bad value '-1' for 'jobs'"):
+        apply_env(cfg, {"AMREX_JOBS": "-1"})
+    with pytest.raises(ConfigError, match="AMREX_RESTARTS: bad value '0' for 'restarts'"):
+        apply_env(cfg, {"AMREX_RESTARTS": "0"})
+    bad.write_text("seed = 1\nrestarts = -2\n")
+    with pytest.raises(ConfigError, match=f"{bad}:2: bad value '-2' for 'restarts'"):
+        load_config_file(cfg, str(bad))
+    bad.write_text("jobs = -1\n")
+    with pytest.raises(ConfigError, match=f"{bad}:1: bad value '-1' for 'jobs'"):
+        load_config_file(cfg, str(bad))
+    apply_env(cfg, {"AMREX_JOBS": "0", "AMREX_RESTARTS": "1"})
+    assert (cfg.jobs, cfg.restarts) == (0, 1)
     with pytest.raises(ConfigError):
         RunConfig(dataset="fever", lam=1.5).resolved_lambda()

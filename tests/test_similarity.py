@@ -43,6 +43,11 @@ def test_cosine_errors():
         cosine(EmbeddingVector((1.0,)), EmbeddingVector((1.0, 2.0)))
     with pytest.raises(SimilarityError):
         cosine(EmbeddingVector((0.0, 0.0)), EmbeddingVector((1.0, 2.0)))
+    # Norms that overflow a float, or whose product does: NaN or 0.0 before.
+    for a, b in (((1e200, 1e200), (1e200, 1e200)), ((1.0, 2.0), (1e200, 1e200)),
+                 ((1e160, 0.0), (1e160, 0.0))):
+        with pytest.raises(SimilarityError, match="cosine overflow"):
+            cosine(EmbeddingVector(a), EmbeddingVector(b))
 
 
 def test_deterministic_backend_is_deterministic():

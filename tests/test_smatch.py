@@ -1,11 +1,12 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrex.errors import ConfigError, GraphError, MappingError
-from amrex.graph import AmrGraph, parse_penman
+from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex.smatch import (AlignConfig, VariableMapping, _assign, _gain,
                           _MatchContext, _neighbours, _substituted,
                           align_exhaustive, align_hill_climb, matched_triples,
@@ -218,12 +219,13 @@ def _unchecked_graph(nodes, edges=(), attributes=()) -> AmrGraph:
 @st.composite
 def _graphs(draw, prefix: str, max_nodes: int):
     """Small graphs over few concepts, roles and constants, so that matches,
-    duplicates and self-loops are common."""
+    duplicates and self-loops are common.  Roles include the triple kinds'
+    names, so an attribute may be spelled like an instance or top triple."""
     n = draw(st.integers(1, max_nodes))
     variables = [f"{prefix}{i}" for i in range(n)]
     nodes = {v: draw(st.sampled_from("abc")) for v in variables}
     var = st.sampled_from(variables)
-    role = st.sampled_from(("ARG0", "ARG1"))
+    role = st.sampled_from(("ARG0", "ARG1", "instance", "top"))
     edges = draw(st.lists(st.tuples(var, role, var), max_size=2 * n))
     attributes = draw(st.lists(st.tuples(var, role, st.sampled_from("12")),
                                max_size=n))
@@ -241,6 +243,31 @@ def _mapped_graphs(draw):
                            max_size=len(hypothesis.nodes)))
     m = {hv: pv for hv, pv, keep in zip(hypothesis.nodes, images, mapped) if keep}
     return premise, hypothesis, m
+
+
+def _literal_count(premise, hypothesis, m, include_top):
+    """Smatch's matched count as defined: the hypothesis triples whose
+    variables are all mapped, rewritten under *m*, intersected as a
+    multiset with the premise triples."""
+    substituted = Counter()
+    for kind, var, role, value in extract_triples(hypothesis, include_top):
+        if var not in m or (kind == "relation" and value not in m):
+            continue
+        image = m[value] if kind == "relation" else value
+        substituted[Triple(kind, m[var], role, image)] += 1
+    premise_triples = Counter(extract_triples(premise, include_top))
+    return sum((substituted & premise_triples).values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_graphs())
+def test_count_is_the_multiset_intersection_of_substituted_triples(graphs):
+    """count(), _gain and the bound share the unary table, so count() is held
+    to the definition written out here without _MatchContext."""
+    premise, hypothesis, m = graphs
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        assert ctx.count(m) == _literal_count(premise, hypothesis, m, include_top)
 
 
 def _copied_neighbours(ctx, pvars, m):
@@ -287,7 +314,7 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
     pvars = list(premise.nodes)
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
-        rel, attr = _substituted(ctx, m)
+        rel = _substituted(ctx, m)
         before = ctx.count(m)
         applied = []
         for changes in _neighbours(ctx, pvars, m):
@@ -295,7 +322,7 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
             for hv, pv in changes.items():
                 _assign(after, hv, pv)
             applied.append(after)
-            assert _gain(ctx, m, changes, rel, attr) == ctx.count(after) - before
+            assert _gain(ctx, m, changes, rel) == ctx.count(after) - before
         assert applied == list(_copied_neighbours(ctx, pvars, m))
 
 
@@ -310,10 +337,10 @@ def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
     pvars = list(premise.nodes)
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
-        rel, attr = _substituted(ctx, m)
+        rel = _substituted(ctx, m)
         for changes in _neighbours(ctx, pvars, m):
             bound = sum(ctx.bound[hv][pv] for hv, pv in changes.items())
-            assert _gain(ctx, m, changes, rel, attr) <= bound
+            assert _gain(ctx, m, changes, rel) <= bound
 
 
 def test_gain_caps_duplicate_edges_at_the_premise_count():
@@ -323,5 +350,22 @@ def test_gain_caps_duplicate_edges_at_the_premise_count():
                                   [("h0", "ARG0", "h1"), ("h0", "ARG0", "h1")])
     ctx = _MatchContext(premise, hypothesis, include_top=False)
     m = {"h0": "p0"}
-    assert _gain(ctx, m, {"h1": "p1"}, *_substituted(ctx, m)) == 1
+    assert _gain(ctx, m, {"h1": "p1"}, _substituted(ctx, m)) == 1
     assert ctx.count({"h0": "p0", "h1": "p1"}) - ctx.count(m) == 1
+
+
+def test_count_caps_duplicate_attributes_at_the_premise_count():
+    # Two equal hypothesis attributes meet one premise attribute: one match,
+    # and one premise attribute of two meets the one hypothesis attribute.
+    premise = _unchecked_graph({"p0": "a", "p1": "b"},
+                               attributes=[("p0", "mod", "1"),
+                                           ("p1", "mod", "2"), ("p1", "mod", "2")])
+    hypothesis = _unchecked_graph({"h0": "a", "h1": "b"},
+                                  attributes=[("h0", "mod", "1"), ("h0", "mod", "1"),
+                                              ("h1", "mod", "2")])
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        for m, matched in (({"h0": "p0"}, 2 + include_top), ({"h1": "p1"}, 2),
+                           ({"h0": "p0", "h1": "p1"}, 4 + include_top)):
+            assert ctx.count(m) == matched
+            assert _literal_count(premise, hypothesis, m, include_top) == matched
