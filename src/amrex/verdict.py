@@ -146,7 +146,7 @@ def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
         try:
             sims.append(cosine(backend.embed(ev_text), backend.embed(claim_text)))
         except SimilarityError as exc:
-            if i < len(names):
+            if names:
                 raise SimilarityError(f"{names[i]}: {exc}") from exc
             raise
     columns = ([p[1] for p in pairs], [p[3] for p in pairs], [p[4] for p in pairs])
