@@ -20,7 +20,7 @@ from .entailment import blend, pair_from_json, pair_json
 from .errors import AmrexError, DatasetError, MappingError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
-from .smatch import AlignConfig, align_hill_climb
+from .smatch import AlignConfig, smatch_precision
 from .verdict import label_set, precompute_pair_components, score_pairs, verdict_at
 
 
@@ -96,8 +96,7 @@ def cmd_smatch(args) -> int:
     cfg = _configure(args)
     premise = parse_penman(_read(args.premise))
     hypothesis = parse_penman(_read(args.hypothesis))
-    result = align_hill_climb(premise, hypothesis, restarts=cfg.restarts,
-                              seed=cfg.seed, include_top=cfg.include_top)
+    result = smatch_precision(premise, hypothesis, _align_config(cfg))
     if args.json:
         print(json.dumps({
             "precision": result.precision, "recall": result.recall,
@@ -185,7 +184,8 @@ def cmd_evaluate(args) -> int:
         except OSError as exc:
             raise AmrexError(f"cannot write {args.report}: {exc.strerror or exc}")
         for r in reports:
-            _write(os.path.join(args.report, f"report_lambda_{r.lam:g}.json"),
+            _write(os.path.join(args.report,
+                                f"report_lambda_{evaluation.lambda_text(r.lam)}.json"),
                    json.dumps({
                        "dataset": r.dataset, "lambda": r.lam,
                        "accuracy": r.accuracy, "per_label_f1": r.per_label_f1,

@@ -115,6 +115,13 @@ def sweep_range(spec: str) -> list[float]:
     return values
 
 
+def lambda_text(lam: float) -> str:
+    """*lam* as report file names and table rows show it.  Any two values
+    :func:`sweep_range` yields differ within 12 decimals, so they differ
+    here; a value of up to 6 significant digits prints as with ``:g``."""
+    return f"{lam:.12g}"
+
+
 def report_markdown(reports: list[EvaluationReport]) -> str:
     """Render sweep reports as one markdown table: a row per lambda,
     columns for per-label F1, macro F1 and accuracy."""
@@ -125,7 +132,7 @@ def report_markdown(reports: list[EvaluationReport]) -> str:
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
     for r in reports:
-        cells = [f"{r.lam:g}"]
+        cells = [lambda_text(r.lam)]
         cells += [f"{r.per_label_f1[l]:.2f}" for l in labels]
         cells += [f"{r.macro_f1:.2f}", f"{r.accuracy:.2f}"]
         lines.append("| " + " | ".join(cells) + " |")

@@ -84,46 +84,27 @@ class AmrGraph:
                 raise GraphError(f"attribute source {src!r} is not declared")
             if not role:
                 raise GraphError(f"empty role on attribute of {src!r}")
-        self._check_acyclic()
-        self._check_reachable()
-
-    def _check_acyclic(self) -> None:
-        out = defaultdict(list)
+        # One depth-first walk from the root.  on_walk maps each visited
+        # variable to whether it is still on the walk: an edge back to one
+        # closes a cycle, and a variable never visited is unreachable.
+        out: dict[str, list[str]] = {var: [] for var in self.nodes}
         for src, _role, tgt in self.edges:
             out[src].append(tgt)
-        WHITE, GREY, BLACK = 0, 1, 2
-        state = dict.fromkeys(self.nodes, WHITE)
-        for start in self.nodes:
-            if state[start] != WHITE:
-                continue
-            stack: list[tuple[str, Iterator[str]]] = [(start, iter(out[start]))]
-            state[start] = GREY
-            while stack:
-                var, it = stack[-1]
-                for nxt in it:
-                    if state[nxt] == GREY:
-                        raise GraphError(f"edge cycle through {nxt!r}")
-                    if state[nxt] == WHITE:
-                        state[nxt] = GREY
-                        stack.append((nxt, iter(out[nxt])))
-                        break
-                else:
-                    state[var] = BLACK
-                    stack.pop()
-
-    def _check_reachable(self) -> None:
-        out = defaultdict(list)
-        for src, _role, tgt in self.edges:
-            out[src].append(tgt)
-        seen = {self.root}
-        frontier = [self.root]
-        while frontier:
-            var = frontier.pop()
-            for nxt in out[var]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        unreachable = [v for v in self.nodes if v not in seen]
+        on_walk = {self.root: True}
+        stack: list[tuple[str, Iterator[str]]] = [(self.root, iter(out[self.root]))]
+        while stack:
+            var, it = stack[-1]
+            for nxt in it:
+                if on_walk.get(nxt):
+                    raise GraphError(f"edge cycle through {nxt!r}")
+                if nxt not in on_walk:
+                    on_walk[nxt] = True
+                    stack.append((nxt, iter(out[nxt])))
+                    break
+            else:
+                on_walk[var] = False
+                stack.pop()
+        unreachable = [v for v in self.nodes if v not in on_walk]
         if unreachable:
             raise GraphError(f"nodes unreachable from root: {unreachable}")
 

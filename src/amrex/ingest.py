@@ -8,8 +8,8 @@ Both datasets are consumed in a normalized line-delimited form:
 
 The 4-way loader additionally accepts the official QA-structured release
 (records carrying a ``questions`` list of question/answers pairs with
-answer types) and converts it on the fly.  Boolean answers are dropped
-before anything reaches the scoring pipeline.  AMR graphs arrive separately
+answer types) and converts it on the fly.  A claim record keeps no boolean
+evidence, so none reaches the scoring pipeline.  AMR graphs arrive separately
 in a bundle file of ``{"id": ..., "penman": ...}`` lines keyed by claim and
 evidence ids.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from .config import QUESTION_MODES
 from .errors import DatasetError, PenmanParseError
 from .graph import AmrGraph, parse_penman
-from .verdict import AVERITEC, FEVER, VerdictLabel, label_set
+from .verdict import AVERITEC, FEVER, VerdictLabel, label_set, require_graphs
 
 FEVER_LABEL_MAP = {
     "SUPPORTS": "S", "REFUTES": "R", "NOT ENOUGH INFO": "N",
@@ -56,6 +56,8 @@ class EvidenceItem:
 
 @dataclass(frozen=True)
 class ClaimRecord:
+    """A claim and its evidence; boolean evidence is dropped on construction."""
+
     claim_id: str
     claim_text: str
     dataset: str
@@ -64,7 +66,8 @@ class ClaimRecord:
     claim_graph: AmrGraph | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "evidence", tuple(self.evidence))
+        object.__setattr__(self, "evidence",
+                           tuple(ev for ev in self.evidence if ev.kind != "boolean"))
         if self.gold_label.dataset != self.dataset:
             raise DatasetError(
                 f"claim {self.claim_id!r}: label dataset {self.gold_label.dataset!r} "
@@ -122,7 +125,7 @@ def _id(value, field: str) -> str:
                      f"got {type(value).__name__}")
 
 
-def _records(path: str, parse_record) -> Iterator[ClaimRecord]:
+def _records(path: str, parse_record) -> Iterator:
     """``parse_record(raw, lineno)`` for each line of *path*, read as they
     are consumed; a missing required key or a wrong-typed field is a
     DatasetError naming ``path:line``."""
@@ -203,7 +206,7 @@ def _averitec_items_from_questions(questions, claim_id: str) -> list[EvidenceIte
 def _averitec_record(question_mode: str):
     """The parser of 4-way claims in *question_mode*: either schema is read
     first, so the question is prepended once, and a prefixed item keeps no
-    question of its own.  Boolean answers are dropped."""
+    question of its own."""
     if question_mode not in QUESTION_MODES:
         raise DatasetError(f"unknown question mode {question_mode!r}")
 
@@ -217,7 +220,6 @@ def _averitec_record(question_mode: str):
         if question_mode == "question-plus-answer":
             items = [replace(ev, text=f"{ev.question} {ev.text}", question=None)
                      if ev.question else ev for ev in items]
-        items = [ev for ev in items if ev.kind != "boolean"]
         return ClaimRecord(claim_id=claim_id,
                            claim_text=_typed(raw["claim"], str, "claim"),
                            dataset=AVERITEC, gold_label=label, evidence=items)
@@ -253,14 +255,9 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
     wanted = None if ids is None else set(ids)
     seen: set[str] = set()
     bundle: dict[str, AmrGraph] = {}
-    for lineno, raw in read_jsonl(path):
-        try:
-            rid = _id(raw["id"], "bundle id")
-            text = _typed(raw["penman"], str, "penman")
-        except KeyError as exc:
-            raise DatasetError(f"{path}:{lineno}: missing key {exc}")
-        except _WrongType as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}")
+    rows = _records(path, lambda raw, lineno: (
+        lineno, _id(raw["id"], "bundle id"), _typed(raw["penman"], str, "penman")))
+    for lineno, rid, text in rows:
         if rid in seen:
             raise DatasetError(f"{path}:{lineno}: duplicate bundle id {rid!r}")
         seen.add(rid)
@@ -278,24 +275,15 @@ def join_amrs(records: list[ClaimRecord], bundle: dict[str, AmrGraph],
     """Attach parsed graphs to claims and evidence by id.
 
     In strict mode, every id must be covered; all missing ids are listed in
-    one error.  In non-strict mode uncovered items keep a None graph.
+    one error (:func:`amrex.verdict.require_graphs`).  In non-strict mode
+    uncovered items keep a None graph.
     """
-    missing: list[str] = []
-    joined = []
-    for record in records:
-        claim_graph = bundle.get(record.claim_id)
-        if claim_graph is None:
-            missing.append(record.claim_id)
-        evidence = []
-        for ev in record.evidence:
-            graph = bundle.get(ev.evidence_id)
-            if graph is None:
-                missing.append(ev.evidence_id)
-            evidence.append(replace(ev, graph=graph))
-        joined.append(replace(record, claim_graph=claim_graph,
-                              evidence=tuple(evidence)))
-    if strict and missing:
-        raise DatasetError(f"AMR bundle is missing ids: {sorted(set(missing))}")
+    joined = [replace(record, claim_graph=bundle.get(record.claim_id),
+                      evidence=[replace(ev, graph=bundle.get(ev.evidence_id))
+                                for ev in record.evidence])
+              for record in records]
+    if strict:
+        require_graphs(joined)
     return joined
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import sys
 import urllib.error
 import urllib.request
 import zlib
@@ -175,7 +176,7 @@ def backend_from_spec(spec: str) -> SimilarityBackend:
         if not arg:
             return DeterministicTestBackend()
         key, _, value = arg.partition("=")
-        if key != "dim" or not value.isdigit():
+        if key != "dim" or not value.isdecimal():
             raise ConfigError(f"bad test backend spec: {spec!r}")
         return DeterministicTestBackend(dim=int(value))
     if kind == "file":
@@ -189,14 +190,28 @@ def backend_from_spec(spec: str) -> SimilarityBackend:
     raise ConfigError(f"unknown similarity backend {spec!r}")
 
 
+def _rescaled(values: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
+    """*values* and their sum of squares.  When that sum is below the least
+    normal float and a component is nonzero, the values are first scaled by
+    a power of two (exact) that brings the largest into [0.5, 1)."""
+    squares = sum(v * v for v in values)
+    if squares < sys.float_info.min and any(values):
+        shift = -math.frexp(max(map(abs, values)))[1]
+        values = tuple(math.ldexp(v, shift) for v in values)
+        squares = sum(v * v for v in values)
+    return values, squares
+
+
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """dot(a, b) / (|a| |b|).  Dimension mismatch, zero-norm vectors and
     vectors too large to square in floats are errors rather than silent
-    defaults."""
+    defaults; a vector too small to square is scaled first."""
     if a.dim != b.dim:
         raise SimilarityError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    norm_a = math.sqrt(sum(v * v for v in a.values))
-    norm_b = math.sqrt(sum(v * v for v in b.values))
+    x, squares_a = _rescaled(a.values)
+    y, squares_b = _rescaled(b.values)
+    norm_a = math.sqrt(squares_a)
+    norm_b = math.sqrt(squares_b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise SimilarityError("cosine of zero-norm vector")
     # A finite product of the norms bounds the dot product (Cauchy-Schwarz),
@@ -204,5 +219,5 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     norms = norm_a * norm_b
     if not math.isfinite(norms):
         raise SimilarityError("cosine overflow: vector norms too large for floats")
-    dot = sum(x * y for x, y in zip(a.values, b.values))
+    dot = sum(p * q for p, q in zip(x, y))
     return dot / norms

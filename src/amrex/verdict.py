@@ -160,14 +160,24 @@ def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
     return list(zip(alignments, sims))
 
 
+def require_graphs(records) -> None:
+    """One DatasetError naming every claim and evidence id of *records*
+    (:class:`amrex.ingest.ClaimRecord`) that has no AMR graph, if any."""
+    missing = {r.claim_id for r in records if r.claim_graph is None}
+    missing.update(ev.evidence_id for r in records for ev in r.evidence
+                   if ev.graph is None)
+    if missing:
+        raise DatasetError(f"AMR bundle is missing ids: {sorted(missing)}")
+
+
 def precompute_pair_components(records, backend: SimilarityBackend,
                                cfg: AlignConfig = AlignConfig(), seed: int = 0,
                                jobs: int = 1) -> dict[str, list[PairComponents]]:
-    """Per-pair components of every joined :class:`amrex.ingest.ClaimRecord`.
-
-    Drops boolean evidence and scores the rest with :func:`score_pairs`;
-    each pair has its own seed, so the result does not depend on *jobs*.
+    """Per-pair components of every joined :class:`amrex.ingest.ClaimRecord`,
+    scored with :func:`score_pairs`; each pair has its own seed, so the
+    result does not depend on *jobs*.
     """
+    require_graphs(records)
     components: dict[str, list[PairComponents]] = {}
     pairs = []
     names = []
@@ -176,13 +186,8 @@ def precompute_pair_components(records, backend: SimilarityBackend,
             raise DatasetError(f"claim {record.claim_id!r} appears twice")
         components[record.claim_id] = []
         for ev in record.evidence:
-            if ev.kind == "boolean":
-                continue
-            name = f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}"
-            if record.claim_graph is None or ev.graph is None:
-                raise DatasetError(f"{name}: AMR graph not joined")
             pairs.append((record, ev))
-            names.append(name)
+            names.append(f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}")
     scored = score_pairs(
         [(ev.text, ev.graph, record.claim_text, record.claim_graph,
           replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id)))

@@ -196,6 +196,19 @@ def test_evaluate_sweep_report_dir(fever_files, tmp_path, capsys):
     assert summary.count("\n") == 5  # header + separator + three lambda rows
     assert not any(line.startswith("# lambda")
                    for line in _header(capsys.readouterr().err))
+    # Six lambdas that agree to 6 significant digits: a file and a row each.
+    fine_dir = tmp_path / "fine"
+    assert dispatch(["evaluate", "--dataset", "fever", "--claims", claims,
+                     "--amrs", amrs, "--backend", "test:dim=64",
+                     "--sweep", "0.1:0.1000005:0.0000001",
+                     "--report", str(fine_dir)]) == 0
+    lambdas = {path.name: json.loads(path.read_text())["lambda"]
+               for path in fine_dir.glob("report_lambda_*.json")}
+    assert len(set(lambdas.values())) == 6
+    for name, lam in lambdas.items():
+        assert name == f"report_lambda_{lam:.12g}.json"
+    rows = (fine_dir / "summary.md").read_text().splitlines()[2:]
+    assert len({row.split(" | ")[0] for row in rows}) == 6
 
 
 def test_evaluate_stdout_table(fever_files, capsys):

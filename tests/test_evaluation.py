@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -109,14 +110,13 @@ def test_sweep_lambda_validation():
 
 
 def test_precompute_requires_joined_graphs():
-    records = _records()
-    stripped = [ClaimRecord(claim_id=r.claim_id, claim_text=r.claim_text,
-                            dataset=r.dataset, gold_label=r.gold_label,
-                            evidence=r.evidence, claim_graph=None)
-                for r in records]
+    first, middle, last = _records()
+    stripped = [replace(first, claim_graph=None), middle,
+                replace(last, evidence=[replace(last.evidence[0], graph=None)])]
     with pytest.raises(DatasetError) as exc:
         precompute_pair_components(stripped, DeterministicTestBackend(dim=64))
-    assert "c-marnie" in str(exc.value)
+    # One error names every id without a graph, not only the first.
+    assert "c-marnie" in str(exc.value) and "c-rabies-e0" in str(exc.value)
 
 
 def test_empty_evidence_policy_in_predictions():

@@ -131,6 +131,54 @@ def test_graph_invariants_enforced():
         AmrGraph(root="x", nodes={"x": "a", "y": "b"})
 
 
+@st.composite
+def _edge_lists(draw):
+    """Nodes ``0..n-1``, a root and an edge list.  Half the lists keep only
+    forward edges (i < j): acyclic, with diamonds where two paths meet.
+    The rest may hold self-loops and cycles, reachable or not; any node
+    that no edge reaches stays isolated."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=10))
+    if draw(st.booleans()):
+        edges = [(min(s, t), max(s, t)) for s, t in edges if s != t]
+    return n, draw(node), edges
+
+
+def _is_rooted_dag(n, root, edges) -> bool:
+    """Breadth-first search from the root for reachability, and Kahn's
+    algorithm over every edge for acyclicity."""
+    seen, frontier = {root}, [root]
+    while frontier:
+        frontier = [t for s in frontier for (s2, t) in edges if s2 == s and t not in seen]
+        seen.update(frontier)
+    indegree = Counter(t for _s, t in edges)
+    ready = [v for v in range(n) if indegree[v] == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for s, t in edges:
+            if s == v:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    ready.append(t)
+    return len(seen) == n and removed == n
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_lists())
+def test_graph_is_valid_exactly_when_a_rooted_dag(case):
+    n, root, edges = case
+    kwargs = dict(root=f"v{root}", nodes={f"v{i}": "c" for i in range(n)},
+                  edges=[(f"v{s}", "mod", f"v{t}") for s, t in edges])
+    if _is_rooted_dag(n, root, edges):
+        AmrGraph(**kwargs)
+    else:
+        with pytest.raises(GraphError):
+            AmrGraph(**kwargs)
+
+
 def test_serialize_fixpoint_minimal():
     g = parse_penman("(x/hello)")
     assert serialize_penman(g) == "(x/hello)"

@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from amrex.errors import ConfigError, EmbeddingMissError, SimilarityError, TransportError
 from amrex.similarity import (DeterministicTestBackend, EmbeddingServiceBackend,
@@ -48,6 +49,32 @@ def test_cosine_errors():
                  ((1e160, 0.0), (1e160, 0.0))):
         with pytest.raises(SimilarityError, match="cosine overflow"):
             cosine(EmbeddingVector(a), EmbeddingVector(b))
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ((1e-200, 1e-200), (1.0, 1.0), 1.0),  # was a zero-norm error
+    ((3e-162, 1e-162), (1.0, 2.0), 5 / math.sqrt(50)),  # was 0.7113
+    ((1e-160, 0.0), (1.0, 0.0), 1.0),  # was 1.0000055664551362
+    ((1e-200,), (1e-200,), 1.0),
+])
+def test_cosine_of_vectors_too_small_to_square(a, b, expected):
+    assert abs(cosine(EmbeddingVector(a), EmbeddingVector(b)) - expected) < 1e-12
+
+
+_components = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[st.lists(_components, min_size=n, max_size=n)] * 2)))
+def test_cosine_of_normal_vectors_is_the_plain_formula(pair):
+    a, b = pair
+    squares_a = sum(v * v for v in a)
+    squares_b = sum(v * v for v in b)
+    assume(squares_a >= sys.float_info.min and squares_b >= sys.float_info.min)
+    dot = sum(x * y for x, y in zip(a, b))
+    expected = dot / (math.sqrt(squares_a) * math.sqrt(squares_b))
+    assert cosine(EmbeddingVector(a), EmbeddingVector(b)) == expected
 
 
 def test_deterministic_backend_is_deterministic():
@@ -99,6 +126,9 @@ def test_backend_from_spec():
         backend_from_spec("nope")
     with pytest.raises(ConfigError):
         backend_from_spec("test:dim=abc")
+    # A digit that str.isdigit accepts but int() does not read.
+    with pytest.raises(ConfigError, match="bad test backend spec"):
+        backend_from_spec("test:dim=\u00b2")
 
 
 class _StubHandler(BaseHTTPRequestHandler):
