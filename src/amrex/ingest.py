@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from .config import QUESTION_MODES
-from .errors import DatasetError, PenmanParseError
+from .errors import DatasetError, GraphError, PenmanParseError
 from .graph import AmrGraph, parse_penman
 from .verdict import AVERITEC, FEVER, VerdictLabel, label_set, require_graphs
 
@@ -250,8 +250,9 @@ def load_claims(path: str, dataset: str,
 
 def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, AmrGraph]:
     """Parse an ``{"id", "penman"}`` JSONL bundle into graphs, annotating
-    parse failures with the offending id.  With *ids*, only those rows'
-    graphs are parsed; every row's id and type are still checked."""
+    parse failures and invalid graphs with the offending id and line.
+    With *ids*, only those rows' graphs are parsed; every row's id and type
+    are still checked."""
     wanted = None if ids is None else set(ids)
     seen: set[str] = set()
     bundle: dict[str, AmrGraph] = {}
@@ -265,8 +266,8 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
             continue
         try:
             bundle[rid] = parse_penman(text)
-        except PenmanParseError as exc:
-            raise DatasetError(f"bundle id {rid!r}: {exc}")
+        except (PenmanParseError, GraphError) as exc:
+            raise DatasetError(f"bundle id {rid!r}: {exc} ({path}:{lineno})")
     return bundle
 
 

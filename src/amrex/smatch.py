@@ -13,6 +13,7 @@ oracle on small graphs.  Both are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, defaultdict
 from collections.abc import Iterator
@@ -133,15 +134,28 @@ class _MatchContext:
         # only onto a premise self-loop.  Unmapping never gains and a capped
         # key adds at most one per newly substituted triple, so a change set
         # gains at most the sum of its entries.
+        # weight[i][j] is twice hv = hyp_vars[i]'s share of count() when
+        # mapped to the j-th premise variable: a relation between two
+        # variables is in both endpoints' bounds and so weighs a half in
+        # each, a self-loop is in one and keeps its whole weight.  So a
+        # mapping's count is at most half the weight of its pairs.
         self.bound: dict[str, dict[str | None, int]] = {}
+        self.weight: list[list[int]] = []
         for hv, row in self.unary.items():
             edges = [self.hyp_edges[i] for i in self.hyp_edges_at[hv]]
             bound = self.bound[hv] = dict(row)
+            weight = []
             for pv in self.prem_concepts:
                 outs, ins = out_roles[pv], in_roles[pv]
+                loops = shared = 0
                 for s, r, t in edges:
-                    bound[pv] += ((pv, r, pv) in self.prem_rel if s == t
-                                  else r in outs if s == hv else r in ins)
+                    if s == t:
+                        loops += (pv, r, pv) in self.prem_rel
+                    elif r in (outs if s == hv else ins):
+                        shared += 1
+                bound[pv] += loops + shared
+                weight.append(2 * (row[pv] + loops) + shared)
+            self.weight.append(weight)
 
     def count(self, m: dict[str, str]) -> int:
         """Matched hypothesis triples under mapping *m* (multiset-aware)."""
@@ -340,6 +354,63 @@ def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dic
         current += best_gain
 
 
+def _max_assignment(weights: list[list[int]]) -> int:
+    """The largest total weight of an injective partial assignment of rows
+    to columns, for non-negative integer weights.
+
+    The Hungarian method (Kuhn 1955; Munkres 1957) in potentials form, on
+    costs ``-weight``.  With no negative weight some best assignment gives
+    every row a column, so zero columns added up to the row count stand in
+    for a row left unassigned.
+    """
+    n = len(weights)
+    m = max(n, len(weights[0]))
+    cost = [[]] + [[0] + [-w for w in row] + [0] * (m - len(row)) for row in weights]
+    u, v = [0] * (n + 1), [0] * (m + 1)
+    owner = [0] * (m + 1)  # owner[j]: the row holding column j, 0 for none
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        # Grow a shortest augmenting path from row i over reduced costs.
+        owner[0], j0 = i, 0
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = row[j] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return v[0]
+
+
+def _upper_bound(ctx: _MatchContext, incumbent: int) -> int:
+    """An upper bound on the count of every injective mapping: half a
+    maximum-weight assignment of ``ctx.weight``, unless the cheaper row
+    bound, each claim variable's best weight regardless of injectivity,
+    is already no more than *incumbent*."""
+    bound = sum(max(row) for row in ctx.weight) // 2
+    if bound <= incumbent:
+        return bound
+    return _max_assignment(ctx.weight) // 2
+
+
 def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> dict[str, str]:
     """Deterministically re-place variables whose assignment contributes
     no matched triple.
@@ -387,12 +458,14 @@ def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> di
 def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
                      restarts: int = 4, seed: int = 0,
                      include_top: bool = True) -> SmatchResult:
-    """Best alignment over *restarts* hill-climbing runs.
+    """Best alignment over at most *restarts* hill-climbing runs.
 
     The first restart starts from a concept-match-greedy mapping, the rest
     from random injective mappings; each run applies the best single
     move, swap or edge planting until no gain.  Deterministic for a fixed
-    seed.
+    seed.  The runs stop once the best count reaches ``_upper_bound``:
+    a later run could only tie, and a tie never replaces the first best,
+    so the result is the one all *restarts* runs give.
     """
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
@@ -401,12 +474,18 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     rng = random.Random(seed)
     best_m: dict[str, str] | None = None
     best_count = -1
+    bound = None
     for r in range(restarts):
         init = _greedy_init(ctx, pvars, rng) if r == 0 else _random_init(ctx, pvars, rng)
         m, c = _climb(ctx, pvars, init)
         if c > best_count:
             best_count = c
             best_m = m
+        if r + 1 < restarts:
+            if bound is None:
+                bound = _upper_bound(ctx, best_count)
+            if best_count >= bound:
+                break
     best_m = _canonicalize(ctx, pvars, best_m)
     return _result(ctx, best_m)
 

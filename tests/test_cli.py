@@ -542,6 +542,8 @@ NOT_UTF8 = b"\xff\xfe\n"
      ":1: bundle id must be a string or an integer, got NoneType"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"], '{"id": {"a": 1}, "penman": "(x / y)"}',
      ":1: bundle id must be a string or an integer, got dict"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
+     '{"id": "c1", "penman": "(a / x :mod (b / y :mod a))"}', ":1)"),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
       "--amrs", "{amrs}"], None, ""),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
@@ -564,8 +566,8 @@ NOT_UTF8 = b"\xff\xfe\n"
         "amrs-not-object", "evidence-not-a-list", "evidence-text-not-a-string",
         "label-not-a-string", "penman-not-a-string", "claim-id-a-list",
         "claim-id-a-bool", "evidence-id-a-float", "bundle-id-null",
-        "bundle-id-an-object", "verdicts-missing", "verdicts-bad-json",
-        "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
+        "bundle-id-an-object", "bundle-graph-cyclic", "verdicts-missing",
+        "verdicts-bad-json", "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
         "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
         "evaluate-report-under-a-file", "ingest-out-no-dir"])
 def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, capsys,

@@ -149,6 +149,17 @@ def test_amr_bundle_parse_error_names_id(tmp_path):
     assert "bad-one" in str(exc.value)
 
 
+def test_amr_bundle_graph_error_names_id_and_line(tmp_path):
+    # Parses, but the re-entrancy closes a cycle: a GraphError, not a
+    # PenmanParseError.
+    rows = [{"id": "ok", "penman": "(x/a)"},
+            {"id": "c1", "penman": "(a / x :mod (b / y :mod a))"}]
+    path = _write_jsonl(tmp_path / "amrs.jsonl", rows)
+    with pytest.raises(DatasetError) as exc:
+        load_amr_bundle(path)
+    assert str(exc.value) == f"bundle id 'c1': edge cycle through 'a' ({path}:2)"
+
+
 def test_join_amrs_strict_lists_missing_ids(tmp_path):
     records = load_fever(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()))
     bundle_rows = [{"id": rid, "penman": MARNIE_CLAIM if rid.startswith("c") else MARNIE_EVIDENCE}

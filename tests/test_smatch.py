@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -7,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from amrex.errors import ConfigError, GraphError, MappingError
 from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
+from amrex import smatch
 from amrex.smatch import (AlignConfig, VariableMapping, _assign, _gain,
-                          _MatchContext, _neighbours, _substituted,
-                          align_exhaustive, align_hill_climb, matched_triples,
-                          smatch_precision)
+                          _MatchContext, _max_assignment, _neighbours,
+                          _substituted, _upper_bound, align_exhaustive,
+                          align_hill_climb, matched_triples, smatch_precision)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -147,15 +150,28 @@ def test_hill_climb_matches_exhaustive_oracle():
 _GOLDEN_MAPPINGS_SHA256 = "ec89214b164c29a38305fb45972e419551fa54295055f86f16514b1aaec87b09"
 
 
+def _golden_pairs():
+    """The 40 seeded random (premise, hypothesis) pairs of the first golden
+    digest."""
+    rng = random.Random(2024)
+    return [(random_graph(rng, max_nodes=24, prefix="p"),
+             random_graph(rng, max_nodes=14, prefix="h")) for _ in range(40)]
+
+
+def _golden_long_pairs():
+    """The 10 seeded `long-evidence`-scale pairs of the second golden digest."""
+    rng = random.Random(7)
+    return [(random_graph(rng, max_nodes=40, prefix="p", max_attributes=20),
+             random_graph(rng, max_nodes=20, prefix="h", max_attributes=10))
+            for _ in range(10)]
+
+
 def test_hill_climb_mappings_match_golden_digest():
     """Pins the climber's exact mappings on graphs beyond the oracle's size:
     a change to the neighbour order, the tie rule or canonicalization
     changes the SHA-256 of the 40 (mapping, matched) results."""
-    rng = random.Random(2024)
     digest = hashlib.sha256()
-    for i in range(40):
-        premise = random_graph(rng, max_nodes=24, prefix="p")
-        hypothesis = random_graph(rng, max_nodes=14, prefix="h")
+    for i, (premise, hypothesis) in enumerate(_golden_pairs()):
         r = align_hill_climb(premise, hypothesis, restarts=4, seed=i,
                              include_top=i % 2 == 0)
         digest.update(repr((r.mapping.pairs, r.matched)).encode())
@@ -171,15 +187,56 @@ def test_hill_climb_mappings_at_long_evidence_scale_match_golden_digest():
     hypotheses of up to 20 nodes and 10 attributes.  A bound that drops
     its edge or attribute term skips a step the climber needs and changes
     the digest."""
-    rng = random.Random(7)
     digest = hashlib.sha256()
-    for i in range(10):
-        premise = random_graph(rng, max_nodes=40, prefix="p", max_attributes=20)
-        hypothesis = random_graph(rng, max_nodes=20, prefix="h", max_attributes=10)
+    for i, (premise, hypothesis) in enumerate(_golden_long_pairs()):
         r = align_hill_climb(premise, hypothesis, restarts=4, seed=i,
                              include_top=i % 2 == 0)
         digest.update(repr((r.mapping.pairs, r.matched)).encode())
     assert digest.hexdigest() == _GOLDEN_LONG_MAPPINGS_SHA256
+
+
+def _count_climbs(monkeypatch) -> list[int]:
+    calls = [0]
+    climb = smatch._climb
+
+    def counted(*args):
+        calls[0] += 1
+        return climb(*args)
+
+    monkeypatch.setattr(smatch, "_climb", counted)
+    return calls
+
+
+def test_certified_restarts_change_no_result(monkeypatch):
+    """The restarts stop once the best count reaches the upper bound.  With
+    a bound no count reaches, every restart runs, and each result is the
+    same: a later restart can only tie, and a tie keeps the first best."""
+    pairs = [(p, h, i, i % 2 == 0) for golden in (_golden_pairs(), _golden_long_pairs())
+             for i, (p, h) in enumerate(golden)]
+    certified = [align_hill_climb(p, h, restarts=4, seed=seed, include_top=top)
+                 for p, h, seed, top in pairs]
+    calls = _count_climbs(monkeypatch)
+    monkeypatch.setattr(smatch, "_upper_bound", lambda ctx, incumbent: ctx.hyp_total + 1)
+    assert [align_hill_climb(p, h, restarts=4, seed=seed, include_top=top)
+            for p, h, seed, top in pairs] == certified
+    assert calls[0] == 4 * len(pairs)
+
+
+def test_restarts_stop_only_at_the_bound(monkeypatch):
+    calls = _count_climbs(monkeypatch)
+    g = parse_penman(RABIES_CLAIM)
+    assert align_hill_climb(g, g, restarts=4).matched == _MatchContext(g, g, True).hyp_total
+    assert calls[0] == 1
+    # h0 -> p0 and h1 -> p2 each hold one end of an ARG0 edge, so the bound
+    # counts the claim's edge, but no premise ARG0 edge joins p0 to p2.
+    premise = parse_penman("(r / z :op1 (p0 / a :ARG0 (p1 / x))"
+                           "       :op2 (p3 / y :ARG0 (p2 / b)))")
+    hypothesis = parse_penman("(h0 / a :ARG0 (h1 / b))")
+    ctx = _MatchContext(premise, hypothesis, True)
+    assert _upper_bound(ctx, -1) == 3
+    calls[0] = 0
+    assert align_hill_climb(premise, hypothesis, restarts=4).matched == 2
+    assert calls[0] == 4
 
 
 def test_result_bounds_and_f1():
@@ -369,3 +426,39 @@ def test_count_caps_duplicate_attributes_at_the_premise_count():
                            ({"h0": "p0", "h1": "p1"}, 4 + include_top)):
             assert ctx.count(m) == matched
             assert _literal_count(premise, hypothesis, m, include_top) == matched
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_graphs())
+def test_upper_bound_is_at_least_the_optimum(graphs):
+    """The climber stops restarting once its count reaches the bound, so
+    the bound must hold for every injective mapping: it is at least the
+    exhaustive optimum, both as the assignment bound (incumbent -1) and as
+    the row bound (an incumbent no bound exceeds)."""
+    premise, hypothesis, _m = graphs
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        optimum = align_exhaustive(premise, hypothesis, include_top).matched
+        assert _upper_bound(ctx, math.inf) >= _upper_bound(ctx, -1) >= optimum
+
+
+def _brute_force_assignment(weights) -> int:
+    """The heaviest injective partial assignment of rows to columns, over
+    every one of them."""
+    def best(i, free):
+        if i == len(weights):
+            return 0
+        return max([best(i + 1, free)] + [weights[i][j] + best(i + 1, free - {j})
+                                          for j in free])
+    return best(0, frozenset(range(len(weights[0]))))
+
+
+def test_max_assignment_equals_brute_force():
+    rng = random.Random(5)
+    for rows, cols in itertools.product(range(1, 6), range(1, 8)):
+        for _ in range(6):
+            high = rng.choice((1, 3, 9))
+            weights = [[0] * cols if rng.random() < 0.2
+                       else [rng.randint(0, high) for _ in range(cols)]
+                       for _ in range(rows)]
+            assert _max_assignment(weights) == _brute_force_assignment(weights), weights
