@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
     backend = backend_from_spec(cfg.backend)
     lam = cfg.resolved_lambda()
     components = precompute_pair_components(records, backend, _align_config(cfg),
-                                            cfg.seed, cfg.resolved_jobs())
+                                            cfg.seed, cfg.jobs)
     verdicts = [verdict_at(r, components[r.claim_id], lam, cfg.empty_evidence)
                 for r in records]
 
@@ -177,7 +177,7 @@ def cmd_evaluate(args) -> int:
     reports = evaluation.lambda_sweep(records, lambdas, backend,
                                       _align_config(cfg), seed=cfg.seed,
                                       empty_evidence=cfg.empty_evidence,
-                                      jobs=cfg.resolved_jobs())
+                                      jobs=cfg.jobs)
     if args.report:
         try:
             os.makedirs(args.report, exist_ok=True)

@@ -65,17 +65,15 @@ class RunConfig:
     question_mode: str = _setting("answer-only", choices=QUESTION_MODES)
     jobs: int = _setting(0, _int_at_least(0, "non-negative int"),
                          help="alignment worker processes, capped at usable "
-                              "CPUs; 0 uses every usable CPU, 1 aligns in "
-                              "this process")
+                              "CPUs and pairs; 0 sizes the pool from the "
+                              "batch's alignment work, 1 aligns in this "
+                              "process")
 
     def resolved_lambda(self) -> float:
         lam = _DATASET_LAMBDA_DEFAULTS.get(self.dataset, 0.0) if self.lam is None else self.lam
         if not 0.0 <= lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {lam}")
         return lam
-
-    def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else usable_cpus()
 
 
 def setting_key(f) -> str:
@@ -94,10 +92,20 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count(jobs: int, pairs: int, cpus: int) -> int:
-    """Alignment processes for *pairs* pairs: never more than asked for,
-    than there are pairs, or than there are usable CPUs."""
-    return max(1, min(jobs, pairs, cpus))
+# Estimated alignment work (see worker_count) that pays for one more worker.
+# On 2 vCPUs serial alignment takes about 2 µs per unit and a spawned worker,
+# which imports amrex afresh, 0.2-0.4 s to start; the seed-13 perfbench
+# workloads hold 145k-305k units, and each stays serial with a 1.6x margin.
+_WORK_PER_WORKER = 500_000
+
+
+def worker_count(jobs: int, work, cpus: int) -> int:
+    """Alignment processes for pairs whose estimated work is *work*, one
+    ``|claim nodes|² × |evidence nodes|`` entry per pair: *jobs* of them if
+    given, else one per started ``_WORK_PER_WORKER`` units; never more than
+    there are pairs or usable CPUs.  One means aligning in this process."""
+    wanted = jobs or -(-sum(work) // _WORK_PER_WORKER)
+    return max(1, min(wanted, len(work), cpus))
 
 
 def _apply(cfg: RunConfig, key: str, raw: str, origin: str) -> None:
@@ -141,8 +149,8 @@ def apply_env(cfg: RunConfig, environ=None) -> None:
 
 def effective_config_lines(cfg: RunConfig, names) -> list[str]:
     """``# key = value`` lines for the RunConfig fields *names*, each with
-    the value a run uses, so the run can be repeated byte-identically."""
-    used = {"lam": cfg.resolved_lambda, "jobs": cfg.resolved_jobs}
+    the value a run uses (``jobs`` as given: it never changes the bytes), so
+    the run can be repeated byte-identically."""
     return [f"# {setting_key(f)} = "
-            f"{used[f.name]() if f.name in used else getattr(cfg, f.name)}"
+            f"{cfg.resolved_lambda() if f.name == 'lam' else getattr(cfg, f.name)}"
             for f in fields(RunConfig) if f.name in names]

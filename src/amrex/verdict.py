@@ -15,9 +15,7 @@ both are applied literally.
 
 from __future__ import annotations
 
-import multiprocessing
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
@@ -138,8 +136,9 @@ def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
 
     Embeds every text in this process, evidence before claim; a
     SimilarityError for the i-th pair is prefixed with ``names[i]`` when
-    given.  The alignments run here at ``jobs == 1``, else in worker
-    processes.
+    given.  The alignments run in this process unless
+    :func:`amrex.config.worker_count` gives more than one worker for
+    *jobs* and the pairs' work, ``|claim nodes|² × |evidence nodes|`` each.
     """
     sims = []
     for i, (ev_text, _, claim_text, _, _) in enumerate(pairs):
@@ -150,13 +149,18 @@ def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
                 raise SimilarityError(f"{names[i]}: {exc}") from exc
             raise
     columns = ([p[1] for p in pairs], [p[3] for p in pairs], [p[4] for p in pairs])
-    workers = worker_count(jobs, len(pairs), usable_cpus())
+    work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
+    workers = worker_count(jobs, work, usable_cpus())
     if workers == 1:
         alignments = list(map(smatch_precision, *columns))
     else:
+        # Imported here: a serial run need not pay for loading them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
         with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
-            alignments = list(pool.map(smatch_precision, *columns))
+            alignments = list(pool.map(smatch_precision, *columns,
+                                       chunksize=-(-len(pairs) // (4 * workers))))
     return list(zip(alignments, sims))
 
 

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import copy
 import json
 import os
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import amrex
 from amrex.cli import build_parser, dispatch
-from amrex.config import (RunConfig, apply_env, load_config_file, usable_cpus,
-                          worker_count)
+from amrex.config import (_WORK_PER_WORKER, RunConfig, apply_env,
+                          load_config_file, usable_cpus, worker_count)
 from amrex.errors import ConfigError, DatasetError
 from amrex.graph import parse_penman, serialize_penman
 from amrex.ingest import load_averitec
@@ -150,6 +151,7 @@ def test_verify_writes_jsonl(fever_files, tmp_path, capsys):
     header = _header(capsys.readouterr().err)
     assert "# dataset = fever" in header
     assert "# lambda = 0.0" in header  # the dataset default the run used
+    assert "# jobs = 0" in header  # as given: jobs never changes the bytes
 
 
 @pytest.mark.parametrize("command", [
@@ -159,7 +161,7 @@ def test_verify_writes_jsonl(fever_files, tmp_path, capsys):
 def test_parallel_matches_serial_byte_for_byte(fever_files, tmp_path, command):
     claims, amrs = fever_files
     outputs = {}
-    for jobs in ("1", "8"):
+    for jobs in ("0", "1", "8"):
         out = tmp_path / f"jobs{jobs}"
         out.mkdir()
         argv = [arg.format(out=out) for arg in command]
@@ -167,7 +169,31 @@ def test_parallel_matches_serial_byte_for_byte(fever_files, tmp_path, command):
                                 "--amrs", amrs, "--backend", "test:dim=64",
                                 "--seed", "11", "--jobs", jobs]) == 0
         outputs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert outputs["1"] and outputs["1"] == outputs["8"]
+    assert outputs["1"] and outputs["0"] == outputs["1"] == outputs["8"]
+
+
+def test_explicit_jobs_starts_a_pool_and_the_default_does_not(
+        fever_files, tmp_path, monkeypatch):
+    """The fixture batch is far below one worker's worth of work, so only
+    an explicit --jobs starts a pool: criterion 09 compares a real pool
+    with a serial run."""
+    if usable_cpus() < 2:
+        pytest.skip("a pool needs at least 2 usable CPUs")
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def spy(workers, *args, **kwargs):
+        started.append(workers)
+        return real(workers, *args, **kwargs)
+
+    # verdict imports the executor from concurrent.futures when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    claims, amrs = fever_files
+    for jobs in ([], ["--jobs", "8"]):
+        assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
+                         "--amrs", amrs, "--backend", "test:dim=64",
+                         "--out", str(tmp_path / "verdicts.jsonl"), *jobs]) == 0
+    assert len(started) == 1 and started[0] >= 2
 
 
 def test_verify_missing_amr_is_domain_error(fever_files, tmp_path, capsys):
@@ -702,21 +728,34 @@ def test_readme_flag_table_matches_the_parser():
 
 
 def test_worker_count_never_exceeds_pairs_or_cpus():
-    assert worker_count(10**9, 10**9, 2) == 2
-    assert worker_count(10**9, 3, 10**6) == 3
-    assert worker_count(1, 10**9, 64) == 1
-    assert worker_count(8, 0, 8) == 1
+    unit = _WORK_PER_WORKER
+    # jobs=0 sizes the pool from the work: serial below one worker's worth
+    assert worker_count(0, [], 8) == 1
+    assert worker_count(0, [unit - 1], 8) == 1
+    assert worker_count(0, [unit // 2] * 2, 8) == 1
+    assert worker_count(0, [unit // 2] * 3, 8) == 2
+    assert worker_count(0, [unit] * 5 + [1], 64) == 6
+    # ... capped at the usable CPUs and at the pairs
+    assert worker_count(0, [unit] * 100, 2) == 2
+    assert worker_count(0, [10 * unit] * 3, 64) == 3
+    assert worker_count(0, [10**12], 64) == 1
+    # an explicit N is honoured whatever the work, with the same caps
+    assert worker_count(8, [1] * 10, 64) == 8
+    assert worker_count(1, [10 * unit] * 10, 64) == 1
+    assert worker_count(10**9, [1] * 10**3, 2) == 2
+    assert worker_count(10**9, [1] * 3, 10**6) == 3
+    assert worker_count(8, [], 8) == 1
     cpus = usable_cpus()
     assert 1 <= cpus <= (os.cpu_count() or cpus)
-    assert RunConfig().resolved_jobs() == cpus
-    assert RunConfig(jobs=10**9).resolved_jobs() == 10**9
 
 
 def test_cli_import_loads_no_http_library():
+    """Nor the process-pool modules, which only a pooled run imports."""
     src = os.path.dirname(os.path.dirname(amrex.__file__))
     probe = ("import sys, amrex.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-             "('requests', 'urllib3')))")
+             "('requests', 'urllib3', 'multiprocessing') "
+             "or m == 'concurrent.futures.process'))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src},
                             check=True, timeout=60)
