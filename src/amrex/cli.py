@@ -21,7 +21,7 @@ from .errors import AmrexError, DatasetError, MappingError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
 from .smatch import AlignConfig, smatch_precision
-from .verdict import label_set, precompute_pair_components, score_pairs, verdict_at
+from .verdict import precompute_pair_components, score_pairs, verdict_at
 
 
 def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
     backend = backend_from_spec(cfg.backend)
     lam = cfg.resolved_lambda()
     components = precompute_pair_components(records, backend, _align_config(cfg),
-                                            cfg.seed, cfg.jobs)
+                                            jobs=cfg.jobs)
     verdicts = [verdict_at(r, components[r.claim_id], lam, cfg.empty_evidence)
                 for r in records]
 
@@ -175,7 +175,7 @@ def cmd_evaluate(args) -> int:
     records = _verify_records(cfg, args.claims, args.amrs)
     backend = backend_from_spec(cfg.backend)
     reports = evaluation.lambda_sweep(records, lambdas, backend,
-                                      _align_config(cfg), seed=cfg.seed,
+                                      _align_config(cfg),
                                       empty_evidence=cfg.empty_evidence,
                                       jobs=cfg.jobs)
     if args.report:
@@ -253,7 +253,7 @@ def _stored_pair(verdict_path: str, claim_id: str, evidence_id: str):
         cfg = RunConfig()
         for name in ("dataset", "question_mode"):
             setattr(cfg, name, _stored_choice(row, name, choices[name]))
-        label = _stored_choice(row, "label", label_set(cfg.dataset))
+        label = _stored_choice(row, "label", ingest.label_set(cfg.dataset))
         return cfg, label, pair_from_json(row["lambda"], pair)
     except KeyError as exc:
         raise DatasetError(

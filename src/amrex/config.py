@@ -94,7 +94,7 @@ def usable_cpus() -> int:
 
 # Estimated alignment work (see worker_count) that pays for one more worker.
 # On 2 vCPUs serial alignment takes about 2 µs per unit and a spawned worker,
-# which imports amrex afresh, 0.2-0.4 s to start; the seed-13 perfbench
+# which imports amrex afresh, about 0.15 s to start; the seed-13 perfbench
 # workloads hold 145k-305k units, and each stays serial with a 1.6x margin.
 _WORK_PER_WORKER = 500_000
 

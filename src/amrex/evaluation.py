@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, DatasetError
-from .ingest import ClaimRecord
+from .ingest import ClaimRecord, VerdictLabel, label_set
 from .similarity import SimilarityBackend
 from .smatch import AlignConfig
-from .verdict import (PairComponents, VerdictLabel, label_set,
-                      precompute_pair_components, verdict_at)
+from .verdict import PairComponents, precompute_pair_components, verdict_at
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,11 @@ def predictions_at_lambda(records: list[ClaimRecord],
 
 def lambda_sweep(records: list[ClaimRecord], lambdas: list[float],
                  backend: SimilarityBackend,
-                 cfg: AlignConfig = AlignConfig(), seed: int = 0,
+                 cfg: AlignConfig = AlignConfig(), seed: int | None = None,
                  empty_evidence: str = "error",
                  jobs: int = 1) -> list[EvaluationReport]:
-    """One report per lambda over the same precomputed pair components."""
+    """One report per lambda over the same precomputed pair components,
+    aligned from *seed* (``cfg.seed`` when None)."""
     if not lambdas:
         raise ConfigError("lambda sweep needs at least one value")
     for lam in lambdas:

@@ -1,4 +1,4 @@
-"""Dataset loading into the uniform claim/evidence model.
+"""Dataset loading into the uniform claim/evidence model and its labels.
 
 Both datasets are consumed in a normalized line-delimited form:
 
@@ -22,9 +22,36 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from .config import QUESTION_MODES
-from .errors import DatasetError, GraphError, PenmanParseError
+from .errors import ConfigError, DatasetError, GraphError, PenmanParseError
 from .graph import AmrGraph, parse_penman
-from .verdict import AVERITEC, FEVER, VerdictLabel, label_set, require_graphs
+
+FEVER = "fever"
+AVERITEC = "averitec"
+
+FEVER_LABELS = ("S", "R", "N")
+AVERITEC_LABELS = ("S", "R", "N", "C")
+
+
+@dataclass(frozen=True)
+class VerdictLabel:
+    value: str
+    dataset: str
+
+    def __post_init__(self):
+        allowed = label_set(self.dataset)
+        if self.value not in allowed:
+            raise ConfigError(
+                f"label {self.value!r} not valid for dataset {self.dataset!r} "
+                f"(allowed: {allowed})")
+
+
+def label_set(dataset: str) -> tuple[str, ...]:
+    if dataset == FEVER:
+        return FEVER_LABELS
+    if dataset == AVERITEC:
+        return AVERITEC_LABELS
+    raise ConfigError(f"unknown dataset {dataset!r}")
+
 
 FEVER_LABEL_MAP = {
     "SUPPORTS": "S", "REFUTES": "R", "NOT ENOUGH INFO": "N",
@@ -276,7 +303,7 @@ def join_amrs(records: list[ClaimRecord], bundle: dict[str, AmrGraph],
     """Attach parsed graphs to claims and evidence by id.
 
     In strict mode, every id must be covered; all missing ids are listed in
-    one error (:func:`amrex.verdict.require_graphs`).  In non-strict mode
+    one error (:func:`require_graphs`).  In non-strict mode
     uncovered items keep a None graph.
     """
     joined = [replace(record, claim_graph=bundle.get(record.claim_id),
@@ -286,6 +313,16 @@ def join_amrs(records: list[ClaimRecord], bundle: dict[str, AmrGraph],
     if strict:
         require_graphs(joined)
     return joined
+
+
+def require_graphs(records) -> None:
+    """One DatasetError naming every claim and evidence id of *records*
+    that has no AMR graph, if any."""
+    missing = {r.claim_id for r in records if r.claim_graph is None}
+    missing.update(ev.evidence_id for r in records for ev in r.evidence
+                   if ev.graph is None)
+    if missing:
+        raise DatasetError(f"AMR bundle is missing ids: {sorted(missing)}")
 
 
 def label_counts(records: list[ClaimRecord]) -> dict[str, int]:

@@ -9,12 +9,9 @@ bitwise identical within a run.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import sys
-import urllib.error
-import urllib.request
 import zlib
 from dataclasses import dataclass
 
@@ -65,7 +62,6 @@ class PrecomputedFileBackend(SimilarityBackend):
     def __init__(self, path: str):
         super().__init__()
         self.path = path
-        self._table: dict[str, EmbeddingVector] = {}
         try:
             fh = open(path, "rb")
         except OSError as exc:
@@ -77,15 +73,14 @@ class PrecomputedFileBackend(SimilarityBackend):
                     continue
                 try:
                     record = json.loads(line.decode("utf-8"))
-                    self._table[record["text"]] = EmbeddingVector(tuple(record["vector"]))
+                    self._cache[record["text"]] = EmbeddingVector(tuple(record["vector"]))
                 except (KeyError, TypeError, ValueError, SimilarityError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")
 
     def _embed(self, text: str) -> EmbeddingVector:
-        try:
-            return self._table[text]
-        except KeyError:
-            raise EmbeddingMissError(text) from None
+        # Every vector of the file is in the cache: a text that reaches here
+        # is not in the file.
+        raise EmbeddingMissError(text)
 
 
 class EmbeddingServiceBackend(SimilarityBackend):
@@ -121,6 +116,10 @@ def post_json(url: str, payload: dict, key: str, timeout: float, service: str):
     An unreachable or timed-out *service*, a status other than 200, and a
     reply that is not a JSON object holding *key* are all TransportErrors.
     """
+    # Imported here: a run that reaches no service need not pay for loading them.
+    import http.client
+    import urllib.error
+    import urllib.request
     try:
         request = urllib.request.Request(
             url, data=json.dumps(payload).encode("utf-8"),

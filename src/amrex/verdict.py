@@ -23,38 +23,13 @@ from numbers import Rational
 from .config import usable_cpus, worker_count
 from .entailment import EntailmentScore, blend
 from .errors import ConfigError, DatasetError, SimilarityError
+# label_set is not used here; it stays importable from this module.
+from .ingest import AVERITEC, FEVER, VerdictLabel, label_set, require_graphs
 from .similarity import SimilarityBackend, cosine
 from .smatch import AlignConfig, SmatchResult, smatch_precision
 
-FEVER = "fever"
-AVERITEC = "averitec"
-
-FEVER_LABELS = ("S", "R", "N")
-AVERITEC_LABELS = ("S", "R", "N", "C")
-
 _TENTH = Fraction(1, 10)
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class VerdictLabel:
-    value: str
-    dataset: str
-
-    def __post_init__(self):
-        allowed = label_set(self.dataset)
-        if self.value not in allowed:
-            raise ConfigError(
-                f"label {self.value!r} not valid for dataset {self.dataset!r} "
-                f"(allowed: {allowed})")
-
-
-def label_set(dataset: str) -> tuple[str, ...]:
-    if dataset == FEVER:
-        return FEVER_LABELS
-    if dataset == AVERITEC:
-        return AVERITEC_LABELS
-    raise ConfigError(f"unknown dataset {dataset!r}")
 
 
 @dataclass(frozen=True)
@@ -164,23 +139,17 @@ def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
     return list(zip(alignments, sims))
 
 
-def require_graphs(records) -> None:
-    """One DatasetError naming every claim and evidence id of *records*
-    (:class:`amrex.ingest.ClaimRecord`) that has no AMR graph, if any."""
-    missing = {r.claim_id for r in records if r.claim_graph is None}
-    missing.update(ev.evidence_id for r in records for ev in r.evidence
-                   if ev.graph is None)
-    if missing:
-        raise DatasetError(f"AMR bundle is missing ids: {sorted(missing)}")
-
-
 def precompute_pair_components(records, backend: SimilarityBackend,
-                               cfg: AlignConfig = AlignConfig(), seed: int = 0,
+                               cfg: AlignConfig = AlignConfig(),
+                               seed: int | None = None,
                                jobs: int = 1) -> dict[str, list[PairComponents]]:
     """Per-pair components of every joined :class:`amrex.ingest.ClaimRecord`,
-    scored with :func:`score_pairs`; each pair has its own seed, so the
-    result does not depend on *jobs*.
+    scored with :func:`score_pairs`; each pair has its own seed, derived
+    from *seed* (``cfg.seed`` when None), so the result does not depend on
+    *jobs*.
     """
+    if seed is None:
+        seed = cfg.seed
     require_graphs(records)
     components: dict[str, list[PairComponents]] = {}
     pairs = []
@@ -221,7 +190,7 @@ def verdict_at(record, rows: list[PairComponents], lam: float,
 
 
 def verify_claim(record, lam: float, backend: SimilarityBackend,
-                 cfg: AlignConfig = AlignConfig(), seed: int = 0,
+                 cfg: AlignConfig = AlignConfig(), seed: int | None = None,
                  empty_evidence: str = "error") -> ClaimVerdict:
     """Score every evidence pair of one claim record, aggregate, and classify."""
     rows = precompute_pair_components([record], backend, cfg, seed)[record.claim_id]

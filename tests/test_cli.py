@@ -749,17 +749,36 @@ def test_worker_count_never_exceeds_pairs_or_cpus():
     assert 1 <= cpus <= (os.cpu_count() or cpus)
 
 
-def test_cli_import_loads_no_http_library():
-    """Nor the process-pool modules, which only a pooled run imports."""
+def _loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running *statement*."""
     src = os.path.dirname(os.path.dirname(amrex.__file__))
-    probe = ("import sys, amrex.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-             "('requests', 'urllib3', 'multiprocessing') "
-             "or m == 'concurrent.futures.process'))")
+    probe = f"import sys; {statement}; print(' '.join(sys.modules))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src},
                             check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_no_http_library():
+    """Nor the standard library's HTTP modules, which only a service call
+    imports, nor the process-pool modules, which only a pooled run imports."""
+    loaded = _loaded_by("import amrex.cli")
+    assert sorted(m for m in loaded
+                  if m.split(".")[0] in ("requests", "urllib3", "multiprocessing")
+                  or m in ("concurrent.futures.process", "http.client",
+                           "urllib.error", "urllib.request")) == []
+
+
+def test_each_module_imports_only_the_stages_before_it():
+    def amrex_modules(module):
+        return {m for m in _loaded_by(f"import {module}") if m.split(".")[0] == "amrex"}
+
+    assert amrex_modules("amrex") == {"amrex"}
+    later = {f"amrex.{m}" for m in ("smatch", "entailment", "similarity",
+                                    "verdict", "evaluation", "explain")}
+    assert amrex_modules("amrex.ingest") & later == set()
+    assert amrex_modules("amrex.smatch") == {"amrex", "amrex.errors",
+                                             "amrex.graph", "amrex.smatch"}
 
 
 def test_config_validation(tmp_path):

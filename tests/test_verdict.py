@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from amrex.smatch import AlignConfig
 from amrex.verdict import (AVERITEC, FEVER, VerdictLabel, aggregate, pair_seed,
                            th2, th2_averitec, th2_fever, verify_claim)
 
-from _fixtures import RABIES_CLAIM, RABIES_EVIDENCE
+from _fixtures import RABIES_CLAIM, RABIES_EVIDENCE, random_graph
 
 
 def test_label_validation():
@@ -62,6 +63,28 @@ def test_fever_sign_symmetry():
     for i in range(100, 1001):
         e = Fraction(i, 1000)
         assert th2_fever(-e).value == swap[th2_fever(e).value]
+
+
+def test_align_config_seed_is_the_global_seed():
+    """With no seed argument, each pair's seed derives from ``cfg.seed``.
+    The record's mappings depend on the seed, so a seed that is ignored
+    fails the first assert."""
+    rng = random.Random(1)
+    claim_graph = random_graph(rng, prefix="a")
+    evidence = tuple(EvidenceItem(evidence_id=f"e{i}", text=f"evidence text number {i}",
+                                  graph=random_graph(rng, prefix="b"))
+                     for i in range(4))
+    record = ClaimRecord(claim_id="c1", claim_text="the claim text", dataset=FEVER,
+                         gold_label=VerdictLabel("N", FEVER), evidence=evidence,
+                         claim_graph=claim_graph)
+
+    def mappings(cfg, **kwargs):
+        verdict = verify_claim(record, 0.5, DeterministicTestBackend(), cfg, **kwargs)
+        return [pair.score.mapping for pair in verdict.per_evidence]
+
+    assert mappings(AlignConfig(seed=5)) != mappings(AlignConfig(seed=0))
+    assert mappings(AlignConfig(seed=5)) == mappings(AlignConfig(), seed=5)
+    assert mappings(AlignConfig(seed=5), seed=0) == mappings(AlignConfig(seed=0))
 
 
 def _record(n_evidence, dataset=FEVER, kinds=None):
