@@ -55,8 +55,7 @@ def _configure(args: argparse.Namespace, unread=()) -> RunConfig:
 
 
 def _align_config(cfg: RunConfig) -> AlignConfig:
-    return AlignConfig(restarts=cfg.restarts, seed=cfg.seed,
-                       include_top=cfg.include_top)
+    return AlignConfig(restarts=cfg.restarts, include_top=cfg.include_top)
 
 
 def _read(path: str) -> str:
@@ -96,7 +95,7 @@ def cmd_smatch(args) -> int:
     cfg = _configure(args)
     premise = parse_penman(_read(args.premise))
     hypothesis = parse_penman(_read(args.hypothesis))
-    result = smatch_precision(premise, hypothesis, _align_config(cfg))
+    result = smatch_precision(premise, hypothesis, _align_config(cfg), cfg.seed)
     if args.json:
         print(json.dumps({
             "precision": result.precision, "recall": result.recall,
@@ -117,8 +116,8 @@ def cmd_score_pair(args) -> int:
     claim_graph = parse_penman(_read(args.claim_amr))
     evidence_graph = parse_penman(_read(args.evidence_amr))
     [(alignment, sim)] = score_pairs([(args.evidence_text, evidence_graph,
-                                       args.claim_text, claim_graph,
-                                       _align_config(cfg))], backend)
+                                       args.claim_text, claim_graph, cfg.seed)],
+                                     backend, _align_config(cfg))
     score = blend(cfg.resolved_lambda(), alignment, sim)
     if args.json:
         print(json.dumps({"lambda": score.lam, **pair_json(score)}))
@@ -156,7 +155,7 @@ def cmd_verify(args) -> int:
     backend = backend_from_spec(cfg.backend)
     lam = cfg.resolved_lambda()
     components = precompute_pair_components(records, backend, _align_config(cfg),
-                                            jobs=cfg.jobs)
+                                            cfg.seed, cfg.jobs)
     verdicts = [verdict_at(r, components[r.claim_id], lam, cfg.empty_evidence)
                 for r in records]
 
@@ -175,9 +174,8 @@ def cmd_evaluate(args) -> int:
     records = _verify_records(cfg, args.claims, args.amrs)
     backend = backend_from_spec(cfg.backend)
     reports = evaluation.lambda_sweep(records, lambdas, backend,
-                                      _align_config(cfg),
-                                      empty_evidence=cfg.empty_evidence,
-                                      jobs=cfg.jobs)
+                                      _align_config(cfg), cfg.seed,
+                                      cfg.empty_evidence, cfg.jobs)
     if args.report:
         try:
             os.makedirs(args.report, exist_ok=True)
@@ -205,7 +203,7 @@ def cmd_ingest(args) -> int:
     if args.out:
         ingest.write_normalized(records, args.out)
     if args.stats or not args.out:
-        counts = ingest.label_counts(records)
+        counts = ingest.label_counts(records, cfg.dataset)
         reference = ingest.REFERENCE_LABEL_COUNTS.get(cfg.dataset, {})
         print(f"claims: {len(records)}")
         for label, n in counts.items():

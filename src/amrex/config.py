@@ -84,30 +84,6 @@ def setting_key(f) -> str:
 _BY_KEY = {setting_key(f): f for f in fields(RunConfig)}
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on; all of them where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# Estimated alignment work (see worker_count) that pays for one more worker.
-# On 2 vCPUs serial alignment takes about 2 µs per unit and a spawned worker,
-# which imports amrex afresh, about 0.15 s to start; the seed-13 perfbench
-# workloads hold 145k-305k units, and each stays serial with a 1.6x margin.
-_WORK_PER_WORKER = 500_000
-
-
-def worker_count(jobs: int, work, cpus: int) -> int:
-    """Alignment processes for pairs whose estimated work is *work*, one
-    ``|claim nodes|² × |evidence nodes|`` entry per pair: *jobs* of them if
-    given, else one per started ``_WORK_PER_WORKER`` units; never more than
-    there are pairs or usable CPUs.  One means aligning in this process."""
-    wanted = jobs or -(-sum(work) // _WORK_PER_WORKER)
-    return max(1, min(wanted, len(work), cpus))
-
-
 def _apply(cfg: RunConfig, key: str, raw: str, origin: str) -> None:
     f = _BY_KEY.get(key)
     if f is None:

@@ -73,11 +73,11 @@ def predictions_at_lambda(records: list[ClaimRecord],
 
 def lambda_sweep(records: list[ClaimRecord], lambdas: list[float],
                  backend: SimilarityBackend,
-                 cfg: AlignConfig = AlignConfig(), seed: int | None = None,
+                 cfg: AlignConfig = AlignConfig(), seed: int = 0,
                  empty_evidence: str = "error",
-                 jobs: int = 1) -> list[EvaluationReport]:
+                 jobs: int = 0) -> list[EvaluationReport]:
     """One report per lambda over the same precomputed pair components,
-    aligned from *seed* (``cfg.seed`` when None)."""
+    aligned from *seed*."""
     if not lambdas:
         raise ConfigError("lambda sweep needs at least one value")
     for lam in lambdas:
@@ -100,8 +100,9 @@ def sweep_range(spec: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise ConfigError(f"bad sweep spec {spec!r}, expected start:stop:step")
-    if step <= 0:
-        raise ConfigError("sweep step must be positive")
+    # A finer step repeats values at the 12-decimal rounding below.
+    if not step >= 1e-12:
+        raise ConfigError(f"sweep step must be at least 1e-12, got {step_s!r}")
     values = []
     k = 0
     while True:

@@ -325,9 +325,8 @@ def require_graphs(records) -> None:
         raise DatasetError(f"AMR bundle is missing ids: {sorted(missing)}")
 
 
-def label_counts(records: list[ClaimRecord]) -> dict[str, int]:
+def label_counts(records: list[ClaimRecord], dataset: str) -> dict[str, int]:
     counts = Counter(r.gold_label.value for r in records)
-    dataset = records[0].dataset if records else FEVER
     return {label: counts.get(label, 0) for label in label_set(dataset)}
 
 

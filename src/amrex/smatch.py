@@ -61,10 +61,9 @@ class SmatchResult:
 
 @dataclass(frozen=True)
 class AlignConfig:
-    """Alignment knobs: restart count, RNG seed, top-triple convention."""
+    """Alignment knobs: restart count and top-triple convention."""
 
     restarts: int = 4
-    seed: int = 0
     include_top: bool = True
 
 
@@ -579,12 +578,12 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
 
 
 def smatch_precision(premise: AmrGraph, hypothesis: AmrGraph,
-                     cfg: AlignConfig = AlignConfig()) -> SmatchResult:
-    """Alignment with precision over the hypothesis triple count.
+                     cfg: AlignConfig = AlignConfig(), seed: int = 0) -> SmatchResult:
+    """Alignment with precision over the hypothesis triple count, from *seed*.
 
     The hypothesis is the claim whose meaning containment in the premise
     (the evidence) is being measured; the winning mapping is retained for
     explanation rendering.
     """
     return align_hill_climb(premise, hypothesis, restarts=cfg.restarts,
-                            seed=cfg.seed, include_top=cfg.include_top)
+                            seed=seed, include_top=cfg.include_top)

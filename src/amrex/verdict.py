@@ -15,12 +15,12 @@ both are applied literally.
 
 from __future__ import annotations
 
+import os
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .config import usable_cpus, worker_count
 from .entailment import EntailmentScore, blend
 from .errors import ConfigError, DatasetError, SimilarityError
 # label_set is not used here; it stays importable from this module.
@@ -103,17 +103,41 @@ class PairComponents:
     cosine_sim: float
 
 
-def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
-                names=()) -> list[tuple[SmatchResult, float]]:
+def usable_cpus() -> int:
+    """CPUs this process may run on; all of them where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Estimated alignment work (see worker_count) that pays for one more worker.
+# On 2 vCPUs serial alignment takes about 2 µs per unit and a spawned worker,
+# which imports amrex afresh, about 0.15 s to start; the seed-13 perfbench
+# workloads hold 145k-305k units, and each stays serial with a 1.6x margin.
+_WORK_PER_WORKER = 500_000
+
+
+def worker_count(jobs: int, work, cpus: int) -> int:
+    """Alignment processes for pairs whose estimated work is *work*, one
+    ``|claim nodes|² × |evidence nodes|`` entry per pair: *jobs* of them if
+    given, else one per started ``_WORK_PER_WORKER`` units; never more than
+    there are pairs or usable CPUs.  One means aligning in this process."""
+    wanted = jobs or -(-sum(work) // _WORK_PER_WORKER)
+    return max(1, min(wanted, len(work), cpus))
+
+
+def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfig(),
+                jobs: int = 0, names=()) -> list[tuple[SmatchResult, float]]:
     """``(alignment, cosine)`` of each ``(evidence text, evidence graph,
-    claim text, claim graph, AlignConfig)`` in *pairs*: the one scoring
-    path of ``verify``, ``evaluate`` and ``score-pair``.
+    claim text, claim graph, seed)`` in *pairs*, aligned under *cfg*: the
+    one scoring path of ``verify``, ``evaluate`` and ``score-pair``.
 
     Embeds every text in this process, evidence before claim; a
     SimilarityError for the i-th pair is prefixed with ``names[i]`` when
-    given.  The alignments run in this process unless
-    :func:`amrex.config.worker_count` gives more than one worker for
-    *jobs* and the pairs' work, ``|claim nodes|² × |evidence nodes|`` each.
+    given.  The alignments run in this process unless :func:`worker_count`
+    gives more than one worker for *jobs* and the pairs' work,
+    ``|claim nodes|² × |evidence nodes|`` each.
     """
     sims = []
     for i, (ev_text, _, claim_text, _, _) in enumerate(pairs):
@@ -123,7 +147,8 @@ def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
             if names:
                 raise SimilarityError(f"{names[i]}: {exc}") from exc
             raise
-    columns = ([p[1] for p in pairs], [p[3] for p in pairs], [p[4] for p in pairs])
+    columns = ([p[1] for p in pairs], [p[3] for p in pairs], [cfg] * len(pairs),
+               [p[4] for p in pairs])
     work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
     workers = worker_count(jobs, work, usable_cpus())
     if workers == 1:
@@ -140,16 +165,13 @@ def score_pairs(pairs, backend: SimilarityBackend, jobs: int = 1,
 
 
 def precompute_pair_components(records, backend: SimilarityBackend,
-                               cfg: AlignConfig = AlignConfig(),
-                               seed: int | None = None,
-                               jobs: int = 1) -> dict[str, list[PairComponents]]:
+                               cfg: AlignConfig = AlignConfig(), seed: int = 0,
+                               jobs: int = 0) -> dict[str, list[PairComponents]]:
     """Per-pair components of every joined :class:`amrex.ingest.ClaimRecord`,
     scored with :func:`score_pairs`; each pair has its own seed, derived
-    from *seed* (``cfg.seed`` when None), so the result does not depend on
+    from *seed* by :func:`pair_seed`, so the result does not depend on
     *jobs*.
     """
-    if seed is None:
-        seed = cfg.seed
     require_graphs(records)
     components: dict[str, list[PairComponents]] = {}
     pairs = []
@@ -163,8 +185,8 @@ def precompute_pair_components(records, backend: SimilarityBackend,
             names.append(f"claim {record.claim_id!r} / evidence {ev.evidence_id!r}")
     scored = score_pairs(
         [(ev.text, ev.graph, record.claim_text, record.claim_graph,
-          replace(cfg, seed=pair_seed(seed, record.claim_id, ev.evidence_id)))
-         for record, ev in pairs], backend, jobs, names)
+          pair_seed(seed, record.claim_id, ev.evidence_id))
+         for record, ev in pairs], backend, cfg, jobs, names)
     for (record, ev), (alignment, sim) in zip(pairs, scored):
         components[record.claim_id].append(
             PairComponents(ev.evidence_id, alignment, sim))
@@ -190,7 +212,7 @@ def verdict_at(record, rows: list[PairComponents], lam: float,
 
 
 def verify_claim(record, lam: float, backend: SimilarityBackend,
-                 cfg: AlignConfig = AlignConfig(), seed: int | None = None,
+                 cfg: AlignConfig = AlignConfig(), seed: int = 0,
                  empty_evidence: str = "error") -> ClaimVerdict:
     """Score every evidence pair of one claim record, aggregate, and classify."""
     rows = precompute_pair_components([record], backend, cfg, seed)[record.claim_id]

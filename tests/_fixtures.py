@@ -134,11 +134,11 @@ def random_graph(rng: random.Random, max_nodes: int = 8, prefix: str = "n",
 
 
 def score_pair(premise_text, premise_amr, hypothesis_text, hypothesis_amr,
-               lam, backend, cfg=AlignConfig()):
+               lam, backend, cfg=AlignConfig(), seed=0):
     """One (evidence, claim) pair scored and blended at *lam*, as
     ``score-pair`` scores it."""
     [(alignment, sim)] = score_pairs([(premise_text, premise_amr, hypothesis_text,
-                                       hypothesis_amr, cfg)], backend)
+                                       hypothesis_amr, seed)], backend, cfg)
     return blend(lam, alignment, sim)
 
 

@@ -1,6 +1,9 @@
 import argparse
 import concurrent.futures
 import copy
+import functools
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -13,11 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 import amrex
 from amrex.cli import build_parser, dispatch
-from amrex.config import (_WORK_PER_WORKER, RunConfig, apply_env,
-                          load_config_file, usable_cpus, worker_count)
+from amrex.config import RunConfig, apply_env, load_config_file
 from amrex.errors import ConfigError, DatasetError
+from amrex.evaluation import lambda_sweep
 from amrex.graph import parse_penman, serialize_penman
-from amrex.ingest import load_averitec
+from amrex.ingest import iter_claims, load_averitec, load_claims
+from amrex.smatch import AlignConfig, align_hill_climb, smatch_precision
+from amrex.verdict import (_WORK_PER_WORKER, precompute_pair_components,
+                           score_pairs, usable_cpus, verdict_at, verify_claim,
+                           worker_count)
 
 from _fixtures import (JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, field_paths)
@@ -256,6 +263,15 @@ def test_ingest_stats_and_normalize(fever_files, tmp_path, capsys):
     assert "(reference: 3281)" in stats  # differing counts are flagged, not fatal
     rows = [json.loads(l) for l in out.read_text().splitlines()]
     assert rows[0]["claim_id"] == "c-marnie"
+
+
+def test_ingest_stats_of_an_empty_file_list_the_dataset_labels(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert dispatch(["ingest", "--dataset", "averitec", "--in", str(empty)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "claims: 0", "S: 0  (reference: 649)", "R: 0  (reference: 1166)",
+        "N: 0  (reference: 115)", "C: 0  (reference: 226)"]
 
 
 def test_explain_text_and_prompt(fever_files, tmp_path, capsys):
@@ -781,6 +797,19 @@ def test_each_module_imports_only_the_stages_before_it():
                                              "amrex.graph", "amrex.smatch"}
 
 
+def test_every_benchmark_span_target_exists():
+    """Each function the benchmark's tracer wraps is still where its
+    ``SPANS`` table says; a missing one breaks every traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPANS
+    for span, (module_name, attr) in tracer.SPANS.items():
+        module = importlib.import_module(module_name)
+        assert callable(functools.reduce(getattr, attr.split("."), module)), span
+
+
 def test_config_validation(tmp_path):
     cfg = RunConfig()
     with pytest.raises(ConfigError):
@@ -810,3 +839,22 @@ def test_config_validation(tmp_path):
     assert (cfg.jobs, cfg.restarts) == (0, 1)
     with pytest.raises(ConfigError):
         RunConfig(dataset="fever", lam=1.5).resolved_lambda()
+
+
+def test_library_defaults_are_the_run_config_defaults():
+    """A library call that leaves a setting out runs as the CLI does when
+    the setting is left unset."""
+    users = {
+        "restarts": (AlignConfig, align_hill_climb),
+        "include_top": (AlignConfig, align_hill_climb),
+        "seed": (align_hill_climb, smatch_precision, precompute_pair_components,
+                 lambda_sweep, verify_claim),
+        "jobs": (score_pairs, precompute_pair_components, lambda_sweep),
+        "empty_evidence": (verdict_at, verify_claim, lambda_sweep),
+        "question_mode": (iter_claims, load_claims),
+    }
+    defaults = RunConfig()
+    for name, functions in users.items():
+        for function in functions:
+            default = inspect.signature(function).parameters[name].default
+            assert default == getattr(defaults, name), (function.__name__, name)

@@ -150,6 +150,10 @@ def test_sweep_range_parsing():
         sweep_range("0:2:0.5")
     with pytest.raises(ConfigError, match="leaves"):
         sweep_range("-0.5:1:0.5")
+    # finer than the 12-decimal rounding: repeated lambdas, or no end at all
+    for spec in ("0:1e-11:1e-13", "0:1:1e-300"):
+        with pytest.raises(ConfigError, match="at least 1e-12"):
+            sweep_range(spec)
 
 
 def test_report_markdown_table_shape():

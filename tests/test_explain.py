@@ -22,7 +22,7 @@ def _rabies_bundle(label=None):
     score = score_pair("the evidence sentence", evidence,
                        "the claim sentence", claim,
                        lam=0.5, backend=DeterministicTestBackend(dim=64),
-                       cfg=AlignConfig(restarts=4, seed=0, include_top=True))
+                       cfg=AlignConfig(restarts=4, include_top=True))
     return build_bundle(claim, evidence, "the claim sentence",
                         "the evidence sentence", score, label=label)
 

@@ -128,7 +128,7 @@ def test_load_is_pure_per_file_content(tmp_path):
 
 def test_label_counts_and_reference_table(tmp_path):
     records = load_fever(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()))
-    assert label_counts(records) == {"S": 1, "R": 1, "N": 1}
+    assert label_counts(records, FEVER) == {"S": 1, "R": 1, "N": 1}
     assert REFERENCE_LABEL_COUNTS[FEVER] == {"S": 3281, "R": 3270, "N": 3284}
     assert sum(REFERENCE_LABEL_COUNTS[FEVER].values()) == 9835
     assert REFERENCE_LABEL_COUNTS[AVERITEC] == {"S": 649, "R": 1166, "N": 115, "C": 226}
