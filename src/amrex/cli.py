@@ -20,7 +20,7 @@ from .entailment import blend, pair_from_json, pair_json
 from .errors import AmrexError, DatasetError, MappingError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
-from .smatch import AlignConfig, smatch_precision
+from .smatch import AlignConfig, align_hill_climb
 from .verdict import precompute_pair_components, score_pairs, verdict_at
 
 
@@ -95,7 +95,7 @@ def cmd_smatch(args) -> int:
     cfg = _configure(args)
     premise = parse_penman(_read(args.premise))
     hypothesis = parse_penman(_read(args.hypothesis))
-    result = smatch_precision(premise, hypothesis, _align_config(cfg), cfg.seed)
+    result = align_hill_climb(premise, hypothesis, cfg.restarts, cfg.seed, cfg.include_top)
     if args.json:
         print(json.dumps({
             "precision": result.precision, "recall": result.recall,

@@ -9,6 +9,7 @@ tested) to agree with an independent single-lambda run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError, DatasetError
@@ -93,6 +94,10 @@ def lambda_sweep(records: list[ClaimRecord], lambdas: list[float],
     return reports
 
 
+# The most lambda values one sweep spec may ask for: 0:1:1e-4 and no more.
+_MAX_SWEEP_VALUES = 10_001
+
+
 def sweep_range(spec: str) -> list[float]:
     """Parse a ``start:stop:step`` sweep spec into a lambda list."""
     try:
@@ -103,17 +108,18 @@ def sweep_range(spec: str) -> list[float]:
     # A finer step repeats values at the 12-decimal rounding below.
     if not step >= 1e-12:
         raise ConfigError(f"sweep step must be at least 1e-12, got {step_s!r}")
+    if (stop - start) / step >= _MAX_SWEEP_VALUES:
+        raise ConfigError(
+            f"sweep {spec!r} asks for more than {_MAX_SWEEP_VALUES} lambda values")
     values = []
-    k = 0
-    while True:
+    for k in itertools.count():
         v = round(start + k * step, 12)
-        if v > stop + 1e-12:
-            break
+        # Half the rounding grid: absorbs the rounding, adds no value past stop.
+        if v > stop + 5e-13:
+            return values
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"sweep {spec!r} leaves [0, 1] at lambda {v:g}")
         values.append(v)
-        k += 1
-    return values
 
 
 def lambda_text(lam: float) -> str:

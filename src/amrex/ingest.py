@@ -207,11 +207,6 @@ def _fever_record(raw, lineno) -> ClaimRecord:
                        dataset=FEVER, gold_label=label, evidence=evidence)
 
 
-def load_fever(path: str) -> list[ClaimRecord]:
-    """Load 3-way claims."""
-    return load_claims(path, FEVER)
-
-
 def _averitec_items_from_questions(questions, claim_id: str) -> list[EvidenceItem]:
     items = []
     n = 0
@@ -252,12 +247,6 @@ def _averitec_record(question_mode: str):
                            dataset=AVERITEC, gold_label=label, evidence=items)
 
     return parse_record
-
-
-def load_averitec(path: str, question_mode: str = "answer-only") -> list[ClaimRecord]:
-    """Load 4-way claims; *question_mode* selects whether evidence text is
-    the answer alone or the question prepended to it."""
-    return load_claims(path, AVERITEC, question_mode)
 
 
 def iter_claims(path: str, dataset: str,

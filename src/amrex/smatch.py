@@ -110,12 +110,11 @@ class _MatchContext:
                 for pv, p in prem_unary.get(key, {}).items():
                     row[pv] += min(n, p)
         # Indices into hyp_edges of the edges incident to each hypothesis
-        # variable (a self-loop once), for gain bookkeeping.
+        # variable, for gain bookkeeping.
         self.hyp_edges_at: dict[str, list[int]] = defaultdict(list)
         for i, (s, _r, t) in enumerate(self.hyp_edges):
             self.hyp_edges_at[s].append(i)
-            if t != s:
-                self.hyp_edges_at[t].append(i)
+            self.hyp_edges_at[t].append(i)
         self.prem_edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
         self.prem_out: dict[str, set[str]] = defaultdict(set)
         self.prem_in: dict[str, set[str]] = defaultdict(set)
@@ -129,15 +128,14 @@ class _MatchContext:
             in_roles[t].add(r)
         # bound[hv][pv]: the most triples mapping hv -> pv can ever match:
         # unary[hv][pv] plus every incident edge whose role leaves (hv the
-        # source) or enters (hv the target) pv in the premise, a self-loop
-        # only onto a premise self-loop.  Unmapping never gains and a capped
-        # key adds at most one per newly substituted triple, so a change set
-        # gains at most the sum of its entries.
+        # source) or enters (hv the target) pv in the premise.  Unmapping
+        # never gains and a capped key adds at most one per newly
+        # substituted triple, so a change set gains at most the sum of its
+        # entries.
         # weight[i][j] is twice hv = hyp_vars[i]'s share of count() when
-        # mapped to the j-th premise variable: a relation between two
-        # variables is in both endpoints' bounds and so weighs a half in
-        # each, a self-loop is in one and keeps its whole weight.  So a
-        # mapping's count is at most half the weight of its pairs.
+        # mapped to the j-th premise variable: a relation is in both
+        # endpoints' bounds and so weighs a half in each.  So a mapping's
+        # count is at most half the weight of its pairs.
         self.bound: dict[str, dict[str | None, int]] = {}
         self.weight: list[list[int]] = []
         for hv, row in self.unary.items():
@@ -146,14 +144,12 @@ class _MatchContext:
             weight = []
             for pv in self.prem_concepts:
                 outs, ins = out_roles[pv], in_roles[pv]
-                loops = shared = 0
-                for s, r, t in edges:
-                    if s == t:
-                        loops += (pv, r, pv) in self.prem_rel
-                    elif r in (outs if s == hv else ins):
+                shared = 0
+                for s, r, _t in edges:
+                    if r in (outs if s == hv else ins):
                         shared += 1
-                bound[pv] += loops + shared
-                weight.append(2 * (row[pv] + loops) + shared)
+                bound[pv] += shared
+                weight.append(2 * row[pv] + shared)
             self.weight.append(weight)
 
     def count(self, m: dict[str, str]) -> int:
@@ -163,24 +159,6 @@ class _MatchContext:
         for key, n in _substituted(self, m).items():
             matched += min(n, prem_rel[key])
         return matched
-
-
-def matched_triples(premise: AmrGraph, hypothesis: AmrGraph,
-                    mapping: VariableMapping, include_top: bool = True) -> int:
-    """Count hypothesis triples present in the premise under *mapping*.
-
-    Instance triples need equal concepts, relation triples need both
-    endpoints mapped and an equal role, attribute triples need equal role
-    and constant, and the top triple needs mapped roots with equal root
-    concepts.  Raises :class:`MappingError` on unknown variables.
-    """
-    m = mapping.as_dict()
-    for hv, pv in m.items():
-        if hv not in hypothesis.nodes:
-            raise MappingError(f"unknown hypothesis variable {hv!r}")
-        if pv not in premise.nodes:
-            raise MappingError(f"unknown premise variable {pv!r}")
-    return _MatchContext(premise, hypothesis, include_top).count(m)
 
 
 def _result(ctx: _MatchContext, m: dict[str, str]) -> SmatchResult:
@@ -267,10 +245,8 @@ def _neighbours(ctx: _MatchContext, pvars: list[str],
                 continue
             yield {h1: p2, h2: p1}
     for s, r, t in ctx.hyp_edges:
-        if s == t:
-            continue
         for ps, pt in ctx.prem_edges_by_role.get(r, ()):
-            if ps == pt or (m.get(s) == ps and m.get(t) == pt):
+            if m.get(s) == ps and m.get(t) == pt:
                 continue
             changes: dict[str, str | None] = {}
             _place(m, inv, changes, s, ps)
@@ -576,14 +552,3 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
     final = _canonicalize(ctx, pvars, best["m"])
     return _result(ctx, final)
 
-
-def smatch_precision(premise: AmrGraph, hypothesis: AmrGraph,
-                     cfg: AlignConfig = AlignConfig(), seed: int = 0) -> SmatchResult:
-    """Alignment with precision over the hypothesis triple count, from *seed*.
-
-    The hypothesis is the claim whose meaning containment in the premise
-    (the evidence) is being measured; the winning mapping is retained for
-    explanation rendering.
-    """
-    return align_hill_climb(premise, hypothesis, restarts=cfg.restarts,
-                            seed=seed, include_top=cfg.include_top)

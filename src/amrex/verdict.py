@@ -23,10 +23,9 @@ from numbers import Rational
 
 from .entailment import EntailmentScore, blend
 from .errors import ConfigError, DatasetError, SimilarityError
-# label_set is not used here; it stays importable from this module.
-from .ingest import AVERITEC, FEVER, VerdictLabel, label_set, require_graphs
+from .ingest import AVERITEC, FEVER, VerdictLabel, require_graphs
 from .similarity import SimilarityBackend, cosine
-from .smatch import AlignConfig, SmatchResult, smatch_precision
+from .smatch import AlignConfig, SmatchResult, align_hill_climb
 
 _TENTH = Fraction(1, 10)
 _HALF = Fraction(1, 2)
@@ -147,19 +146,20 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
             if names:
                 raise SimilarityError(f"{names[i]}: {exc}") from exc
             raise
-    columns = ([p[1] for p in pairs], [p[3] for p in pairs], [cfg] * len(pairs),
-               [p[4] for p in pairs])
+    columns = ([p[1] for p in pairs], [p[3] for p in pairs],
+               [cfg.restarts] * len(pairs), [p[4] for p in pairs],
+               [cfg.include_top] * len(pairs))
     work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
     workers = worker_count(jobs, work, usable_cpus())
     if workers == 1:
-        alignments = list(map(smatch_precision, *columns))
+        alignments = list(map(align_hill_climb, *columns))
     else:
         # Imported here: a serial run need not pay for loading them.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
         with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
-            alignments = list(pool.map(smatch_precision, *columns,
+            alignments = list(pool.map(align_hill_climb, *columns,
                                        chunksize=-(-len(pairs) // (4 * workers))))
     return list(zip(alignments, sims))
 

@@ -14,12 +14,11 @@ from amrex.entailment import combined_score, th1
 from amrex.evaluation import lambda_sweep, score_predictions
 from amrex.graph import parse_penman, serialize_penman, triple_multiset
 from amrex.ingest import (REFERENCE_LABEL_COUNTS, ClaimRecord, EvidenceItem,
-                          load_averitec)
+                          label_set, load_claims)
 from amrex.similarity import DeterministicTestBackend
-from amrex.smatch import (AlignConfig, align_exhaustive, align_hill_climb,
-                          smatch_precision)
-from amrex.verdict import (AVERITEC, FEVER, VerdictLabel, aggregate,
-                           label_set, th2, th2_averitec, th2_fever)
+from amrex.smatch import AlignConfig, align_exhaustive, align_hill_climb
+from amrex.verdict import (AVERITEC, FEVER, VerdictLabel, aggregate, th2,
+                           th2_averitec, th2_fever)
 
 from _fixtures import (ALL_PENMAN, MARNIE_CLAIM, MARNIE_EVIDENCE,
                        PAIR_SCORES, RABIES_CLAIM, RABIES_EVIDENCE,
@@ -55,12 +54,12 @@ def test_criterion_02_reference_pair_precisions():
     }
     for name, (evidence, claim, include_top) in pairs.items():
         expected = PAIR_SCORES[name][0]
-        result = smatch_precision(parse_penman(evidence), parse_penman(claim),
-                                  AlignConfig(include_top=include_top))
+        result = align_hill_climb(parse_penman(evidence), parse_penman(claim),
+                                  include_top=include_top)
         assert abs(result.precision - expected) <= 0.05, name
-    marnie = smatch_precision(parse_penman(MARNIE_EVIDENCE),
+    marnie = align_hill_climb(parse_penman(MARNIE_EVIDENCE),
                               parse_penman(MARNIE_CLAIM),
-                              AlignConfig(include_top=True))
+                              include_top=True)
     assert abs(marnie.precision - 0.75) <= 0.005
     assert marnie.matched == 6
 
@@ -151,7 +150,7 @@ def test_criterion_08_boolean_evidence_filtering(tmp_path, capsys):
     } for i in range(3)]
     path = tmp_path / "claims.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    records = load_averitec(str(path))
+    records = load_claims(str(path), AVERITEC)
     for record in records:
         assert [ev.kind for ev in record.evidence] == ["extractive", "abstractive"]
     assert dispatch(["ingest", "--dataset", "averitec", "--in", str(path),

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import concurrent.futures
 import copy
 import functools
@@ -20,8 +21,8 @@ from amrex.config import RunConfig, apply_env, load_config_file
 from amrex.errors import ConfigError, DatasetError
 from amrex.evaluation import lambda_sweep
 from amrex.graph import parse_penman, serialize_penman
-from amrex.ingest import iter_claims, load_averitec, load_claims
-from amrex.smatch import AlignConfig, align_hill_climb, smatch_precision
+from amrex.ingest import AVERITEC, iter_claims, load_claims
+from amrex.smatch import AlignConfig, align_hill_climb
 from amrex.verdict import (_WORK_PER_WORKER, precompute_pair_components,
                            score_pairs, usable_cpus, verdict_at, verify_claim,
                            worker_count)
@@ -719,7 +720,7 @@ def test_ingest_then_reload_prefixes_the_question_once(tmp_path, monkeypatch):
     monkeypatch.setenv("AMREX_QUESTION_MODE", "question-plus-answer")
     assert dispatch(["ingest", "--dataset", "averitec", "--in", str(raw),
                      "--out", str(normalized)]) == 0
-    records = load_averitec(str(normalized), question_mode="question-plus-answer")
+    records = load_claims(str(normalized), AVERITEC, "question-plus-answer")
     assert records[0].evidence[0].text == "When? in 2017"
 
 
@@ -810,6 +811,71 @@ def test_every_benchmark_span_target_exists():
         assert callable(functools.reduce(getattr, attr.split("."), module)), span
 
 
+def _amrex_aliases(tree: ast.AST) -> dict[str, str]:
+    """Local name -> dotted amrex name, for every amrex import in *tree*."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # ``import amrex.cli`` binds ``amrex``, ``import amrex.cli as c`` binds ``c``
+                if alias.name.split(".")[0] == "amrex":
+                    aliases[alias.asname or "amrex"] = alias.name if alias.asname else "amrex"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "amrex":
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _dotted(node: ast.AST, aliases: dict[str, str]) -> str | None:
+    """The dotted amrex name that *node* spells, if any."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute) and (base := _dotted(node.value, aliases)):
+        return f"{base}.{node.attr}"
+    return None
+
+
+def _resolve(dotted: str):
+    """The object *dotted* names: its longest prefix that imports as a
+    module, then attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        return functools.reduce(getattr, parts[i:], module)
+    raise ModuleNotFoundError(dotted)
+
+
+def test_every_amrex_name_the_benchmark_uses_exists():
+    """The benchmark's tracer and set-up probe, and the command its runner
+    launches, import and reach only amrex names that exist, and call each
+    with arguments its signature accepts."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    [launch] = [node.value.value for node in ast.parse((bench / "run.py").read_text()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAUNCH"]]
+    used = set()
+    for source in ((bench / "tracer.py").read_text(),
+                   (bench / "setup_probe.py").read_text(), launch):
+        tree = ast.parse(source)
+        aliases = _amrex_aliases(tree)
+        used.update(aliases.values())
+        for node in ast.walk(tree):
+            if (dotted := _dotted(node, aliases)) is not None:
+                used.add(dotted)
+            if isinstance(node, ast.Call) and (dotted := _dotted(node.func, aliases)):
+                args = [a for a in node.args if not isinstance(a, ast.Starred)]
+                kwargs = {k.arg: k.value for k in node.keywords if k.arg}
+                inspect.signature(_resolve(dotted)).bind_partial(*args, **kwargs)
+    for dotted in used:
+        _resolve(dotted)
+    assert {"amrex.cli.main", "amrex.cli.dispatch", "amrex.smatch.AlignConfig",
+            "amrex.smatch.align_exhaustive", "amrex.smatch.align_hill_climb",
+            "amrex.ingest.join_amrs", "amrex.similarity.backend_from_spec"} <= used
+
+
 def test_config_validation(tmp_path):
     cfg = RunConfig()
     with pytest.raises(ConfigError):
@@ -847,8 +913,8 @@ def test_library_defaults_are_the_run_config_defaults():
     users = {
         "restarts": (AlignConfig, align_hill_climb),
         "include_top": (AlignConfig, align_hill_climb),
-        "seed": (align_hill_climb, smatch_precision, precompute_pair_components,
-                 lambda_sweep, verify_claim),
+        "seed": (align_hill_climb, precompute_pair_components, lambda_sweep,
+                 verify_claim),
         "jobs": (score_pairs, precompute_pair_components, lambda_sweep),
         "empty_evidence": (verdict_at, verify_claim, lambda_sweep),
         "question_mode": (iter_claims, load_claims),

@@ -154,6 +154,14 @@ def test_sweep_range_parsing():
     for spec in ("0:1e-11:1e-13", "0:1:1e-300"):
         with pytest.raises(ConfigError, match="at least 1e-12"):
             sweep_range(spec)
+    # the finest step ends at stop, not one step past it
+    values = sweep_range("0:1e-10:1e-12")
+    assert len(values) == 101 and values[-1] == 1e-10
+    # a bounded count, checked before any value is built
+    assert len(sweep_range("0:1:1e-4")) == 10_001
+    for spec in ("0:1:1e-5", "0:1:1e-12"):
+        with pytest.raises(ConfigError, match="more than 10001 lambda values"):
+            sweep_range(spec)
 
 
 def test_report_markdown_table_shape():

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from amrex.errors import DatasetError
 from amrex.ingest import (REFERENCE_LABEL_COUNTS, join_amrs, label_counts,
-                          load_amr_bundle, load_averitec, load_claims,
-                          load_fever, write_normalized)
+                          load_amr_bundle, load_claims, write_normalized)
 from amrex.verdict import AVERITEC, FEVER
 
 from _fixtures import (ALL_PENMAN, JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE,
@@ -35,7 +34,7 @@ def _fever_rows():
 
 
 def test_load_fever_schema_passthrough(tmp_path):
-    records = load_fever(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()))
+    records = load_claims(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()), FEVER)
     assert [r.claim_id for r in records] == ["c1", "c2", "c3"]
     assert len(records[0].evidence) == 2
     assert [r.gold_label.value for r in records] == ["S", "N", "R"]
@@ -46,7 +45,7 @@ def test_load_fever_rejects_unknown_label(tmp_path):
     rows = [{"claim_id": "c1", "claim": "x", "label": "MAYBE",
              "evidence": [{"id": "e1", "text": "t"}]}]
     with pytest.raises(DatasetError) as exc:
-        load_fever(_write_jsonl(tmp_path / "claims.jsonl", rows))
+        load_claims(_write_jsonl(tmp_path / "claims.jsonl", rows), FEVER)
     assert "MAYBE" in str(exc.value)
 
 
@@ -54,7 +53,7 @@ def test_load_fever_rejects_evidence_free_claim(tmp_path):
     rows = [{"claim_id": "c9", "claim": "x", "label": "NOT ENOUGH INFO",
              "evidence": []}]
     with pytest.raises(DatasetError) as exc:
-        load_fever(_write_jsonl(tmp_path / "claims.jsonl", rows))
+        load_claims(_write_jsonl(tmp_path / "claims.jsonl", rows), FEVER)
     assert "c9" in str(exc.value)
 
 
@@ -71,7 +70,7 @@ def test_load_averitec_drops_boolean_answers(tmp_path):
             ]},
         ],
     }]
-    records = load_averitec(_write_jsonl(tmp_path / "av.jsonl", rows))
+    records = load_claims(_write_jsonl(tmp_path / "av.jsonl", rows), AVERITEC)
     assert len(records) == 1
     assert [ev.kind for ev in records[0].evidence] == ["extractive", "abstractive"]
     assert records[0].evidence[0].text == "in 2017"
@@ -85,10 +84,10 @@ def test_load_averitec_question_plus_answer_mode(tmp_path):
             {"answer": "in 2017", "answer_type": "Extractive"}]}],
     }]
     path = _write_jsonl(tmp_path / "av.jsonl", rows)
-    records = load_averitec(path, question_mode="question-plus-answer")
+    records = load_claims(path, AVERITEC, "question-plus-answer")
     assert records[0].evidence[0].text == "When? in 2017"
     with pytest.raises(DatasetError):
-        load_averitec(path, question_mode="bogus")
+        load_claims(path, AVERITEC, "bogus")
 
 
 def test_question_plus_answer_records_round_trip_without_a_second_prefix(tmp_path):
@@ -98,10 +97,10 @@ def test_question_plus_answer_records_round_trip_without_a_second_prefix(tmp_pat
             {"answer": "a 1964 film", "answer_type": "Abstractive"}]}],
     }]
     path = _write_jsonl(tmp_path / "av.jsonl", rows)
-    records = load_averitec(path, question_mode="question-plus-answer")
+    records = load_claims(path, AVERITEC, "question-plus-answer")
     out = str(tmp_path / "normalized.jsonl")
     write_normalized(records, out)
-    reloaded = load_averitec(out, question_mode="question-plus-answer")
+    reloaded = load_claims(out, AVERITEC, "question-plus-answer")
     assert reloaded[0].evidence[0].text == "What is Marnie? a 1964 film"
     assert reloaded == records
 
@@ -114,7 +113,7 @@ def test_load_averitec_normalized_schema(tmp_path):
             {"id": "e2", "text": "yes", "kind": "boolean"},
         ],
     }]
-    records = load_averitec(_write_jsonl(tmp_path / "av.jsonl", rows))
+    records = load_claims(_write_jsonl(tmp_path / "av.jsonl", rows), AVERITEC)
     assert records[0].gold_label.value == "C"
     assert [ev.evidence_id for ev in records[0].evidence] == ["e1"]
 
@@ -127,7 +126,7 @@ def test_load_is_pure_per_file_content(tmp_path):
 
 
 def test_label_counts_and_reference_table(tmp_path):
-    records = load_fever(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()))
+    records = load_claims(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()), FEVER)
     assert label_counts(records, FEVER) == {"S": 1, "R": 1, "N": 1}
     assert REFERENCE_LABEL_COUNTS[FEVER] == {"S": 3281, "R": 3270, "N": 3284}
     assert sum(REFERENCE_LABEL_COUNTS[FEVER].values()) == 9835
@@ -161,7 +160,7 @@ def test_amr_bundle_graph_error_names_id_and_line(tmp_path):
 
 
 def test_join_amrs_strict_lists_missing_ids(tmp_path):
-    records = load_fever(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()))
+    records = load_claims(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()), FEVER)
     bundle_rows = [{"id": rid, "penman": MARNIE_CLAIM if rid.startswith("c") else MARNIE_EVIDENCE}
                    for rid in ["c1", "c2", "c3", "e1", "e2", "e3"]]
     bundle = load_amr_bundle(_write_jsonl(tmp_path / "amrs.jsonl", bundle_rows))
@@ -174,7 +173,7 @@ def test_join_amrs_strict_lists_missing_ids(tmp_path):
 
 
 def test_join_amrs_complete_coverage(tmp_path):
-    records = load_fever(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()))
+    records = load_claims(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()), FEVER)
     ids = ["c1", "c2", "c3", "e1", "e2", "e3", "e4"]
     bundle_rows = [{"id": rid, "penman": MARNIE_CLAIM} for rid in ids]
     bundle = load_amr_bundle(_write_jsonl(tmp_path / "amrs.jsonl", bundle_rows))
@@ -187,10 +186,10 @@ def test_join_amrs_complete_coverage(tmp_path):
 
 
 def test_write_normalized_round_trips(tmp_path):
-    records = load_fever(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()))
+    records = load_claims(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()), FEVER)
     out = tmp_path / "normalized.jsonl"
     write_normalized(records, str(out))
-    again = load_fever(str(out))
+    again = load_claims(str(out), FEVER)
     assert again == records
 
 

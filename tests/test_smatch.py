@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from amrex.errors import ConfigError, GraphError, MappingError
 from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex import smatch
-from amrex.smatch import (AlignConfig, VariableMapping, _assign, _gain,
-                          _MatchContext, _max_assignment, _neighbours,
-                          _substituted, _upper_bound, align_exhaustive,
-                          align_hill_climb, matched_triples, smatch_precision)
+from amrex.smatch import (VariableMapping, _assign, _gain, _MatchContext,
+                          _max_assignment, _neighbours, _substituted,
+                          _upper_bound, align_exhaustive, align_hill_climb)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -33,28 +32,19 @@ def test_matched_triples_marnie_reference_mapping():
     mapping = VariableMapping((("a0", "b0"), ("a1", "b1"),
                                ("a2", "b11"), ("a3", "b12")))
     # film/name/Marnie instances + top + name edge + op1 edge
-    assert matched_triples(premise, hypothesis, mapping) == 6
-    assert matched_triples(premise, hypothesis, mapping, include_top=False) == 5
+    assert _MatchContext(premise, hypothesis, True).count(mapping.as_dict()) == 6
+    assert _MatchContext(premise, hypothesis, False).count(mapping.as_dict()) == 5
 
 
 def test_matched_triples_identity_single_node():
     g = parse_penman("(x/hello)")
-    mapping = VariableMapping((("x", "x"),))
-    assert matched_triples(g, g, mapping) == 2  # instance + top
+    assert _MatchContext(g, g, True).count({"x": "x"}) == 2  # instance + top
 
 
 def test_matched_triples_empty_mapping():
     premise = parse_penman(MARNIE_EVIDENCE)
     hypothesis = parse_penman(MARNIE_CLAIM)
-    assert matched_triples(premise, hypothesis, VariableMapping(())) == 0
-
-
-def test_matched_triples_unknown_variable():
-    g = parse_penman("(x/hello)")
-    with pytest.raises(MappingError):
-        matched_triples(g, g, VariableMapping((("ghost", "x"),)))
-    with pytest.raises(MappingError):
-        matched_triples(g, g, VariableMapping((("x", "ghost"),)))
+    assert _MatchContext(premise, hypothesis, True).count({}) == 0
 
 
 def test_self_alignment_is_perfect():
@@ -109,8 +99,8 @@ def test_smatch_precision_reference_pairs():
         (RABIES_EVIDENCE, RABIES_CLAIM, False, 6, 14),
     ]
     for evidence, claim, include_top, matched, total in cases:
-        result = smatch_precision(parse_penman(evidence), parse_penman(claim),
-                                  AlignConfig(include_top=include_top))
+        result = align_hill_climb(parse_penman(evidence), parse_penman(claim),
+                                  include_top=include_top)
         assert result.matched == matched
         assert result.hyp_total == total
         assert result.precision == pytest.approx(matched / total)
@@ -264,8 +254,8 @@ def test_zero_triple_hypothesis_has_zero_precision():
 
 
 def _unchecked_graph(nodes, edges=(), attributes=()) -> AmrGraph:
-    """An AmrGraph built without validation, so it may hold self-loops,
-    cycles and duplicate edges and attributes."""
+    """An AmrGraph built without validation, so it may hold cycles and
+    duplicate edges and attributes."""
     g = object.__new__(AmrGraph)
     for name, value in (("root", next(iter(nodes))), ("nodes", dict(nodes)),
                         ("edges", tuple(edges)), ("attributes", tuple(attributes))):
@@ -276,14 +266,21 @@ def _unchecked_graph(nodes, edges=(), attributes=()) -> AmrGraph:
 @st.composite
 def _graphs(draw, prefix: str, max_nodes: int):
     """Small graphs over few concepts, roles and constants, so that matches,
-    duplicates and self-loops are common.  Roles include the triple kinds'
-    names, so an attribute may be spelled like an instance or top triple."""
+    duplicates and edges in both directions are common.  Each edge joins two
+    distinct variables: ``AmrGraph`` accepts no other edge.  Roles include the
+    triple kinds' names, so an attribute may be spelled like an instance or
+    top triple."""
     n = draw(st.integers(1, max_nodes))
     variables = [f"{prefix}{i}" for i in range(n)]
     nodes = {v: draw(st.sampled_from("abc")) for v in variables}
     var = st.sampled_from(variables)
     role = st.sampled_from(("ARG0", "ARG1", "instance", "top"))
-    edges = draw(st.lists(st.tuples(var, role, var), max_size=2 * n))
+    edges = []
+    if n > 1:
+        # A source and a nonzero offset to the target, modulo n.
+        ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        edges = [(variables[i], r, variables[(i + k) % n])
+                 for (i, k), r in draw(st.lists(st.tuples(ends, role), max_size=2 * n))]
     attributes = draw(st.lists(st.tuples(var, role, st.sampled_from("12")),
                                max_size=n))
     return _unchecked_graph(nodes, edges, attributes)
@@ -352,7 +349,7 @@ def _copied_neighbours(ctx, pvars, m):
                 yield trial
     for s, r, t in ctx.hyp_edges:
         for ps, pt in ctx.prem_edges_by_role.get(r, ()):
-            if s != t and ps != pt and (m.get(s), m.get(t)) != (ps, pt):
+            if (m.get(s), m.get(t)) != (ps, pt):
                 trial = dict(m)
                 place(trial, s, ps)
                 if trial.get(t) != pt:
