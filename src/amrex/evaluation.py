@@ -10,6 +10,7 @@ tested) to agree with an independent single-lambda run.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DatasetError
@@ -105,6 +106,11 @@ def sweep_range(spec: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise ConfigError(f"bad sweep spec {spec!r}, expected start:stop:step")
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep {spec!r}: {name} must be finite")
+    if stop < start:
+        raise ConfigError(f"sweep {spec!r} runs backwards: stop is below start")
     # A finer step repeats values at the 12-decimal rounding below.
     if not step >= 1e-12:
         raise ConfigError(f"sweep step must be at least 1e-12, got {step_s!r}")

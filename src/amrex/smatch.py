@@ -75,6 +75,11 @@ class _MatchContext:
     mapping is injective only hv's own such triples can land on pv's: their
     matches are the exact table ``unary[hv][pv]``, the multiset intersection
     of the two variables' ``(kind, role, value)`` triples, 0 for pv None.
+
+    The claim's relations are held once per distinct edge, ``hyp_edges[i]``
+    occurring ``hyp_mult[i]`` times.  An injective mapping sends distinct
+    edges to distinct images, so an edge whose image the premise holds p
+    times matches ``min(hyp_mult[i], p)`` times.
     """
 
     def __init__(self, premise: AmrGraph, hypothesis: AmrGraph, include_top: bool):
@@ -94,14 +99,16 @@ class _MatchContext:
             else:
                 counts = prem_unary[(kind, role, value)]
                 counts[var] = counts.get(var, 0) + 1
-        self.hyp_edges: list[tuple[str, str, str]] = []
+        hyp_rel: Counter = Counter()
         hyp_unary: dict[str, dict[tuple[str, str, str], int]] = defaultdict(dict)
         for kind, var, role, value in hyp_triples:
             if kind == "relation":
-                self.hyp_edges.append((var, role, value))
+                hyp_rel[(var, role, value)] += 1
             else:
                 counts, key = hyp_unary[var], (kind, role, value)
                 counts[key] = counts.get(key, 0) + 1
+        self.hyp_edges: list[tuple[str, str, str]] = list(hyp_rel)
+        self.hyp_mult: list[int] = list(hyp_rel.values())
         self.unary: dict[str, dict[str | None, int]] = {}
         for hv in self.hyp_vars:
             row = self.unary[hv] = dict.fromkeys(self.prem_concepts, 0)
@@ -127,37 +134,26 @@ class _MatchContext:
             out_roles[s].add(r)
             in_roles[t].add(r)
         # bound[hv][pv]: the most triples mapping hv -> pv can ever match:
-        # unary[hv][pv] plus every incident edge whose role leaves (hv the
-        # source) or enters (hv the target) pv in the premise.  Unmapping
-        # never gains and a capped key adds at most one per newly
-        # substituted triple, so a change set gains at most the sum of its
-        # entries.
-        # weight[i][j] is twice hv = hyp_vars[i]'s share of count() when
-        # mapped to the j-th premise variable: a relation is in both
-        # endpoints' bounds and so weighs a half in each.  So a mapping's
-        # count is at most half the weight of its pairs.
+        # unary[hv][pv] plus each incident edge's multiplicity when its role
+        # leaves (hv the source) or enters (hv the target) pv in the
+        # premise.  Unmapping never gains and an edge matches at most its
+        # multiplicity, so a change set gains at most the sum of its entries.
         self.bound: dict[str, dict[str | None, int]] = {}
-        self.weight: list[list[int]] = []
         for hv, row in self.unary.items():
-            edges = [self.hyp_edges[i] for i in self.hyp_edges_at[hv]]
+            edges = [(self.hyp_edges[i], self.hyp_mult[i]) for i in self.hyp_edges_at[hv]]
             bound = self.bound[hv] = dict(row)
-            weight = []
             for pv in self.prem_concepts:
                 outs, ins = out_roles[pv], in_roles[pv]
-                shared = 0
-                for s, r, _t in edges:
+                for (s, r, _t), n in edges:
                     if r in (outs if s == hv else ins):
-                        shared += 1
-                bound[pv] += shared
-                weight.append(2 * row[pv] + shared)
-            self.weight.append(weight)
+                        bound[pv] += n
 
     def count(self, m: dict[str, str]) -> int:
         """Matched hypothesis triples under mapping *m* (multiset-aware)."""
         unary, prem_rel = self.unary, self.prem_rel
         matched = sum(unary[hv][pv] for hv, pv in m.items())
-        for key, n in _substituted(self, m).items():
-            matched += min(n, prem_rel[key])
+        for (s, r, t), n in zip(self.hyp_edges, self.hyp_mult):
+            matched += min(n, prem_rel.get((m.get(s), r, m.get(t)), 0))
         return matched
 
 
@@ -255,23 +251,11 @@ def _neighbours(ctx: _MatchContext, pvars: list[str],
             yield changes
 
 
-def _substituted(ctx: _MatchContext, m: dict[str, str]) -> Counter:
-    """How often each premise relation triple is the image of a hypothesis
-    relation triple under *m*: the ``n`` that ``count`` caps."""
-    rel: Counter = Counter()
-    for s, r, t in ctx.hyp_edges:
-        key = (m.get(s), r, m.get(t))
-        if key in ctx.prem_rel:
-            rel[key] += 1
-    return rel
-
-
-def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None],
-          rel: Counter) -> int:
+def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None]) -> int:
     """``count(m + changes) - count(m)`` from the changed variables' unary
-    entries and incident edges; *rel* is ``_substituted(ctx, m)``."""
+    entries and incident edges."""
     gain = 0
-    unary, prem_rel = ctx.unary, ctx.prem_rel
+    unary, prem_rel, mult = ctx.unary, ctx.prem_rel, ctx.hyp_mult
     edges: list[int] = []
     for hv, new in changes.items():
         old = m.get(hv)
@@ -281,22 +265,15 @@ def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None],
         gain += row[new] - row[old]
         edges += ctx.hyp_edges_at[hv]
     # A swap or planting reaches an edge between two changed variables
-    # twice, and duplicate edges are equal tuples: dedupe by index.
-    delta: dict[tuple, int] = {}
+    # twice: dedupe by index.  Each edge matches min(n, p) times, spelled
+    # out as this is the hot path.
     for i in (set(edges) if len(changes) > 1 else edges):
         s, r, t = ctx.hyp_edges[i]
-        old_s, old_t = m.get(s), m.get(t)
-        if (key := (old_s, r, old_t)) in prem_rel:
-            delta[key] = delta.get(key, 0) - 1
-        if (key := (changes.get(s, old_s), r, changes.get(t, old_t))) in prem_rel:
-            delta[key] = delta.get(key, 0) + 1
-    # count() caps a key's matches at its premise multiplicity p, so a key
-    # substituted n times before and n + d times after adds
-    # min(n + d, p) - min(n, p), spelled out as it is the hot path.
-    for key, d in delta.items():
-        if d:
-            p, n = prem_rel[key], rel.get(key, 0)
-            gain += (n + d if n + d < p else p) - (n if n < p else p)
+        n, old_s, old_t = mult[i], m.get(s), m.get(t)
+        if p := prem_rel.get((old_s, r, old_t)):
+            gain -= n if n < p else p
+        if p := prem_rel.get((changes.get(s, old_s), r, changes.get(t, old_t))):
+            gain += n if n < p else p
     return gain
 
 
@@ -309,7 +286,6 @@ def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dic
     bound = ctx.bound
     current = ctx.count(m)
     while True:
-        rel = _substituted(ctx, m)
         best_gain = 0
         best: dict[str, str | None] | None = None
         for changes in _neighbours(ctx, pvars, m):
@@ -318,7 +294,7 @@ def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dic
                 ub += bound[hv][pv]
             if ub <= best_gain:
                 continue
-            gain = _gain(ctx, m, changes, rel)
+            gain = _gain(ctx, m, changes)
             if gain > best_gain:
                 best_gain = gain
                 best = changes
@@ -377,13 +353,19 @@ def _max_assignment(weights: list[list[int]]) -> int:
 
 def _upper_bound(ctx: _MatchContext, incumbent: int) -> int:
     """An upper bound on the count of every injective mapping: half a
-    maximum-weight assignment of ``ctx.weight``, unless the cheaper row
-    bound, each claim variable's best weight regardless of injectivity,
-    is already no more than *incumbent*."""
-    bound = sum(max(row) for row in ctx.weight) // 2
+    maximum-weight assignment of claim to premise variables, unless the
+    cheaper row bound, each claim variable's best weight regardless of
+    injectivity, is already no more than *incumbent*."""
+    # weight[i][j] is twice hv = hyp_vars[i]'s share of count() when mapped
+    # to the j-th premise variable: a relation is in both endpoints' bounds
+    # and so weighs a half in each.  So a mapping's count is at most half
+    # the weight of its pairs.
+    weight = [[ctx.unary[hv][pv] + ctx.bound[hv][pv] for pv in ctx.prem_concepts]
+              for hv in ctx.hyp_vars]
+    bound = sum(max(row) for row in weight) // 2
     if bound <= incumbent:
         return bound
-    return _max_assignment(ctx.weight) // 2
+    return _max_assignment(weight) // 2
 
 
 def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> dict[str, str]:
@@ -397,36 +379,28 @@ def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> di
     count but pins the reported mapping.
     """
     m = dict(m)
-    rel = _substituted(ctx, m)
     floating = []
     for hv in ctx.hyp_vars:
-        if hv in m and _gain(ctx, m, {hv: None}, rel) != 0:
+        if hv in m and _gain(ctx, m, {hv: None}) != 0:
             continue
-        if m.pop(hv, None) is not None:
-            rel = _substituted(ctx, m)
+        m.pop(hv, None)
         floating.append(hv)
     used = set(m.values())
     for hv in floating:
         free = [pv for pv in pvars if pv not in used]
         if not free:
             continue
-        rel = _substituted(ctx, m)
-        edges = [ctx.hyp_edges[i] for i in ctx.hyp_edges_at[hv]]
-        best_key = best_pv = None
-        for pv in free:
-            gain = _gain(ctx, m, {hv: pv}, rel)
-            m[hv] = pv
-            out_adj = sum(1 for s, _r, t in edges
+        edges = [(ctx.hyp_edges[i], ctx.hyp_mult[i]) for i in ctx.hyp_edges_at[hv]]
+
+        def rank(pv: str) -> tuple[int, int, int]:
+            out_adj = sum(n for (s, _r, t), n in edges
                           if s == hv and t in m and m[t] in ctx.prem_out[pv])
-            in_adj = sum(1 for s, _r, t in edges
+            in_adj = sum(n for (s, _r, t), n in edges
                          if t == hv and s in m and m[s] in ctx.prem_in[pv])
-            del m[hv]
-            key = (gain, out_adj, in_adj)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_pv = pv
-        m[hv] = best_pv
-        used.add(best_pv)
+            return _gain(ctx, m, {hv: pv}), out_adj, in_adj
+
+        m[hv] = max(free, key=rank)
+        used.add(m[hv])
     return m
 
 
@@ -495,24 +469,20 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
         for j in ctx.hyp_edges_at[hv]:
             s, _r, t = ctx.hyp_edges[j]
             if max(order[s], order[t]) == i:
-                p += 1
+                p += ctx.hyp_mult[j]
         potential[i] = potential[i + 1] + p
 
     best = {"count": -1, "m": {}}
     m: dict[str, str] = {}
     used: set[str] = set()
-    prem_rel = dict(ctx.prem_rel)
 
-    def assign_gain(hv: str, pv: str) -> tuple[int, list]:
-        """Gain from mapping hv->pv given current m; decrements premise
-        relation counters and returns the keys to restore."""
+    def assign_gain(hv: str, pv: str) -> int:
+        """Gain from mapping hv->pv given current m: the unary matches and
+        those of the edges to already-mapped variables."""
         gain = ctx.unary[hv][pv]
-        undo = []
         for j in ctx.hyp_edges_at[hv]:
             s, r, t = ctx.hyp_edges[j]
-            if s == hv and t == hv:
-                key = (pv, r, pv)
-            elif s == hv:
+            if s == hv:
                 if t not in m:
                     continue
                 key = (pv, r, m[t])
@@ -520,11 +490,8 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
                 if s not in m:
                     continue
                 key = (m[s], r, pv)
-            if prem_rel.get(key, 0) > 0:
-                prem_rel[key] -= 1
-                undo.append(key)
-                gain += 1
-        return gain, undo
+            gain += min(ctx.hyp_mult[j], ctx.prem_rel.get(key, 0))
+        return gain
 
     def dfs(i: int, current: int) -> None:
         if current + potential[i] <= best["count"]:
@@ -538,14 +505,12 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
         for pv in pvars:
             if pv in used:
                 continue
-            gain, undo = assign_gain(hv, pv)
+            gain = assign_gain(hv, pv)
             m[hv] = pv
             used.add(pv)
             dfs(i + 1, current + gain)
             used.discard(pv)
             del m[hv]
-            for key in undo:
-                prem_rel[key] += 1
         dfs(i + 1, current)  # leave hv unmapped
 
     dfs(0, 0)

@@ -150,6 +150,13 @@ def test_sweep_range_parsing():
         sweep_range("0:2:0.5")
     with pytest.raises(ConfigError, match="leaves"):
         sweep_range("-0.5:1:0.5")
+    # a non-finite field or a reversed range, named before any value is built
+    for spec, cause in (("0:nan:0.1", "stop must be finite"),
+                        ("0:1:inf", "step must be finite"),
+                        ("inf:1:0.1", "start must be finite"),
+                        ("1:0:0.1", "runs backwards")):
+        with pytest.raises(ConfigError, match=f"sweep '{spec}'.* {cause}"):
+            sweep_range(spec)
     # finer than the 12-decimal rounding: repeated lambdas, or no end at all
     for spec in ("0:1e-11:1e-13", "0:1:1e-300"):
         with pytest.raises(ConfigError, match="at least 1e-12"):

@@ -11,8 +11,8 @@ from amrex.errors import ConfigError, GraphError, MappingError
 from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex import smatch
 from amrex.smatch import (VariableMapping, _assign, _gain, _MatchContext,
-                          _max_assignment, _neighbours, _substituted,
-                          _upper_bound, align_exhaustive, align_hill_climb)
+                          _max_assignment, _neighbours, _upper_bound,
+                          align_exhaustive, align_hill_climb)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -124,11 +124,38 @@ def test_exhaustive_identical_graphs():
     assert result.precision == 1.0
 
 
+def _with_repeats(rng: random.Random, g: AmrGraph) -> AmrGraph:
+    """*g* with 1-3 of its edges and 0-2 of its attributes repeated, so that
+    a claim edge or attribute may occur more often than in the premise."""
+    edges = list(g.edges)
+    if edges:
+        edges += [rng.choice(g.edges) for _ in range(rng.randint(1, 3))]
+    attributes = list(g.attributes)
+    if attributes:
+        attributes += [rng.choice(g.attributes) for _ in range(rng.randint(0, 2))]
+    return AmrGraph(root=g.root, nodes=g.nodes, edges=tuple(edges),
+                    attributes=tuple(attributes))
+
+
+def test_exhaustive_counts_each_repeated_edge():
+    # Three equal claim edges land on three equal premise edges: h0 -> p0,
+    # h1 -> p1 matches 5 triples.  Counting each distinct edge once would
+    # prefer h0 -> p2, h1 -> p3, which matches 4.
+    premise = parse_penman("(p0 / a :ARG0 (p1 / c) :ARG0 p1 :ARG0 p1"
+                           "       :mod (p2 / a :ARG0 (p3 / b :quant 1)))")
+    hypothesis = parse_penman("(h0 / a :ARG0 (h1 / b :quant 1) :ARG0 h1 :ARG0 h1)")
+    assert align_exhaustive(premise, hypothesis).matched == 5
+
+
 def test_hill_climb_matches_exhaustive_oracle():
     rng = random.Random(7)
-    for _ in range(25):
-        premise = random_graph(rng, max_nodes=8, prefix="p")
-        hypothesis = random_graph(rng, max_nodes=6, prefix="h")
+    pairs = [(random_graph(rng, max_nodes=8, prefix="p"),
+              random_graph(rng, max_nodes=6, prefix="h")) for _ in range(25)]
+    rng = random.Random(8)
+    pairs += [(_with_repeats(rng, random_graph(rng, max_nodes=8, prefix="p")),
+               _with_repeats(rng, random_graph(rng, max_nodes=6, prefix="h")))
+              for _ in range(60)]
+    for premise, hypothesis in pairs:
         for include_top in (True, False):
             oracle = align_exhaustive(premise, hypothesis, include_top=include_top)
             hc = align_hill_climb(premise, hypothesis, restarts=8, seed=3,
@@ -156,16 +183,22 @@ def _golden_long_pairs():
             for _ in range(10)]
 
 
+def _mappings_sha256(pairs) -> str:
+    """The SHA-256 of the climber's (mapping, matched) result on each pair,
+    with the pair's index as its seed and include_top on even indices."""
+    digest = hashlib.sha256()
+    for i, (premise, hypothesis) in enumerate(pairs):
+        r = align_hill_climb(premise, hypothesis, restarts=4, seed=i,
+                             include_top=i % 2 == 0)
+        digest.update(repr((r.mapping.pairs, r.matched)).encode())
+    return digest.hexdigest()
+
+
 def test_hill_climb_mappings_match_golden_digest():
     """Pins the climber's exact mappings on graphs beyond the oracle's size:
     a change to the neighbour order, the tie rule or canonicalization
     changes the SHA-256 of the 40 (mapping, matched) results."""
-    digest = hashlib.sha256()
-    for i, (premise, hypothesis) in enumerate(_golden_pairs()):
-        r = align_hill_climb(premise, hypothesis, restarts=4, seed=i,
-                             include_top=i % 2 == 0)
-        digest.update(repr((r.mapping.pairs, r.matched)).encode())
-    assert digest.hexdigest() == _GOLDEN_MAPPINGS_SHA256
+    assert _mappings_sha256(_golden_pairs()) == _GOLDEN_MAPPINGS_SHA256
 
 
 _GOLDEN_LONG_MAPPINGS_SHA256 = "ec077fa2a501d182a856905381da3af225008bc5aab887f250ca4c7210284796"
@@ -177,12 +210,27 @@ def test_hill_climb_mappings_at_long_evidence_scale_match_golden_digest():
     hypotheses of up to 20 nodes and 10 attributes.  A bound that drops
     its edge or attribute term skips a step the climber needs and changes
     the digest."""
-    digest = hashlib.sha256()
-    for i, (premise, hypothesis) in enumerate(_golden_long_pairs()):
-        r = align_hill_climb(premise, hypothesis, restarts=4, seed=i,
-                             include_top=i % 2 == 0)
-        digest.update(repr((r.mapping.pairs, r.matched)).encode())
-    assert digest.hexdigest() == _GOLDEN_LONG_MAPPINGS_SHA256
+    assert _mappings_sha256(_golden_long_pairs()) == _GOLDEN_LONG_MAPPINGS_SHA256
+
+
+_GOLDEN_REPEAT_MAPPINGS_SHA256 = "b2d37f492e5d6b5fda32c326a2410c9d7ff4ebb4c24bae6f671add26a18ad58b"
+
+
+def _golden_repeat_pairs():
+    """40 seeded pairs built as ``_golden_pairs`` builds them, with edges
+    and attributes repeated."""
+    rng = random.Random(2025)
+    return [(_with_repeats(rng, random_graph(rng, max_nodes=24, prefix="p")),
+             _with_repeats(rng, random_graph(rng, max_nodes=14, prefix="h")))
+            for _ in range(40)]
+
+
+def test_hill_climb_mappings_with_repeated_edges_match_golden_digest():
+    """Pins the climber's mappings where claim edges and attributes repeat,
+    so that the premise's multiplicity caps their matches.  A repeated
+    edge's plantings are yielded once: a later identical change set has
+    the same gain, so it could never win a step."""
+    assert _mappings_sha256(_golden_repeat_pairs()) == _GOLDEN_REPEAT_MAPPINGS_SHA256
 
 
 def _count_climbs(monkeypatch) -> list[int]:
@@ -368,7 +416,6 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
     pvars = list(premise.nodes)
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
-        rel = _substituted(ctx, m)
         before = ctx.count(m)
         applied = []
         for changes in _neighbours(ctx, pvars, m):
@@ -376,7 +423,7 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
             for hv, pv in changes.items():
                 _assign(after, hv, pv)
             applied.append(after)
-            assert _gain(ctx, m, changes, rel) == ctx.count(after) - before
+            assert _gain(ctx, m, changes) == ctx.count(after) - before
         assert applied == list(_copied_neighbours(ctx, pvars, m))
 
 
@@ -391,10 +438,9 @@ def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
     pvars = list(premise.nodes)
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
-        rel = _substituted(ctx, m)
         for changes in _neighbours(ctx, pvars, m):
             bound = sum(ctx.bound[hv][pv] for hv, pv in changes.items())
-            assert _gain(ctx, m, changes, rel) <= bound
+            assert _gain(ctx, m, changes) <= bound
 
 
 def test_gain_caps_duplicate_edges_at_the_premise_count():
@@ -404,7 +450,7 @@ def test_gain_caps_duplicate_edges_at_the_premise_count():
                                   [("h0", "ARG0", "h1"), ("h0", "ARG0", "h1")])
     ctx = _MatchContext(premise, hypothesis, include_top=False)
     m = {"h0": "p0"}
-    assert _gain(ctx, m, {"h1": "p1"}, _substituted(ctx, m)) == 1
+    assert _gain(ctx, m, {"h1": "p1"}) == 1
     assert ctx.count({"h0": "p0", "h1": "p1"}) - ctx.count(m) == 1
 
 
