@@ -213,13 +213,14 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_pair_selector(spec: str) -> tuple[str, str, str]:
+def _parse_pair_selector(spec: str) -> tuple[str, list[tuple[str, str]]]:
+    """The verdicts path and each (claim id, evidence id) split at a '/'."""
     path, sep, rest = spec.partition("#")
-    claim_id, sep2, evidence_id = rest.partition("/")
-    if not sep or not sep2 or not path or not claim_id or not evidence_id:
+    splits = [(rest[:i], rest[i + 1:]) for i in range(1, len(rest) - 1) if rest[i] == "/"]
+    if not sep or not path or not splits:
         raise AmrexError(
             f"bad --pair selector {spec!r}; expected <verdicts.jsonl>#<claim_id>/<evidence_id>")
-    return path, claim_id, evidence_id
+    return path, splits
 
 
 def _stored_choice(row: dict, key: str, choices):
@@ -229,14 +230,20 @@ def _stored_choice(row: dict, key: str, choices):
     return value
 
 
-def _stored_pair(verdict_path: str, claim_id: str, evidence_id: str):
-    """The settings the claims were loaded with, the verdict label and the
-    scored pair, all as ``verify`` stored them.  A row that lacks one of
+def _stored_pair(verdict_path: str, splits):
+    """The claim and evidence ids, the settings the claims were loaded with,
+    the verdict label and the scored pair, all as ``verify`` stored them, of
+    the first of *splits* whose claim id's row holds a pair of its evidence
+    id (ids may hold '/'), else of the first split.  A row that lacks one of
     them or holds one of the wrong type is a DatasetError."""
-    row = next((raw for _, raw in ingest.read_jsonl(verdict_path)
-                if raw.get("claim_id") == claim_id), None)
-    if row is None:
-        raise DatasetError(f"claim {claim_id!r} not found in {verdict_path}")
+    found = [(c, e, raw) for _, raw in ingest.read_jsonl(verdict_path)
+             for c, e in splits if raw.get("claim_id") == c]
+    if not found:
+        raise DatasetError(f"claim {splits[0][0]!r} not found in {verdict_path}")
+    claim_id, evidence_id, row = next(
+        (f for f in found if isinstance(pairs := f[2].get("pairs"), list)
+         and any(isinstance(p, dict) and p.get("evidence_id") == f[1] for p in pairs)),
+        found[0])
     where = f"{verdict_path}: claim {claim_id!r} / evidence {evidence_id!r}"
     try:
         pairs = row["pairs"]
@@ -252,7 +259,7 @@ def _stored_pair(verdict_path: str, claim_id: str, evidence_id: str):
         for name in ("dataset", "question_mode"):
             setattr(cfg, name, _stored_choice(row, name, choices[name]))
         label = _stored_choice(row, "label", ingest.label_set(cfg.dataset))
-        return cfg, label, pair_from_json(row["lambda"], pair)
+        return claim_id, evidence_id, cfg, label, pair_from_json(row["lambda"], pair)
     except KeyError as exc:
         raise DatasetError(
             f"{where}: no stored {exc}; re-run verify to record the scored pair")
@@ -267,8 +274,8 @@ _RENDERERS = {"text": explain.render_text, "markdown": explain.render_markdown,
 def cmd_explain(args) -> int:
     if args.generate and not args.service:
         raise AmrexError("--generate requires --service <url>")
-    verdict_path, claim_id, evidence_id = _parse_pair_selector(args.pair)
-    cfg, label, score = _stored_pair(verdict_path, claim_id, evidence_id)
+    verdict_path, splits = _parse_pair_selector(args.pair)
+    claim_id, evidence_id, cfg, label, score = _stored_pair(verdict_path, splits)
     for line in effective_config_lines(cfg, ("dataset", "question_mode")):
         print(line, file=sys.stderr)
     # Claims up to the selected one and only this pair's graphs: a graph

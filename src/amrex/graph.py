@@ -17,7 +17,7 @@ constant attribute value.  Quoted and numeric constants are stored verbatim.
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -279,8 +279,3 @@ def extract_triples(g: AmrGraph, include_top: bool = True) -> list[Triple]:
     for src, role, value in g.attributes:
         triples.append(Triple("attribute", src, role, value))
     return triples
-
-
-def triple_multiset(g: AmrGraph, include_top: bool = True) -> Counter:
-    """Triples of *g* as a multiset, convenient for equality checks."""
-    return Counter(extract_triples(g, include_top=include_top))

@@ -129,16 +129,27 @@ def read_jsonl(path: str):
 
 
 class _WrongType(DatasetError):
-    """A JSON field of the wrong type; ``_records`` places it at path:line."""
+    """A malformed JSON field; ``_records`` places it at path:line."""
 
 
 _JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
 
 
+def _text(value: str, field: str) -> str:
+    """*value*, unless it holds a lone surrogate: JSON allows an escape
+    such as ``"\\ud800"``, but no stage after loading can encode one."""
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _WrongType(f"{field} holds a lone surrogate") from None
+    return value
+
+
 def _typed(value, kind: type, field: str, optional: bool = False):
     """*value* if it is a *kind* (or None when *optional*), else _WrongType."""
     if isinstance(value, kind) or (optional and value is None):
-        return value
+        return _text(value, field) if isinstance(value, str) else value
     raise _WrongType(f"{field} must be {_JSON_TYPE_NAMES[kind]}, "
                      f"got {type(value).__name__}")
 
@@ -147,14 +158,14 @@ def _id(value, field: str) -> str:
     """An id given as a JSON string or integer, as a string; any other JSON
     value (a bool, float, list, object or null) is _WrongType."""
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return str(value)
+        return _text(str(value), field)
     raise _WrongType(f"{field} must be a string or an integer, "
                      f"got {type(value).__name__}")
 
 
 def _records(path: str, parse_record) -> Iterator:
     """``parse_record(raw, lineno)`` for each line of *path*, read as they
-    are consumed; a missing required key or a wrong-typed field is a
+    are consumed; a missing required key or a malformed field is a
     DatasetError naming ``path:line``."""
     for lineno, raw in read_jsonl(path):
         try:

@@ -46,6 +46,11 @@ class SimilarityBackend:
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise SimilarityError("cannot embed empty text")
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SimilarityError("cannot embed text holding a lone surrogate") from None
         cached = self._cache.get(text)
         if cached is None:
             cached = self._cache[text] = self._embed(text)

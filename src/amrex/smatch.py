@@ -169,17 +169,17 @@ def _result(ctx: _MatchContext, m: dict[str, str]) -> SmatchResult:
                         precision=precision, recall=recall, f1=f1)
 
 
-def _greedy_init(ctx: _MatchContext, pvars: list[str], rng: random.Random) -> dict[str, str]:
+def _greedy_init(ctx: _MatchContext, rng: random.Random) -> dict[str, str]:
     m: dict[str, str] = {}
     used: set[str] = set()
     for hv in ctx.hyp_vars:
         concept = ctx.hyp_nodes[hv]
-        for pv in pvars:
-            if pv not in used and ctx.prem_concepts[pv] == concept:
+        for pv, prem_concept in ctx.prem_concepts.items():
+            if pv not in used and prem_concept == concept:
                 m[hv] = pv
                 used.add(pv)
                 break
-    free = [pv for pv in pvars if pv not in used]
+    free = [pv for pv in ctx.prem_concepts if pv not in used]
     rng.shuffle(free)
     for hv in ctx.hyp_vars:
         if hv not in m and free:
@@ -187,8 +187,8 @@ def _greedy_init(ctx: _MatchContext, pvars: list[str], rng: random.Random) -> di
     return m
 
 
-def _random_init(ctx: _MatchContext, pvars: list[str], rng: random.Random) -> dict[str, str]:
-    free = list(pvars)
+def _random_init(ctx: _MatchContext, rng: random.Random) -> dict[str, str]:
+    free = list(ctx.prem_concepts)
     rng.shuffle(free)
     return {hv: free[i] for i, hv in enumerate(ctx.hyp_vars) if i < len(free)}
 
@@ -215,25 +215,24 @@ def _place(m: dict[str, str], inv: dict[str, str], changes: dict[str, str | None
         changes[occupant] = vacated
 
 
-def _neighbours(ctx: _MatchContext, pvars: list[str],
-                m: dict[str, str]) -> Iterator[dict[str, str | None]]:
+def _neighbours(ctx: _MatchContext, m: dict[str, str]) -> Iterator[dict[str, str | None]]:
     """Yield every neighbour of *m* as a change set ``{hv: new pv or None}``,
     in search order.
 
     First single moves (each hypothesis variable to each free premise
-    variable, then to unmapped), then swaps of two hypothesis variables
-    with different images, then edge plantings: for a hypothesis edge and a
-    premise edge with the same role, map both endpoints onto the premise
-    edge in one step.  The coordinated move is what lets a relation match
-    be reached when neither endpoint alone gains anything.
+    variable), then swaps of two hypothesis variables with different
+    images, then edge plantings: for a hypothesis edge and a premise edge
+    with the same role, map both endpoints onto the premise edge in one
+    step.  The coordinated move is what lets a relation match be reached
+    when neither endpoint alone gains anything.  Unmapping a variable
+    alone never gains, so it is no move; a swap or planting may still
+    unmap the variable it displaces.
     """
     inv = {pv: hv for hv, pv in m.items()}
     for hv in ctx.hyp_vars:
-        cur_pv = m.get(hv)
-        for pv in pvars + [None]:
-            if pv == cur_pv or (pv is not None and pv in inv):
-                continue
-            yield {hv: pv}
+        for pv in ctx.prem_concepts:
+            if pv not in inv:
+                yield {hv: pv}
     for i, h1 in enumerate(ctx.hyp_vars):
         for h2 in ctx.hyp_vars[i + 1:]:
             p1, p2 = m.get(h1), m.get(h2)
@@ -277,7 +276,7 @@ def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None])
     return gain
 
 
-def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dict[str, str], int]:
+def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int]:
     """Greedy local search until no gain: each step takes the first
     neighbour with the largest strict gain.  Returns the mapping and its
     count.  A neighbour whose ``ctx.bound`` sum cannot beat the step's best
@@ -288,7 +287,7 @@ def _climb(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> tuple[dic
     while True:
         best_gain = 0
         best: dict[str, str | None] | None = None
-        for changes in _neighbours(ctx, pvars, m):
+        for changes in _neighbours(ctx, m):
             ub = 0
             for hv, pv in changes.items():
                 ub += bound[hv][pv]
@@ -368,7 +367,7 @@ def _upper_bound(ctx: _MatchContext, incumbent: int) -> int:
     return _max_assignment(weight) // 2
 
 
-def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> dict[str, str]:
+def _canonicalize(ctx: _MatchContext, m: dict[str, str]) -> dict[str, str]:
     """Deterministically re-place variables whose assignment contributes
     no matched triple.
 
@@ -387,7 +386,7 @@ def _canonicalize(ctx: _MatchContext, pvars: list[str], m: dict[str, str]) -> di
         floating.append(hv)
     used = set(m.values())
     for hv in floating:
-        free = [pv for pv in pvars if pv not in used]
+        free = [pv for pv in ctx.prem_concepts if pv not in used]
         if not free:
             continue
         edges = [(ctx.hyp_edges[i], ctx.hyp_mult[i]) for i in ctx.hyp_edges_at[hv]]
@@ -419,14 +418,13 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     ctx = _MatchContext(premise, hypothesis, include_top)
-    pvars = list(premise.nodes)
     rng = random.Random(seed)
     best_m: dict[str, str] | None = None
     best_count = -1
     bound = None
     for r in range(restarts):
-        init = _greedy_init(ctx, pvars, rng) if r == 0 else _random_init(ctx, pvars, rng)
-        m, c = _climb(ctx, pvars, init)
+        init = _greedy_init(ctx, rng) if r == 0 else _random_init(ctx, rng)
+        m, c = _climb(ctx, init)
         if c > best_count:
             best_count = c
             best_m = m
@@ -435,7 +433,7 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
                 bound = _upper_bound(ctx, best_count)
             if best_count >= bound:
                 break
-    best_m = _canonicalize(ctx, pvars, best_m)
+    best_m = _canonicalize(ctx, best_m)
     return _result(ctx, best_m)
 
 
@@ -456,7 +454,6 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
             f"exhaustive alignment guard: premise has {len(premise.nodes)} "
             f"nodes (max {_EXHAUSTIVE_MAX_PREM})")
     ctx = _MatchContext(premise, hypothesis, include_top)
-    pvars = list(premise.nodes)
     hvars = ctx.hyp_vars
     order = {hv: i for i, hv in enumerate(hvars)}
 
@@ -476,23 +473,6 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
     m: dict[str, str] = {}
     used: set[str] = set()
 
-    def assign_gain(hv: str, pv: str) -> int:
-        """Gain from mapping hv->pv given current m: the unary matches and
-        those of the edges to already-mapped variables."""
-        gain = ctx.unary[hv][pv]
-        for j in ctx.hyp_edges_at[hv]:
-            s, r, t = ctx.hyp_edges[j]
-            if s == hv:
-                if t not in m:
-                    continue
-                key = (pv, r, m[t])
-            else:
-                if s not in m:
-                    continue
-                key = (m[s], r, pv)
-            gain += min(ctx.hyp_mult[j], ctx.prem_rel.get(key, 0))
-        return gain
-
     def dfs(i: int, current: int) -> None:
         if current + potential[i] <= best["count"]:
             return
@@ -502,10 +482,10 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
                 best["m"] = dict(m)
             return
         hv = hvars[i]
-        for pv in pvars:
+        for pv in ctx.prem_concepts:
             if pv in used:
                 continue
-            gain = assign_gain(hv, pv)
+            gain = _gain(ctx, m, {hv: pv})  # exact, as hv is still unmapped
             m[hv] = pv
             used.add(pv)
             dfs(i + 1, current + gain)
@@ -514,6 +494,6 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
         dfs(i + 1, current)  # leave hv unmapped
 
     dfs(0, 0)
-    final = _canonicalize(ctx, pvars, best["m"])
+    final = _canonicalize(ctx, best["m"])
     return _result(ctx, final)
 

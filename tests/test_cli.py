@@ -29,6 +29,7 @@ from amrex.verdict import (_WORK_PER_WORKER, precompute_pair_components,
 
 from _fixtures import (JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, field_paths)
+from test_explain import _GenerateHandler, generate_server
 
 
 @pytest.fixture
@@ -145,6 +146,25 @@ def test_score_pair_json(tmp_path, capsys):
     assert payload["decision"] == 1
 
 
+def test_score_pair_text_output(tmp_path, capsys):
+    claim = tmp_path / "claim.amr"
+    claim.write_text(MARNIE_CLAIM)
+    evidence = tmp_path / "evidence.amr"
+    evidence.write_text(MARNIE_EVIDENCE)
+    argv = ["score-pair", "--claim-amr", str(claim), "--evidence-amr", str(evidence),
+            "--evidence-text", "the director made the film", "--lambda", "1.0"]
+    assert dispatch([*argv, "--claim-text", "a film was directed"]) == 0
+    text = capsys.readouterr().out
+    assert "claim: a film was directed" in text
+    assert "a0(film) --> b0(film)" in text
+    assert "structural containment: 0.7500" in text
+    # A claim text byte that is not UTF-8 reaches argv as a lone surrogate.
+    assert dispatch([*argv, "--claim-text", "film \udcff"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot embed text holding a lone surrogate" in captured.err
+
+
 def test_verify_writes_jsonl(fever_files, tmp_path, capsys):
     claims, amrs = fever_files
     out = tmp_path / "verdicts.jsonl"
@@ -158,6 +178,9 @@ def test_verify_writes_jsonl(fever_files, tmp_path, capsys):
         assert row["pairs"][0]["decision"] in (-1, 1)
     header = _header(capsys.readouterr().err)
     assert "# dataset = fever" in header
+    assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
+                     "--amrs", amrs, "--backend", "test:dim=64"]) == 0
+    assert capsys.readouterr().out == out.read_text()
     assert "# lambda = 0.0" in header  # the dataset default the run used
     assert "# jobs = 0" in header  # as given: jobs never changes the bytes
 
@@ -293,6 +316,63 @@ def test_explain_text_and_prompt(fever_files, tmp_path, capsys):
     assert "Key Mappings" in prompt and "Classification" in prompt
     assert dispatch(["explain", "--pair", f"{verdicts}#c-rabies", *base]) == 1
     assert dispatch(["explain", "--pair", f"{verdicts}#nope/e-rabies", *base]) == 1
+
+
+def test_explain_splits_the_selector_where_both_ids_are_stored(tmp_path, capsys):
+    # Ids may hold '/': the selector splits where the claim id names a
+    # stored row holding a pair of the evidence id.
+    claims = tmp_path / "claims.jsonl"
+    claims.write_text(json.dumps({
+        "claim_id": "x/1", "claim": "a film was directed", "label": "S",
+        "evidence": [{"id": "x/1-e0", "text": "the director made the film"}]}) + "\n")
+    amrs = tmp_path / "amrs.jsonl"
+    amrs.write_text(json.dumps({"id": "x/1", "penman": MARNIE_CLAIM}) + "\n"
+                    + json.dumps({"id": "x/1-e0", "penman": MARNIE_EVIDENCE}) + "\n")
+    verdicts = tmp_path / "verdicts.jsonl"
+    base = ["--claims", str(claims), "--amrs", str(amrs)]
+    assert dispatch(["verify", "--dataset", "fever", *base, "--out", str(verdicts)]) == 0
+    capsys.readouterr()
+    assert dispatch(["explain", "--pair", f"{verdicts}#x/1/x/1-e0", *base]) == 0
+    assert "claim: a film was directed" in capsys.readouterr().out
+    for selector, message in (("x/1/x/1-e9", "evidence 'x/1-e9' not found for claim 'x/1'"),
+                              ("y/1/x/1-e0", "claim 'y' not found")):
+        assert dispatch(["explain", "--pair", f"{verdicts}#{selector}", *base]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rename, message", [
+    ("c-rabies", "claim 'c-rabies' not found in {claims}"),
+    ("e-rabies", "evidence 'e-rabies' not found for claim 'c-rabies'"),
+], ids=["claim", "evidence"])
+def test_explain_names_a_pair_missing_from_the_claims(fever_files, tmp_path, capsys,
+                                                      rename, message):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
+                     "--amrs", amrs, "--out", str(verdicts)]) == 0
+    renamed = tmp_path / "renamed.jsonl"
+    renamed.write_text(Path(claims).read_text().replace(f'"{rename}"', '"other"'))
+    capsys.readouterr()
+    assert dispatch(["explain", "--pair", f"{verdicts}#c-rabies/e-rabies",
+                     "--claims", str(renamed), "--amrs", amrs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message.format(claims=renamed)}" in captured.err
+
+
+def test_explain_generates_through_the_service(fever_files, tmp_path, capsys,
+                                               generate_server):
+    claims, amrs = fever_files
+    verdicts = tmp_path / "verdicts.jsonl"
+    base = ["--claims", claims, "--amrs", amrs]
+    assert dispatch(["verify", "--dataset", "fever", *base, "--out", str(verdicts)]) == 0
+    capsys.readouterr()
+    _GenerateHandler.behavior = "ok"
+    assert dispatch(["explain", "--pair", f"{verdicts}#c-rabies/e-rabies", *base,
+                     "--generate", "--service", generate_server]) == 0
+    text = capsys.readouterr().out
+    assert "claim: a disease can ride" in text
+    assert text.splitlines()[-1].startswith("ANALYSIS of: You are analyzing")
 
 
 def test_explain_recomputation_matches_verify(fever_files, tmp_path, capsys):
@@ -587,6 +667,22 @@ NOT_UTF8 = b"\xff\xfe\n"
      ":1: bundle id must be a string or an integer, got dict"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
      '{"id": "c1", "penman": "(a / x :mod (b / y :mod a))"}', ":1)"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
+     '{"id": "c1", "penman": "(x / y)"}\n{"id": "c1", "penman": "(x / z)"}',
+     ":2: duplicate bundle id 'c1'"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "film \\ud800", "label": "S", "evidence": [{"text": "y"}]}',
+     ":1: claim holds a lone surrogate"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c\\udfff", "claim": "x", "label": "S", "evidence": [{"text": "y"}]}',
+     ":1: claim_id holds a lone surrogate"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "evidence": [{"id": "\\ud800", "text": "y"}]}',
+     ":1: evidence id holds a lone surrogate"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
+     '{"id": "c1", "penman": "(x / film\\ud800)"}', ":1: penman holds a lone surrogate"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
+     '{"id": "\\ud800", "penman": "(x / y)"}', ":1: bundle id holds a lone surrogate"),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
       "--amrs", "{amrs}"], None, ""),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
@@ -609,7 +705,10 @@ NOT_UTF8 = b"\xff\xfe\n"
         "amrs-not-object", "evidence-not-a-list", "evidence-text-not-a-string",
         "label-not-a-string", "penman-not-a-string", "claim-id-a-list",
         "claim-id-a-bool", "evidence-id-a-float", "bundle-id-null",
-        "bundle-id-an-object", "bundle-graph-cyclic", "verdicts-missing",
+        "bundle-id-an-object", "bundle-graph-cyclic", "bundle-id-twice",
+        "claim-text-lone-surrogate", "claim-id-lone-surrogate",
+        "evidence-id-lone-surrogate", "bundle-concept-lone-surrogate",
+        "bundle-id-lone-surrogate", "verdicts-missing",
         "verdicts-bad-json", "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
         "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
         "evaluate-report-under-a-file", "ingest-out-no-dir"])
@@ -900,6 +999,10 @@ def test_config_validation(tmp_path):
         load_config_file(cfg, str(bad))
     bad.write_text("jobs = -1\n")
     with pytest.raises(ConfigError, match=f"{bad}:1: bad value '-1' for 'jobs'"):
+        load_config_file(cfg, str(bad))
+    # Comment and blank lines are skipped, but count toward the line number.
+    bad.write_text("# restarts\n\nrestarts 2\n")
+    with pytest.raises(ConfigError, match=f"{bad}:3: expected key=value"):
         load_config_file(cfg, str(bad))
     apply_env(cfg, {"AMREX_JOBS": "0", "AMREX_RESTARTS": "1"})
     assert (cfg.jobs, cfg.restarts) == (0, 1)

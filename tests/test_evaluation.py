@@ -117,6 +117,8 @@ def test_precompute_requires_joined_graphs():
         precompute_pair_components(stripped, DeterministicTestBackend(dim=64))
     # One error names every id without a graph, not only the first.
     assert "c-marnie" in str(exc.value) and "c-rabies-e0" in str(exc.value)
+    with pytest.raises(DatasetError, match="claim 'c-marnie' appears twice"):
+        precompute_pair_components([first, first], DeterministicTestBackend(dim=64))
 
 
 def test_empty_evidence_policy_in_predictions():

@@ -57,6 +57,18 @@ def test_load_fever_rejects_evidence_free_claim(tmp_path):
     assert "c9" in str(exc.value)
 
 
+@pytest.mark.parametrize("evidence, message", [
+    ([{"id": "e1", "text": "t"}, {"id": "e1", "text": "u"}],
+     "claim 'c1': duplicate evidence ids"),
+    ([{"id": "e1", "text": "t", "kind": "extractive"}],
+     "claim 'c1': 3-way evidence must have kind 'sentence'"),
+], ids=["duplicate-evidence-ids", "kind-not-sentence"])
+def test_load_fever_rejects_malformed_evidence(tmp_path, evidence, message):
+    rows = [{"claim_id": "c1", "claim": "x", "label": "S", "evidence": evidence}]
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_claims(_write_jsonl(tmp_path / "claims.jsonl", rows), FEVER)
+
+
 def test_load_averitec_drops_boolean_answers(tmp_path):
     rows = [{
         "claim_id": "a1", "claim": "some claim", "label": "Supported",

@@ -96,6 +96,10 @@ def test_deterministic_backend_similar_texts_score_higher():
 def test_embed_rejects_empty_text():
     with pytest.raises(SimilarityError):
         DeterministicTestBackend().embed("")
+    # A lone surrogate, as argv's surrogateescape makes of a byte that is
+    # not UTF-8.
+    with pytest.raises(SimilarityError, match="lone surrogate"):
+        DeterministicTestBackend().embed("film \udcff")
 
 
 def test_precomputed_backend(tmp_path):
