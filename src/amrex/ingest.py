@@ -128,10 +128,6 @@ def read_jsonl(path: str):
             yield lineno, value
 
 
-class _WrongType(DatasetError):
-    """A malformed JSON field; ``_records`` places it at path:line."""
-
-
 _JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
 
 
@@ -142,37 +138,37 @@ def _text(value: str, field: str) -> str:
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
-            raise _WrongType(f"{field} holds a lone surrogate") from None
+            raise DatasetError(f"{field} holds a lone surrogate") from None
     return value
 
 
 def _typed(value, kind: type, field: str, optional: bool = False):
-    """*value* if it is a *kind* (or None when *optional*), else _WrongType."""
+    """*value* if it is a *kind* (or None when *optional*), else DatasetError."""
     if isinstance(value, kind) or (optional and value is None):
         return _text(value, field) if isinstance(value, str) else value
-    raise _WrongType(f"{field} must be {_JSON_TYPE_NAMES[kind]}, "
-                     f"got {type(value).__name__}")
+    raise DatasetError(f"{field} must be {_JSON_TYPE_NAMES[kind]}, "
+                       f"got {type(value).__name__}")
 
 
 def _id(value, field: str) -> str:
     """An id given as a JSON string or integer, as a string; any other JSON
-    value (a bool, float, list, object or null) is _WrongType."""
+    value (a bool, float, list, object or null) is a DatasetError."""
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         return _text(str(value), field)
-    raise _WrongType(f"{field} must be a string or an integer, "
-                     f"got {type(value).__name__}")
+    raise DatasetError(f"{field} must be a string or an integer, "
+                       f"got {type(value).__name__}")
 
 
 def _records(path: str, parse_record) -> Iterator:
     """``parse_record(raw, lineno)`` for each line of *path*, read as they
-    are consumed; a missing required key or a malformed field is a
-    DatasetError naming ``path:line``."""
+    are consumed; a missing required key and any DatasetError of the parser
+    (a malformed field or a record it rejects) name ``path:line``."""
     for lineno, raw in read_jsonl(path):
         try:
             yield parse_record(raw, lineno)
         except KeyError as exc:
             raise DatasetError(f"{path}:{lineno}: missing key {exc}")
-        except _WrongType as exc:
+        except DatasetError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}")
 
 

@@ -132,16 +132,21 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     claim text, claim graph, seed)`` in *pairs*, aligned under *cfg*: the
     one scoring path of ``verify``, ``evaluate`` and ``score-pair``.
 
-    Embeds every text in this process, evidence before claim; a
-    SimilarityError for the i-th pair is prefixed with ``names[i]`` when
+    Embeds every text in this process, evidence before claim, and passes
+    the backend one iterator over the distinct texts in that order, so a
+    service backend fetches the texts it lacks in a few batched requests.
+    A SimilarityError for the i-th pair, a failed request included, is
+    raised while that pair is embedded and prefixed with ``names[i]`` when
     given.  The alignments run in this process unless :func:`worker_count`
     gives more than one worker for *jobs* and the pairs' work,
     ``|claim nodes|² × |evidence nodes|`` each.
     """
+    texts = iter(dict.fromkeys(text for p in pairs for text in (p[0], p[2])))
     sims = []
     for i, (ev_text, _, claim_text, _, _) in enumerate(pairs):
         try:
-            sims.append(cosine(backend.embed(ev_text), backend.embed(claim_text)))
+            sims.append(cosine(backend.embed(ev_text, texts),
+                               backend.embed(claim_text, texts)))
         except SimilarityError as exc:
             if names:
                 raise SimilarityError(f"{names[i]}: {exc}") from exc

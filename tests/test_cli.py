@@ -683,6 +683,27 @@ NOT_UTF8 = b"\xff\xfe\n"
      '{"id": "c1", "penman": "(x / film\\ud800)"}', ":1: penman holds a lone surrogate"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
      '{"id": "\\ud800", "penman": "(x / y)"}', ":1: bundle id holds a lone surrogate"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "evidence": [{"text": "y"}]}\n'
+     '{"claim_id": "d", "claim": "x", "label": "S", "evidence": '
+     '[{"id": "e", "text": "y"}, {"id": "e", "text": "z"}]}',
+     ":2: claim 'd': duplicate evidence ids"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "maybe", "evidence": [{"text": "y"}]}',
+     ":1: claim 'c': unknown label 'maybe'"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "evidence": [{"text": "y", "kind": "video"}]}',
+     ":1: claim 'c': unknown evidence kind 'video'"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}", "--dataset", "averitec"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "questions": '
+     '[{"question": "q", "answers": [{"answer": "a", "answer_type": "Video"}]}]}',
+     ":1: claim 'c': unknown answer type 'Video'"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "S", "evidence": [{"text": "y", "kind": "extractive"}]}',
+     ":1: claim 'c': 3-way evidence must have kind 'sentence'"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c", "claim": "x", "label": "N", "evidence": []}',
+     ":1: claim 'c' has no evidence"),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
       "--amrs", "{amrs}"], None, ""),
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
@@ -708,7 +729,9 @@ NOT_UTF8 = b"\xff\xfe\n"
         "bundle-id-an-object", "bundle-graph-cyclic", "bundle-id-twice",
         "claim-text-lone-surrogate", "claim-id-lone-surrogate",
         "evidence-id-lone-surrogate", "bundle-concept-lone-surrogate",
-        "bundle-id-lone-surrogate", "verdicts-missing",
+        "bundle-id-lone-surrogate", "evidence-ids-twice", "label-unknown",
+        "evidence-kind-unknown", "answer-type-unknown", "fever-kind-not-sentence",
+        "claim-without-evidence", "verdicts-missing",
         "verdicts-bad-json", "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
         "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
         "evaluate-report-under-a-file", "ingest-out-no-dir"])
@@ -721,11 +744,14 @@ def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, ca
     elif content is not None:
         bad.write_text(content + "\n")
     argv = [a.format(bad=bad, claims=claims, amrs=amrs) for a in argv]
-    if argv[0] not in ("parse", "explain"):
+    if argv[0] not in ("parse", "explain") and "--dataset" not in argv:
         argv += ["--dataset", "fever"]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert f"{bad}{where}" in err
+    # The file is named once: a prefix is never doubled.
+    assert [line.count(str(bad)) for line in err.splitlines()
+            if line.startswith("error:")] == [1]
     assert "Traceback" not in err
 
 

@@ -2,15 +2,18 @@ import json
 import math
 import sys
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from amrex.errors import ConfigError, EmbeddingMissError, SimilarityError, TransportError
-from amrex.similarity import (DeterministicTestBackend, EmbeddingServiceBackend,
-                              EmbeddingVector, PrecomputedFileBackend,
-                              backend_from_spec, cosine)
+from amrex.graph import parse_penman
+from amrex.similarity import (_TEXTS_PER_REQUEST, DeterministicTestBackend,
+                              EmbeddingServiceBackend, EmbeddingVector,
+                              PrecomputedFileBackend, backend_from_spec, cosine)
+from amrex.verdict import score_pairs
 
 from _fixtures import JSON_VALUES
 
@@ -77,6 +80,66 @@ def test_cosine_of_normal_vectors_is_the_plain_formula(pair):
     assert cosine(EmbeddingVector(a), EmbeddingVector(b)) == expected
 
 
+def _uncached_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """The cosine as taken before each vector kept its norm: both norms
+    recomputed, and tiny vectors rescaled, on every call."""
+    def rescaled(values):
+        squares = sum(v * v for v in values)
+        if squares < sys.float_info.min and any(values):
+            shift = -math.frexp(max(map(abs, values)))[1]
+            values = tuple(math.ldexp(v, shift) for v in values)
+            squares = sum(v * v for v in values)
+        return values, squares
+    x, squares_a = rescaled(a.values)
+    y, squares_b = rescaled(b.values)
+    norms = math.sqrt(squares_a) * math.sqrt(squares_b)
+    return sum(p * q for p, q in zip(x, y)) / norms
+
+
+_ANY_SCALE = (_components | st.floats(min_value=-1e-150, max_value=1e-150)
+              | st.floats(min_value=-1e150, max_value=1e150))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[st.lists(_ANY_SCALE, min_size=n, max_size=n)] * 2)))
+def test_cosine_with_cached_norms_is_the_uncached_formula(pair):
+    a, b = EmbeddingVector(pair[0]), EmbeddingVector(pair[1])
+    try:
+        expected = _uncached_cosine(a, b)
+    except ZeroDivisionError:
+        expected = None
+    assume(expected is None or math.isfinite(expected))
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        if expected is None:
+            with pytest.raises(SimilarityError, match="zero-norm"):
+                cosine(a, b)
+        else:
+            assert cosine(a, b) == expected
+            assert cosine(b, a) == _uncached_cosine(b, a)
+
+
+def test_cosine_with_cached_norms_of_an_underflowing_vector():
+    tiny, one = EmbeddingVector((1e-200, 1e-200)), EmbeddingVector((1.0, 1.0))
+    for _ in range(2):
+        assert cosine(tiny, one) == _uncached_cosine(tiny, one) == 1.0
+        assert cosine(tiny, tiny) == _uncached_cosine(tiny, tiny)
+
+
+def test_cosine_errors_are_raised_on_every_call():
+    zero, other = EmbeddingVector((0.0, 0.0)), EmbeddingVector((1.0, 2.0))
+    huge = EmbeddingVector((1e200, 1e200))
+    for _ in range(3):
+        with pytest.raises(SimilarityError, match="zero-norm"):
+            cosine(zero, other)
+        with pytest.raises(SimilarityError, match="zero-norm"):
+            cosine(other, zero)
+        with pytest.raises(SimilarityError, match="cosine overflow"):
+            cosine(huge, huge)
+        with pytest.raises(SimilarityError, match="cosine overflow"):
+            cosine(other, huge)
+
+
 def test_deterministic_backend_is_deterministic():
     backend = DeterministicTestBackend(dim=64)
     a = backend.embed("A cat sat on the mat.")
@@ -140,9 +203,11 @@ class _StubHandler(BaseHTTPRequestHandler):
     ``/scripted`` sends the status and body held in ``scripted``."""
 
     scripted: tuple[int, bytes] = (200, b"")
+    received: list[list[str]] = []  # the texts of each request, in order
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.received.append(body["texts"])
         if self.path == "/scripted/embed":
             status, data = self.scripted
             self.send_response(status)
@@ -158,6 +223,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             "/nokey/embed": {"vecs": vectors},
             "/scalar/embed": {"vectors": [1.0 for _ in vectors]},
             "/nonnumeric/embed": {"vectors": [["x"] for _ in vectors]},
+            "/spread/embed": {"vectors": [_spread(t) for t in body["texts"]]},
+            "/emptyforbad/embed": {"vectors": [[] if t.startswith("bad") else _spread(t)
+                                               for t in body["texts"]]},
         }
         if self.path == "/text/embed":
             data = b"not json"
@@ -175,6 +243,13 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+def _spread(text: str) -> list[float]:
+    """The ``/spread`` stub's vector of *text*: texts that differ mostly
+    get different directions."""
+    h = zlib.crc32(text.encode("utf-8", "surrogatepass"))
+    return [float(h % 97) - 48.0, float(h >> 16 & 255) + 0.5, float(len(text))]
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +360,85 @@ def test_any_service_reply_gives_vectors_or_a_typed_error(stub_server, data):
         assert type(exc) is expected, exc
     else:
         assert got == expected
+
+
+_GRAPH = parse_penman("(x / film)")
+
+
+def _pairs(texts):
+    """score_pairs input taking *texts* two at a time as (evidence, claim)."""
+    return [(texts[i], _GRAPH, texts[i + 1], _GRAPH, 0) for i in range(0, len(texts), 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_score_pairs_requests_each_uncached_text_once_in_full_batches(stub_server, data):
+    """Duplicates and cached texts are never requested, the uncached ones
+    go in ceil(uncached / batch) requests, and the cosines are bitwise
+    those of per-text embedding."""
+    batch = _TEXTS_PER_REQUEST
+    n = data.draw(st.sampled_from([1, batch - 1, batch, batch + 1, 4 * batch + 1, 200])
+                  | st.integers(1, 200), label="distinct texts")
+    repeats = data.draw(st.lists(st.integers(0, n - 1), max_size=80), label="repeats")
+    texts = data.draw(st.permutations([f"text {i}" for i in range(n)]
+                                      + [f"text {i}" for i in repeats]))
+    if len(texts) % 2:
+        texts.append(texts[0])
+    cached = data.draw(st.sets(st.sampled_from(texts), max_size=80), label="cached")
+    backend = EmbeddingServiceBackend(f"{stub_server}/spread", timeout=5)
+    for text in cached:
+        backend.embed(text)
+    _StubHandler.received.clear()
+    scored = score_pairs(_pairs(texts), backend)
+    requests = list(_StubHandler.received)
+    uncached = len(set(texts) - cached)
+    assert len(requests) == -(-uncached // batch)
+    assert [len(r) for r in requests[:-1]] == [batch] * (len(requests) - 1)
+    sent = [t for r in requests for t in r]
+    assert sorted(sent) == sorted(set(texts) - cached)
+    expected = [cosine(EmbeddingVector(_spread(e)), EmbeddingVector(_spread(c)))
+                for e, _, c, _, _ in _pairs(texts)]
+    assert [sim for _, sim in scored] == expected
+    _StubHandler.received.clear()
+    assert score_pairs(_pairs(texts), backend) == scored
+    assert _StubHandler.received == []
+
+
+def test_an_unreachable_service_names_the_first_pair():
+    backend = EmbeddingServiceBackend("http://127.0.0.1:9", timeout=0.2)
+    with pytest.raises(SimilarityError,
+                       match=r"^pair 0: embedding service unreachable") as exc:
+        score_pairs(_pairs(["a", "b", "c", "d"]), backend, names=["pair 0", "pair 1"])
+    assert isinstance(exc.value.__cause__, TransportError)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("", "cannot embed empty text"),
+    ("film \udcff", "cannot embed text holding a lone surrogate"),
+], ids=["empty", "lone-surrogate"])
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("side", [0, 1], ids=["evidence", "claim"])
+def test_an_unembeddable_text_names_its_pair_and_is_never_sent(stub_server, bad, message,
+                                                                k, side):
+    texts = [f"text {i}" for i in range(10)]
+    texts[2 * k + side] = bad
+    names = [f"pair {i}" for i in range(5)]
+    _StubHandler.received.clear()
+    with pytest.raises(SimilarityError, match=f"^pair {k}: {message}"):
+        score_pairs(_pairs(texts), EmbeddingServiceBackend(f"{stub_server}/spread"),
+                    names=names)
+    assert all(bad not in request for request in _StubHandler.received)
+
+
+def test_a_malformed_reply_names_a_pair(stub_server):
+    backend = EmbeddingServiceBackend(f"{stub_server}/text")
+    with pytest.raises(SimilarityError, match=r"^pair 0: malformed embedding service") as exc:
+        score_pairs(_pairs(["a", "b", "c", "d"]), backend, names=["pair 0", "pair 1"])
+    assert isinstance(exc.value.__cause__, TransportError)
+
+
+def test_a_bad_vector_names_the_pair_of_its_text(stub_server):
+    texts = ["a", "b", "c", "d", "bad e", "f"]
+    backend = EmbeddingServiceBackend(f"{stub_server}/emptyforbad")
+    with pytest.raises(SimilarityError, match=r"^pair 2: empty embedding vector"):
+        score_pairs(_pairs(texts), backend, names=["pair 0", "pair 1", "pair 2"])
