@@ -308,8 +308,7 @@ def cmd_explain(args) -> int:
 
 
 # The settings verify and evaluate read: all of them.
-_RUN_SETTINGS = ("dataset", "lam", "restarts", "seed", "include_top", "backend",
-                 "empty_evidence", "question_mode", "jobs")
+_RUN_SETTINGS = tuple(f.name for f in fields(RunConfig))
 
 
 def build_parser() -> argparse.ArgumentParser:

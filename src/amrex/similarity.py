@@ -155,9 +155,6 @@ class EmbeddingServiceBackend(SimilarityBackend):
                 pass  # requested again, and the error raised, when *other* is embedded
         return EmbeddingVector(tuple(rows[0]))
 
-    def embed_many(self, texts: list[str]) -> list[EmbeddingVector]:
-        return [EmbeddingVector(tuple(row)) for row in self._request(texts)]
-
     def _request(self, texts: list[str]) -> list[list]:
         """One POST of *texts*: a list of numbers per text, in order."""
         vectors = post_json(f"{self.endpoint}/embed", {"texts": texts},

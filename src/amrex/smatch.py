@@ -109,13 +109,6 @@ class _MatchContext:
                 counts[key] = counts.get(key, 0) + 1
         self.hyp_edges: list[tuple[str, str, str]] = list(hyp_rel)
         self.hyp_mult: list[int] = list(hyp_rel.values())
-        self.unary: dict[str, dict[str | None, int]] = {}
-        for hv in self.hyp_vars:
-            row = self.unary[hv] = dict.fromkeys(self.prem_concepts, 0)
-            row[None] = 0
-            for key, n in hyp_unary[hv].items():
-                for pv, p in prem_unary.get(key, {}).items():
-                    row[pv] += min(n, p)
         # Indices into hyp_edges of the edges incident to each hypothesis
         # variable, for gain bookkeeping.
         self.hyp_edges_at: dict[str, list[int]] = defaultdict(list)
@@ -123,30 +116,29 @@ class _MatchContext:
             self.hyp_edges_at[s].append(i)
             self.hyp_edges_at[t].append(i)
         self.prem_edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        self.prem_out: dict[str, set[str]] = defaultdict(set)
-        self.prem_in: dict[str, set[str]] = defaultdict(set)
-        out_roles: dict[str, set[str]] = defaultdict(set)
-        in_roles: dict[str, set[str]] = defaultdict(set)
         for s, r, t in self.prem_rel:
             self.prem_edges_by_role[r].append((s, t))
-            self.prem_out[s].add(t)
-            self.prem_in[t].add(s)
-            out_roles[s].add(r)
-            in_roles[t].add(r)
+        # The premise variables each role leaves and enters.
+        leaves = {r: {s for s, _t in ends} for r, ends in self.prem_edges_by_role.items()}
+        enters = {r: {t for _s, t in ends} for r, ends in self.prem_edges_by_role.items()}
         # bound[hv][pv]: the most triples mapping hv -> pv can ever match:
         # unary[hv][pv] plus each incident edge's multiplicity when its role
         # leaves (hv the source) or enters (hv the target) pv in the
         # premise.  Unmapping never gains and an edge matches at most its
         # multiplicity, so a change set gains at most the sum of its entries.
+        self.unary: dict[str, dict[str | None, int]] = {}
         self.bound: dict[str, dict[str | None, int]] = {}
-        for hv, row in self.unary.items():
-            edges = [(self.hyp_edges[i], self.hyp_mult[i]) for i in self.hyp_edges_at[hv]]
+        for hv in self.hyp_vars:
+            row = self.unary[hv] = dict.fromkeys(self.prem_concepts, 0)
+            row[None] = 0
+            for key, n in hyp_unary[hv].items():
+                for pv, p in prem_unary.get(key, {}).items():
+                    row[pv] += min(n, p)
             bound = self.bound[hv] = dict(row)
-            for pv in self.prem_concepts:
-                outs, ins = out_roles[pv], in_roles[pv]
-                for (s, r, _t), n in edges:
-                    if r in (outs if s == hv else ins):
-                        bound[pv] += n
+            for i in self.hyp_edges_at[hv]:
+                s, r, _t = self.hyp_edges[i]
+                for pv in (leaves if s == hv else enters).get(r, ()):
+                    bound[pv] += self.hyp_mult[i]
 
     def count(self, m: dict[str, str]) -> int:
         """Matched hypothesis triples under mapping *m* (multiset-aware)."""
@@ -378,6 +370,7 @@ def _canonicalize(ctx: _MatchContext, m: dict[str, str]) -> dict[str, str]:
     count but pins the reported mapping.
     """
     m = dict(m)
+    links = {(s, t) for s, _r, t in ctx.prem_rel}
     floating = []
     for hv in ctx.hyp_vars:
         if hv in m and _gain(ctx, m, {hv: None}) != 0:
@@ -393,9 +386,9 @@ def _canonicalize(ctx: _MatchContext, m: dict[str, str]) -> dict[str, str]:
 
         def rank(pv: str) -> tuple[int, int, int]:
             out_adj = sum(n for (s, _r, t), n in edges
-                          if s == hv and t in m and m[t] in ctx.prem_out[pv])
+                          if s == hv and t in m and (pv, m[t]) in links)
             in_adj = sum(n for (s, _r, t), n in edges
-                         if t == hv and s in m and m[s] in ctx.prem_in[pv])
+                         if t == hv and s in m and (m[s], pv) in links)
             return _gain(ctx, m, {hv: pv}), out_adj, in_adj
 
         m[hv] = max(free, key=rank)

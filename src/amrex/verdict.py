@@ -136,10 +136,10 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     the backend one iterator over the distinct texts in that order, so a
     service backend fetches the texts it lacks in a few batched requests.
     A SimilarityError for the i-th pair, a failed request included, is
-    raised while that pair is embedded and prefixed with ``names[i]`` when
-    given.  The alignments run in this process unless :func:`worker_count`
-    gives more than one worker for *jobs* and the pairs' work,
-    ``|claim nodes|² × |evidence nodes|`` each.
+    raised while that pair is embedded, keeps its type and is prefixed
+    with ``names[i]`` when given.  The alignments run in this process
+    unless :func:`worker_count` gives more than one worker for *jobs* and
+    the pairs' work, ``|claim nodes|² × |evidence nodes|`` each.
     """
     texts = iter(dict.fromkeys(text for p in pairs for text in (p[0], p[2])))
     sims = []
@@ -149,7 +149,7 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
                                backend.embed(claim_text, texts)))
         except SimilarityError as exc:
             if names:
-                raise SimilarityError(f"{names[i]}: {exc}") from exc
+                exc.args = (f"{names[i]}: {exc}",)
             raise
     columns = ([p[1] for p in pairs], [p[3] for p in pairs],
                [cfg.restarts] * len(pairs), [p[4] for p in pairs],

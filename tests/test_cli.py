@@ -766,6 +766,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert result.stdout.strip() == serialize_penman(parse_penman(MARNIE_CLAIM))
 
 
+def test_verify_bytes_do_not_depend_on_the_string_hash_seed(fever_files, tmp_path):
+    """Sets of strings iterate in an order set by the interpreter's hash
+    seed; no verdict byte may follow it."""
+    claims, amrs = fever_files
+    src = os.path.dirname(os.path.dirname(amrex.__file__))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"verdicts-{hash_seed}.jsonl"
+        subprocess.run([sys.executable, "-m", "amrex.cli", "verify", "--dataset", "fever",
+                        "--claims", claims, "--amrs", amrs, "--out", str(out)],
+                       capture_output=True, check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 2
+
+
 @pytest.mark.parametrize("command", ["verify", "evaluate"])
 @pytest.mark.parametrize("claim_vector, evidence_vector, message", [
     ([0.0, 0.0], [1.0, 2.0], "cosine of zero-norm vector"),

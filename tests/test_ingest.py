@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrex.errors import DatasetError
-from amrex.ingest import (REFERENCE_LABEL_COUNTS, join_amrs, label_counts,
-                          load_amr_bundle, load_claims, write_normalized)
+from amrex.ingest import (REFERENCE_LABEL_COUNTS, iter_claims, join_amrs,
+                          label_counts, load_amr_bundle, load_claims,
+                          write_normalized)
 from amrex.verdict import AVERITEC, FEVER
 
 from _fixtures import (ALL_PENMAN, JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE,
@@ -39,6 +40,10 @@ def test_load_fever_schema_passthrough(tmp_path):
     assert len(records[0].evidence) == 2
     assert [r.gold_label.value for r in records] == ["S", "N", "R"]
     assert all(ev.kind == "sentence" for r in records for ev in r.evidence)
+    # Blank lines are skipped.
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n" + "  \n".join(json.dumps(r) + "\n" for r in _fever_rows()))
+    assert load_claims(str(padded), FEVER) == records
 
 
 def test_load_fever_rejects_unknown_label(tmp_path):
@@ -47,6 +52,12 @@ def test_load_fever_rejects_unknown_label(tmp_path):
     with pytest.raises(DatasetError) as exc:
         load_claims(_write_jsonl(tmp_path / "claims.jsonl", rows), FEVER)
     assert "MAYBE" in str(exc.value)
+
+
+def test_an_unknown_dataset_is_a_dataset_error(tmp_path):
+    path = _write_jsonl(tmp_path / "claims.jsonl", _fever_rows())
+    with pytest.raises(DatasetError, match="unknown dataset 'x'"):
+        iter_claims(path, "x")
 
 
 def test_load_fever_rejects_evidence_free_claim(tmp_path):

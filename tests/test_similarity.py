@@ -156,6 +156,11 @@ def test_deterministic_backend_similar_texts_score_higher():
     assert cosine(base, near) > cosine(base, far)
 
 
+def test_deterministic_backend_gives_no_zero_vector():
+    # "##ba##" has four trigrams whose signs cancel in both of two dims.
+    assert DeterministicTestBackend(dim=2).embed("ba").values == (1.0, 0.0)
+
+
 def test_embed_rejects_empty_text():
     with pytest.raises(SimilarityError):
         DeterministicTestBackend().embed("")
@@ -174,6 +179,10 @@ def test_precomputed_backend(tmp_path):
     with pytest.raises(EmbeddingMissError) as exc:
         backend.embed("absent text")
     assert "absent text" in str(exc.value)
+    # Blank lines are skipped.
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n" + path.read_text().replace("\n", "\n  \n"))
+    assert PrecomputedFileBackend(str(padded))._cache == backend._cache
 
 
 def test_precomputed_backend_bad_record(tmp_path):
@@ -196,6 +205,12 @@ def test_backend_from_spec():
     # A digit that str.isdigit accepts but int() does not read.
     with pytest.raises(ConfigError, match="bad test backend spec"):
         backend_from_spec("test:dim=\u00b2")
+    with pytest.raises(ConfigError, match="test backend dim must be >= 2, got 1"):
+        backend_from_spec("test:dim=1")
+    with pytest.raises(ConfigError, match="file backend needs a path"):
+        backend_from_spec("file:")
+    with pytest.raises(ConfigError, match="service backend needs a URL"):
+        backend_from_spec("service:")
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -266,13 +281,16 @@ def test_service_backend_roundtrip(stub_server):
     backend = EmbeddingServiceBackend(stub_server)
     vec = backend.embed("hello")
     assert vec.values == (5.0, 1.0)
-    assert [v.values for v in backend.embed_many(["a", "bb"])] == [(1.0, 1.0), (2.0, 1.0)]
+    _StubHandler.received.clear()
+    assert backend.embed("a", iter(["bb"])).values == (1.0, 1.0)
+    assert backend.embed("bb").values == (2.0, 1.0)
+    assert _StubHandler.received == [["a", "bb"]]
 
 
 def test_service_backend_length_mismatch(stub_server):
     backend = EmbeddingServiceBackend(f"{stub_server}/short")
     with pytest.raises(TransportError) as exc:
-        backend.embed_many(["one", "two", "three"])
+        backend.embed("one", iter(["two", "three"]))
     assert "length 2 does not match request length 3" in str(exc.value)
 
 
@@ -355,7 +373,7 @@ def test_any_service_reply_gives_vectors_or_a_typed_error(stub_server, data):
     backend = EmbeddingServiceBackend(f"{stub_server}/scripted", timeout=5)
     expected = _expected_reply(status, body, n)
     try:
-        got = [v.values for v in backend.embed_many(["t"] * n)]
+        got = [EmbeddingVector(tuple(row)).values for row in backend._request(["t"] * n)]
     except SimilarityError as exc:
         assert type(exc) is expected, exc
     else:
@@ -409,7 +427,7 @@ def test_an_unreachable_service_names_the_first_pair():
     with pytest.raises(SimilarityError,
                        match=r"^pair 0: embedding service unreachable") as exc:
         score_pairs(_pairs(["a", "b", "c", "d"]), backend, names=["pair 0", "pair 1"])
-    assert isinstance(exc.value.__cause__, TransportError)
+    assert isinstance(exc.value, TransportError)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -434,7 +452,7 @@ def test_a_malformed_reply_names_a_pair(stub_server):
     backend = EmbeddingServiceBackend(f"{stub_server}/text")
     with pytest.raises(SimilarityError, match=r"^pair 0: malformed embedding service") as exc:
         score_pairs(_pairs(["a", "b", "c", "d"]), backend, names=["pair 0", "pair 1"])
-    assert isinstance(exc.value.__cause__, TransportError)
+    assert isinstance(exc.value, TransportError)
 
 
 def test_a_bad_vector_names_the_pair_of_its_text(stub_server):

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +116,10 @@ def test_exhaustive_guard():
     huge = AmrGraph(root="v0", nodes=huge_nodes, edges=edges)
     with pytest.raises(GraphError):
         align_exhaustive(small, huge)
+    premise = AmrGraph(root="v0", nodes={f"v{i}": "cat" for i in range(13)},
+                       edges=tuple(("v0", "mod", f"v{i}") for i in range(1, 13)))
+    with pytest.raises(GraphError, match="premise has 13 nodes"):
+        align_exhaustive(premise, small)
 
 
 def test_exhaustive_identical_graphs():
@@ -441,6 +445,46 @@ def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
         for changes in _neighbours(ctx, m):
             bound = sum(ctx.bound[hv][pv] for hv, pv in changes.items())
             assert _gain(ctx, m, changes) <= bound
+
+
+def _literal_bound(premise, hypothesis, include_top):
+    """``ctx.bound`` as defined: for hv -> pv, the multiset intersection of
+    the two variables' non-relation ``(kind, role, value)`` triples, plus
+    each distinct hypothesis edge at hv, times its multiplicity, when the
+    premise has an edge of its role leaving pv (hv the source) or entering
+    pv (hv the target).  Unmapped, hv matches nothing."""
+    def split(triples):
+        unary, relations = defaultdict(Counter), Counter()
+        for kind, var, role, value in triples:
+            if kind == "relation":
+                relations[(var, role, value)] += 1
+            else:
+                unary[var][(kind, role, value)] += 1
+        return unary, relations
+
+    prem_unary, prem_rel = split(extract_triples(premise, include_top))
+    hyp_unary, hyp_rel = split(extract_triples(hypothesis, include_top))
+    bound = {}
+    for hv in hypothesis.nodes:
+        row = bound[hv] = {None: 0}
+        for pv in premise.nodes:
+            row[pv] = sum((hyp_unary[hv] & prem_unary[pv]).values())
+            for (s, r, t), n in hyp_rel.items():
+                if s == hv and any((ps, pr) == (pv, r) for ps, pr, _pt in prem_rel):
+                    row[pv] += n
+                if t == hv and any((pr, pt) == (r, pv) for _ps, pr, pt in prem_rel):
+                    row[pv] += n
+    return bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs("p", 6), _graphs("h", 5))
+def test_bound_is_the_per_variable_formula(premise, hypothesis):
+    """The climber prunes and ``_upper_bound`` weighs with ``ctx.bound``, so
+    a looser bound would still hold yet prune less: pin its every entry."""
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        assert ctx.bound == _literal_bound(premise, hypothesis, include_top)
 
 
 def test_gain_caps_duplicate_edges_at_the_premise_count():

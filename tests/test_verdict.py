@@ -1,15 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from amrex.errors import ConfigError, DatasetError
+from amrex.errors import ConfigError, DatasetError, EmbeddingMissError
 from amrex.graph import parse_penman
-from amrex.ingest import ClaimRecord, EvidenceItem
-from amrex.similarity import DeterministicTestBackend
+from amrex.ingest import ClaimRecord, EvidenceItem, label_set
+from amrex.similarity import DeterministicTestBackend, PrecomputedFileBackend
 from amrex.smatch import AlignConfig
 from amrex.verdict import (AVERITEC, FEVER, VerdictLabel, aggregate, pair_seed,
-                           th2, th2_averitec, th2_fever, verify_claim)
+                           precompute_pair_components, th2, th2_averitec,
+                           th2_fever, verify_claim)
 
 from _fixtures import RABIES_CLAIM, RABIES_EVIDENCE, random_graph
 
@@ -20,6 +22,14 @@ def test_label_validation():
     with pytest.raises(ConfigError):
         VerdictLabel("X", AVERITEC)
     assert VerdictLabel("C", AVERITEC).value == "C"
+    with pytest.raises(ConfigError, match="unknown dataset 'x'"):
+        label_set("x")
+    with pytest.raises(ConfigError, match="unknown dataset 'x'"):
+        th2(0, "x")
+    with pytest.raises(DatasetError, match="label dataset 'averitec' does not match "
+                                           "record dataset 'fever'"):
+        ClaimRecord(claim_id="c1", claim_text="t", dataset=FEVER,
+                    gold_label=VerdictLabel("C", AVERITEC))
 
 
 def test_aggregate():
@@ -39,6 +49,9 @@ def test_th2_fever_cases():
     assert th2_fever(Fraction(1, 10)).value == "S"
     assert th2_fever(1).value == "S"
     assert th2_fever(-1).value == "R"
+    # A float counts at its exact binary value, a little beyond +-1/10.
+    assert th2_fever(0.1).value == "S"
+    assert th2_fever(-0.1).value == "R"
 
 
 def test_th2_averitec_cases():
@@ -162,3 +175,14 @@ def test_pair_seed_stable():
     assert pair_seed(0, "c1", "e1") == pair_seed(0, "c1", "e1")
     assert pair_seed(0, "c1", "e1") != pair_seed(1, "c1", "e1")
     assert pair_seed(0, "c1", "e1") != pair_seed(0, "c1", "e2")
+
+
+def test_a_text_missing_from_a_file_backend_names_its_pair(tmp_path):
+    """The miss keeps its type and text, and gains the pair's name."""
+    path = tmp_path / "vecs.jsonl"
+    path.write_text("".join(json.dumps({"text": text, "vector": [1.0, 2.0]}) + "\n"
+                            for text in ("the claim text", "evidence text number 0")))
+    with pytest.raises(EmbeddingMissError,
+                       match=r"^claim 'c1' / evidence 'e1': no embedding for text") as exc:
+        precompute_pair_components([_record(2)], PrecomputedFileBackend(str(path)))
+    assert exc.value.text == "evidence text number 1"
