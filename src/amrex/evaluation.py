@@ -2,9 +2,12 @@
 
 Macro F1 averages over the dataset's full label set, so a label that never
 occurs contributes 0.  The sweep computes each pair's components once with
-:func:`amrex.verdict.precompute_pair_components` and re-applies only the
-cheap blend/threshold arithmetic per lambda, which is guaranteed (and
-tested) to agree with an independent single-lambda run.
+:func:`amrex.verdict.precompute_pair_components`.  At each lambda it labels
+a claim from its pairs' decisions ``th1(combined_score(lam, smatch_p,
+cosine))``, the expression :func:`amrex.entailment.blend` thresholds,
+through :func:`amrex.verdict.classify`, the helper ``verdict_at`` labels
+with; it builds no per-pair score.  So each lambda's labels are the ones a
+single-lambda run gives (tested).
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .entailment import combined_score, th1
 from .errors import ConfigError, DatasetError
 from .ingest import ClaimRecord, VerdictLabel, label_set
 from .similarity import SimilarityBackend
 from .smatch import AlignConfig
-from .verdict import PairComponents, precompute_pair_components, verdict_at
+from .verdict import PairComponents, classify, precompute_pair_components
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,10 @@ def predictions_at_lambda(records: list[ClaimRecord],
                           components: dict[str, list[PairComponents]],
                           lam: float,
                           empty_evidence: str = "error") -> list[VerdictLabel]:
-    return [verdict_at(r, components[r.claim_id], lam, empty_evidence).label
+    """Each record's label at *lam*: the label :func:`verdict_at` gives,
+    from the same decisions, without building its per-pair scores."""
+    return [classify(r, [th1(combined_score(lam, row.alignment.precision, row.cosine_sim))
+                         for row in components[r.claim_id]], empty_evidence)[1]
             for r in records]
 
 

@@ -274,11 +274,13 @@ def load_claims(path: str, dataset: str,
 def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, AmrGraph]:
     """Parse an ``{"id", "penman"}`` JSONL bundle into graphs, annotating
     parse failures and invalid graphs with the offending id and line.
-    With *ids*, only those rows' graphs are parsed; every row's id and type
-    are still checked."""
+    Each distinct Penman text is parsed once, and every row holding it gets
+    the same (immutable) graph object.  With *ids*, only those rows' graphs
+    are parsed; every row's id and type are still checked."""
     wanted = None if ids is None else set(ids)
     seen: set[str] = set()
     bundle: dict[str, AmrGraph] = {}
+    parsed: dict[str, AmrGraph] = {}  # Penman text -> its graph
     rows = _records(path, lambda raw, lineno: (
         lineno, _id(raw["id"], "bundle id"), _typed(raw["penman"], str, "penman")))
     for lineno, rid, text in rows:
@@ -287,10 +289,13 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
         seen.add(rid)
         if wanted is not None and rid not in wanted:
             continue
-        try:
-            bundle[rid] = parse_penman(text)
-        except (PenmanParseError, GraphError) as exc:
-            raise DatasetError(f"bundle id {rid!r}: {exc} ({path}:{lineno})")
+        graph = parsed.get(text)
+        if graph is None:
+            try:
+                graph = parsed[text] = parse_penman(text)
+            except (PenmanParseError, GraphError) as exc:
+                raise DatasetError(f"bundle id {rid!r}: {exc} ({path}:{lineno})")
+        bundle[rid] = graph
     return bundle
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 import zlib
 from collections.abc import Iterable
@@ -266,5 +267,6 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     norms = norm_a * norm_b
     if not math.isfinite(norms):
         raise SimilarityError("cosine overflow: vector norms too large for floats")
-    dot = sum(p * q for p, q in zip(x, y))
+    # The products of zip(x, y), added in the same order, at C speed.
+    dot = sum(map(operator.mul, x, y))
     return dot / norms

@@ -67,6 +67,64 @@ class AlignConfig:
     include_top: bool = True
 
 
+def _premise_half(premise: AmrGraph, include_top: bool) -> tuple:
+    """The premise's tables: its concepts, triple total, relation counter,
+    ``(kind, role, value) -> {variable: multiplicity}`` index, edges by
+    role, and the variables each role leaves and enters."""
+    triples = extract_triples(premise, include_top)
+    rel: Counter = Counter()
+    unary: dict[tuple[str, str, str], dict[str, int]] = defaultdict(dict)
+    for kind, var, role, value in triples:
+        if kind == "relation":
+            rel[(var, role, value)] += 1
+        else:
+            counts = unary[(kind, role, value)]
+            counts[var] = counts.get(var, 0) + 1
+    edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    for s, r, t in rel:
+        edges_by_role[r].append((s, t))
+    leaves = {r: {s for s, _t in ends} for r, ends in edges_by_role.items()}
+    enters = {r: {t for _s, t in ends} for r, ends in edges_by_role.items()}
+    return (premise.nodes, len(triples), rel, dict(unary), dict(edges_by_role),
+            leaves, enters)
+
+
+def _claim_half(hypothesis: AmrGraph, include_top: bool) -> tuple:
+    """The claim's tables: its concepts, variables, triple total,
+    ``variable -> {(kind, role, value): multiplicity}`` index, distinct
+    edges with their multiplicities, and each variable's incident edges as
+    indices into them."""
+    triples = extract_triples(hypothesis, include_top)
+    rel: Counter = Counter()
+    unary: dict[str, dict[tuple[str, str, str], int]] = {v: {} for v in hypothesis.nodes}
+    for kind, var, role, value in triples:
+        if kind == "relation":
+            rel[(var, role, value)] += 1
+        else:
+            counts, key = unary[var], (kind, role, value)
+            counts[key] = counts.get(key, 0) + 1
+    edges = list(rel)
+    edges_at: dict[str, list[int]] = {v: [] for v in hypothesis.nodes}
+    for i, (s, _r, t) in enumerate(edges):
+        edges_at[s].append(i)
+        edges_at[t].append(i)
+    return (hypothesis.nodes, list(hypothesis.nodes), len(triples), unary, edges,
+            list(rel.values()), edges_at)
+
+
+def _half(build, graph: AmrGraph, include_top: bool, tables: dict | None) -> tuple:
+    """``build(graph, include_top)``, or the half kept in *tables* by an
+    earlier call for the same graph object; the entry holds the graph, so
+    its id is not reused while *tables* lives."""
+    if tables is None:
+        return build(graph, include_top)
+    key = (build, id(graph), include_top)
+    entry = tables.get(key)
+    if entry is None:
+        entry = tables[key] = (graph, build(graph, include_top))
+    return entry[1]
+
+
 class _MatchContext:
     """Both graphs' triples, from ``extract_triples``, as alignment tables.
 
@@ -80,47 +138,21 @@ class _MatchContext:
     occurring ``hyp_mult[i]`` times.  An injective mapping sends distinct
     edges to distinct images, so an edge whose image the premise holds p
     times matches ``min(hyp_mult[i], p)`` times.
+
+    Each graph's tables depend on that graph alone: a premise half
+    (:func:`_premise_half`) and a claim half (:func:`_claim_half`), which a
+    caller aligning many pairs may keep in *tables* across contexts.  Only
+    the ``unary`` and ``bound`` rows are built per pair.
     """
 
-    def __init__(self, premise: AmrGraph, hypothesis: AmrGraph, include_top: bool):
-        self.prem_concepts = premise.nodes
-        self.hyp_nodes = hypothesis.nodes
-        self.hyp_vars = list(hypothesis.nodes)
-        prem_triples = extract_triples(premise, include_top)
-        hyp_triples = extract_triples(hypothesis, include_top)
-        self.prem_total = len(prem_triples)
-        self.hyp_total = len(hyp_triples)
-        self.prem_rel: Counter = Counter()
-        # (kind, role, value) -> {premise variable: multiplicity}
-        prem_unary: dict[tuple[str, str, str], dict[str, int]] = defaultdict(dict)
-        for kind, var, role, value in prem_triples:
-            if kind == "relation":
-                self.prem_rel[(var, role, value)] += 1
-            else:
-                counts = prem_unary[(kind, role, value)]
-                counts[var] = counts.get(var, 0) + 1
-        hyp_rel: Counter = Counter()
-        hyp_unary: dict[str, dict[tuple[str, str, str], int]] = defaultdict(dict)
-        for kind, var, role, value in hyp_triples:
-            if kind == "relation":
-                hyp_rel[(var, role, value)] += 1
-            else:
-                counts, key = hyp_unary[var], (kind, role, value)
-                counts[key] = counts.get(key, 0) + 1
-        self.hyp_edges: list[tuple[str, str, str]] = list(hyp_rel)
-        self.hyp_mult: list[int] = list(hyp_rel.values())
-        # Indices into hyp_edges of the edges incident to each hypothesis
-        # variable, for gain bookkeeping.
-        self.hyp_edges_at: dict[str, list[int]] = defaultdict(list)
-        for i, (s, _r, t) in enumerate(self.hyp_edges):
-            self.hyp_edges_at[s].append(i)
-            self.hyp_edges_at[t].append(i)
-        self.prem_edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        for s, r, t in self.prem_rel:
-            self.prem_edges_by_role[r].append((s, t))
-        # The premise variables each role leaves and enters.
-        leaves = {r: {s for s, _t in ends} for r, ends in self.prem_edges_by_role.items()}
-        enters = {r: {t for _s, t in ends} for r, ends in self.prem_edges_by_role.items()}
+    def __init__(self, premise: AmrGraph, hypothesis: AmrGraph, include_top: bool,
+                 tables: dict | None = None):
+        (self.prem_concepts, self.prem_total, self.prem_rel, prem_unary,
+         self.prem_edges_by_role, leaves, enters) = _half(
+            _premise_half, premise, include_top, tables)
+        (self.hyp_nodes, self.hyp_vars, self.hyp_total, hyp_unary, self.hyp_edges,
+         self.hyp_mult, self.hyp_edges_at) = _half(
+            _claim_half, hypothesis, include_top, tables)
         # bound[hv][pv]: the most triples mapping hv -> pv can ever match:
         # unary[hv][pv] plus each incident edge's multiplicity when its role
         # leaves (hv the source) or enters (hv the target) pv in the
@@ -398,7 +430,7 @@ def _canonicalize(ctx: _MatchContext, m: dict[str, str]) -> dict[str, str]:
 
 def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
                      restarts: int = 4, seed: int = 0,
-                     include_top: bool = True) -> SmatchResult:
+                     include_top: bool = True, tables: dict | None = None) -> SmatchResult:
     """Best alignment over at most *restarts* hill-climbing runs.
 
     The first restart starts from a concept-match-greedy mapping, the rest
@@ -406,11 +438,13 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     move, swap or edge planting until no gain.  Deterministic for a fixed
     seed.  The runs stop once the best count reaches ``_upper_bound``:
     a later run could only tie, and a tie never replaces the first best,
-    so the result is the one all *restarts* runs give.
+    so the result is the one all *restarts* runs give.  *tables*, a dict
+    the caller keeps for a batch, shares each graph's half of the
+    alignment tables between the batch's pairs (see :class:`_MatchContext`).
     """
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
-    ctx = _MatchContext(premise, hypothesis, include_top)
+    ctx = _MatchContext(premise, hypothesis, include_top, tables)
     rng = random.Random(seed)
     best_m: dict[str, str] | None = None
     best_count = -1

@@ -139,7 +139,9 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     raised while that pair is embedded, keeps its type and is prefixed
     with ``names[i]`` when given.  The alignments run in this process
     unless :func:`worker_count` gives more than one worker for *jobs* and
-    the pairs' work, ``|claim nodes|² × |evidence nodes|`` each.
+    the pairs' work, ``|claim nodes|² × |evidence nodes|`` each; in this
+    process each graph's alignment tables are built once per call, and a
+    worker builds them per pair.
     """
     texts = iter(dict.fromkeys(text for p in pairs for text in (p[0], p[2])))
     sims = []
@@ -151,14 +153,17 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
             if names:
                 exc.args = (f"{names[i]}: {exc}",)
             raise
-    columns = ([p[1] for p in pairs], [p[3] for p in pairs],
-               [cfg.restarts] * len(pairs), [p[4] for p in pairs],
-               [cfg.include_top] * len(pairs))
     work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
     workers = worker_count(jobs, work, usable_cpus())
     if workers == 1:
-        alignments = list(map(align_hill_climb, *columns))
+        tables: dict = {}
+        alignments = [align_hill_climb(ev_graph, claim_graph, cfg.restarts, seed,
+                                       cfg.include_top, tables)
+                      for _, ev_graph, _, claim_graph, seed in pairs]
     else:
+        columns = ([p[1] for p in pairs], [p[3] for p in pairs],
+                   [cfg.restarts] * len(pairs), [p[4] for p in pairs],
+                   [cfg.include_top] * len(pairs))
         # Imported here: a serial run need not pay for loading them.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -198,22 +203,29 @@ def precompute_pair_components(records, backend: SimilarityBackend,
     return components
 
 
-def verdict_at(record, rows: list[PairComponents], lam: float,
-               empty_evidence: str = "error") -> ClaimVerdict:
-    """Blend *record*'s pair components at *lam*, aggregate and classify.
-    No usable evidence is an error, or N under ``label-N`` *empty_evidence*."""
-    if not rows:
+def classify(record, decisions: list[int],
+             empty_evidence: str = "error") -> tuple[Fraction, VerdictLabel]:
+    """The mean of *record*'s pair *decisions* (:func:`aggregate`) and the
+    label it gives.  No decision is an error, or N at mean 0 under
+    ``label-N`` *empty_evidence*."""
+    if not decisions:
         if empty_evidence == "label-N":
-            return ClaimVerdict(claim_id=record.claim_id, e_value=Fraction(0),
-                                label=VerdictLabel("N", record.dataset),
-                                per_evidence=())
+            return Fraction(0), VerdictLabel("N", record.dataset)
         raise DatasetError(
             f"claim {record.claim_id!r} has no usable evidence after filtering")
+    e = aggregate(decisions)
+    return e, th2(e, record.dataset)
+
+
+def verdict_at(record, rows: list[PairComponents], lam: float,
+               empty_evidence: str = "error") -> ClaimVerdict:
+    """Blend *record*'s pair components at *lam*, aggregate and classify
+    (:func:`classify`)."""
     pairs = tuple(PairScore(row.evidence_id, blend(lam, row.alignment, row.cosine_sim))
                   for row in rows)
-    e = aggregate([p.score.decision for p in pairs])
-    return ClaimVerdict(claim_id=record.claim_id, e_value=e,
-                        label=th2(e, record.dataset), per_evidence=pairs)
+    e, label = classify(record, [p.score.decision for p in pairs], empty_evidence)
+    return ClaimVerdict(claim_id=record.claim_id, e_value=e, label=label,
+                        per_evidence=pairs)
 
 
 def verify_claim(record, lam: float, backend: SimilarityBackend,

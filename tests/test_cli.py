@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
@@ -21,14 +22,14 @@ from amrex.config import RunConfig, apply_env, load_config_file
 from amrex.errors import ConfigError, DatasetError
 from amrex.evaluation import lambda_sweep
 from amrex.graph import parse_penman, serialize_penman
-from amrex.ingest import AVERITEC, iter_claims, load_claims
+from amrex.ingest import AVERITEC, iter_claims, load_amr_bundle, load_claims
 from amrex.smatch import AlignConfig, align_hill_climb
-from amrex.verdict import (_WORK_PER_WORKER, precompute_pair_components,
+from amrex.verdict import (_WORK_PER_WORKER, classify, precompute_pair_components,
                            score_pairs, usable_cpus, verdict_at, verify_claim,
                            worker_count)
 
 from _fixtures import (JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
-                       RABIES_EVIDENCE, RABIES_MAPPING, field_paths)
+                       RABIES_EVIDENCE, RABIES_MAPPING, field_paths, random_graph)
 from test_explain import _GenerateHandler, generate_server
 
 
@@ -201,6 +202,51 @@ def test_parallel_matches_serial_byte_for_byte(fever_files, tmp_path, command):
                                 "--seed", "11", "--jobs", jobs]) == 0
         outputs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outputs["1"] and outputs["0"] == outputs["1"] == outputs["8"]
+
+
+def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
+    """Rows with one Penman text share one graph, and a serial batch keeps
+    each graph's alignment tables across its pairs, a claim whose evidence
+    has its own text included.  verify writes the same bytes at --jobs 1
+    and --jobs 2, and as when every row's text is distinct (leading spaces
+    that parse to equal graphs)."""
+    rng = random.Random(21)
+    pool = [serialize_penman(random_graph(rng, max_nodes=7)) for _ in range(4)]
+    claims, amrs = [], []
+    for i in range(12):
+        cid = f"c{i}"
+        amrs.append((cid, rng.choice(pool)))
+        evidence = []
+        for j in range(rng.randint(1, 3)):
+            eid = f"{cid}-e{j}"
+            # Every third claim's first evidence has the claim's text.
+            amrs.append((eid, amrs[-1][1] if j == 0 and i % 3 == 0
+                         else rng.choice(pool)))
+            evidence.append({"id": eid, "text": f"evidence {rng.randrange(5)}"})
+        claims.append({"claim_id": cid, "claim": f"claim {i % 4}",
+                       "label": rng.choice(["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"]),
+                       "evidence": evidence})
+    claims_path = tmp_path / "claims.jsonl"
+    claims_path.write_text("".join(json.dumps(r) + "\n" for r in claims))
+    shared = tmp_path / "shared.jsonl"
+    shared.write_text("".join(json.dumps({"id": rid, "penman": text}) + "\n"
+                              for rid, text in amrs))
+    distinct = tmp_path / "distinct.jsonl"
+    distinct.write_text("".join(json.dumps({"id": rid, "penman": " " * k + text}) + "\n"
+                                for k, (rid, text) in enumerate(amrs)))
+    graphs = load_amr_bundle(str(shared))
+    assert len({id(g) for g in graphs.values()}) == len(set(pool)) < len(graphs)
+    assert graphs["c0"] is graphs["c0-e0"]
+    outputs = []
+    for bundle, jobs in ((shared, "1"), (shared, "2"), (distinct, "1")):
+        out = tmp_path / f"{bundle.stem}-{jobs}.jsonl"
+        assert dispatch(["verify", "--dataset", "fever", "--claims", str(claims_path),
+                         "--amrs", str(bundle), "--backend", "test:dim=64",
+                         "--seed", "5", "--lambda", "0.5", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert len(outputs[0].splitlines()) == 12
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_explicit_jobs_starts_a_pool_and_the_default_does_not(
@@ -1062,7 +1108,7 @@ def test_library_defaults_are_the_run_config_defaults():
         "seed": (align_hill_climb, precompute_pair_components, lambda_sweep,
                  verify_claim),
         "jobs": (score_pairs, precompute_pair_components, lambda_sweep),
-        "empty_evidence": (verdict_at, verify_claim, lambda_sweep),
+        "empty_evidence": (verdict_at, verify_claim, lambda_sweep, classify),
         "question_mode": (iter_claims, load_claims),
     }
     defaults = RunConfig()

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -10,8 +12,10 @@ from amrex.evaluation import (lambda_sweep, precompute_pair_components,
 from amrex.graph import parse_penman
 from amrex.ingest import ClaimRecord, EvidenceItem
 from amrex.similarity import DeterministicTestBackend
-from amrex.smatch import AlignConfig
-from amrex.verdict import FEVER, AVERITEC, VerdictLabel, verify_claim
+from amrex.entailment import ENTAILMENT_THRESHOLD, combined_score
+from amrex.smatch import AlignConfig, SmatchResult, VariableMapping
+from amrex.verdict import (FEVER, AVERITEC, PairComponents, VerdictLabel, verdict_at,
+                           verify_claim)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, WISH_CLAIM, WISH_EVIDENCE)
@@ -98,6 +102,53 @@ def test_sweep_matches_verify_claim():
     direct = [verify_claim(r, 0.5, backend, AlignConfig(), seed=3).label
               for r in records]
     assert pred == direct
+
+
+def _components(smatch_p: float, cosine_sim: float, evidence_id: str) -> PairComponents:
+    """A pair's components with only the two scores the blend reads."""
+    alignment = SmatchResult(mapping=VariableMapping(()), matched=0, hyp_total=1,
+                             prem_total=1, precision=smatch_p, recall=0.0, f1=0.0)
+    return PairComponents(evidence_id, alignment, cosine_sim)
+
+
+def test_sweep_labels_are_verdict_at_labels_on_built_components():
+    """The sweep labels from decision sums without verdict_at: on pairs
+    built directly, some with f exactly at the threshold, its labels at
+    every lambda of 0:1:0.05 are verdict_at's, and a claim with no pair is
+    N under label-N and the same error under error."""
+    rng = random.Random(21)
+    scores = [0.0, 0.25, 0.5, 0.6, 0.7, 0.8, 1.0]
+    grid = list(itertools.product(scores, repeat=2))
+    records, components = [], {}
+    for i in range(60):
+        dataset = (FEVER, AVERITEC)[i % 2]
+        cid = f"c{i}"
+        records.append(ClaimRecord(claim_id=cid, claim_text="claim", dataset=dataset,
+                                   gold_label=VerdictLabel("N", dataset)))
+        components[cid] = [_components(*rng.choice(grid), f"{cid}-e{j}")
+                           for j in range(rng.randint(1, 5))]
+    lambdas = sweep_range("0:1:0.05")
+    at_threshold = sum(combined_score(lam, row.alignment.precision, row.cosine_sim)
+                       == ENTAILMENT_THRESHOLD
+                       for lam in lambdas for rows in components.values() for row in rows)
+    assert at_threshold > 0
+    empty = ClaimRecord(claim_id="c-empty", claim_text="claim", dataset=AVERITEC,
+                        gold_label=VerdictLabel("N", AVERITEC))
+    seen = set()
+    for lam in lambdas:
+        pred = predictions_at_lambda(records, components, lam)
+        assert pred == [verdict_at(r, components[r.claim_id], lam).label
+                        for r in records]
+        seen.update(label.value for label in pred)
+        assert predictions_at_lambda(
+            [*records, empty], {**components, "c-empty": []}, lam,
+            "label-N") == [*pred, VerdictLabel("N", AVERITEC)]
+        with pytest.raises(DatasetError) as swept:
+            predictions_at_lambda([empty], {"c-empty": []}, lam)
+        with pytest.raises(DatasetError) as direct:
+            verdict_at(empty, [], lam)
+        assert str(swept.value) == str(direct.value)
+    assert seen == {"S", "R", "N", "C"}
 
 
 def test_sweep_lambda_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrex.errors import DatasetError
+from amrex.graph import parse_penman
 from amrex.ingest import (REFERENCE_LABEL_COUNTS, iter_claims, join_amrs,
                           label_counts, load_amr_bundle, load_claims,
                           write_normalized)
@@ -180,6 +181,48 @@ def test_amr_bundle_graph_error_names_id_and_line(tmp_path):
     with pytest.raises(DatasetError) as exc:
         load_amr_bundle(path)
     assert str(exc.value) == f"bundle id 'c1': edge cycle through 'a' ({path}:2)"
+
+
+def _counting_parser(monkeypatch):
+    """Texts passed to the bundle loader's parser, in call order."""
+    texts = []
+
+    def parse(text):
+        texts.append(text)
+        return parse_penman(text)
+
+    monkeypatch.setattr("amrex.ingest.parse_penman", parse)
+    return texts
+
+
+def test_amr_bundle_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    parsed = _counting_parser(monkeypatch)
+    rows = [{"id": "c1", "penman": MARNIE_CLAIM}, {"id": "e1", "penman": MARNIE_EVIDENCE},
+            {"id": "c2", "penman": MARNIE_CLAIM}, {"id": 7, "penman": MARNIE_CLAIM}]
+    bundle = load_amr_bundle(_write_jsonl(tmp_path / "amrs.jsonl", rows))
+    assert parsed == [MARNIE_CLAIM, MARNIE_EVIDENCE]
+    assert bundle["c1"] is bundle["c2"] is bundle["7"]
+    assert bundle["e1"] is not bundle["c1"]
+    assert list(bundle) == ["c1", "e1", "c2", "7"]
+
+
+def test_amr_bundle_repeated_bad_text_names_the_first_row(tmp_path):
+    rows = [{"id": "ok", "penman": "(x/a)"}, {"id": "bad-1", "penman": "(x/a :mod"},
+            {"id": "bad-2", "penman": "(x/a :mod"}]
+    path = _write_jsonl(tmp_path / "amrs.jsonl", rows)
+    with pytest.raises(DatasetError, match=r"^bundle id 'bad-1': .*\(" + re.escape(path)
+                       + r":2\)$"):
+        load_amr_bundle(path)
+
+
+def test_amr_bundle_ids_parse_only_the_wanted_rows(tmp_path, monkeypatch):
+    parsed = _counting_parser(monkeypatch)
+    rows = [{"id": "c1", "penman": MARNIE_CLAIM}, {"id": "bad", "penman": "(x/a :mod"},
+            {"id": "e1", "penman": MARNIE_EVIDENCE}, {"id": "c2", "penman": MARNIE_CLAIM}]
+    path = _write_jsonl(tmp_path / "amrs.jsonl", rows)
+    bundle = load_amr_bundle(path, ids=["c2", "e1"])
+    assert parsed == [MARNIE_EVIDENCE, MARNIE_CLAIM]
+    assert list(bundle) == ["e1", "c2"]
 
 
 def test_join_amrs_strict_lists_missing_ids(tmp_path):

@@ -119,6 +119,34 @@ def test_cosine_with_cached_norms_is_the_uncached_formula(pair):
             assert cosine(b, a) == _uncached_cosine(b, a)
 
 
+_TINY = st.floats(min_value=-1e-160, max_value=1e-160)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two vectors of up to 64 dimensions; each is, at random, of normal
+    size, too small to square (so ``_scaled`` rescales it), or mixed."""
+    n = draw(st.integers(1, 64))
+    scales = {"normal": _components, "tiny": _TINY, "mixed": _ANY_SCALE}
+    return tuple(EmbeddingVector(draw(st.lists(scales[draw(st.sampled_from(sorted(scales)))],
+                                               min_size=n, max_size=n)))
+                 for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_pairs())
+def test_cosine_dot_product_is_the_zip_sum_bit_for_bit(pair):
+    """cosine adds the same products in the same order as the written-out
+    ``sum(p * q for p, q in zip(x, y))`` over the (possibly rescaled)
+    values, so the float is the same."""
+    a, b = pair
+    (x, norm_a), (y, norm_b) = a._scaled, b._scaled
+    assume(norm_a and norm_b and math.isfinite(norm_a * norm_b))
+    if max(map(abs, a.values)) < 1e-156:
+        assert x != a.values  # rescaled
+    assert cosine(a, b) == sum(p * q for p, q in zip(x, y)) / (norm_a * norm_b)
+
+
 def test_cosine_with_cached_norms_of_an_underflowing_vector():
     tiny, one = EmbeddingVector((1e-200, 1e-200)), EmbeddingVector((1.0, 1.0))
     for _ in range(2):

@@ -487,6 +487,39 @@ def test_bound_is_the_per_variable_formula(premise, hypothesis):
         assert ctx.bound == _literal_bound(premise, hypothesis, include_top)
 
 
+def _random_mapping(rng, premise, hypothesis):
+    """A random injective partial mapping of *hypothesis* onto *premise*."""
+    images = rng.sample(list(premise.nodes), len(premise.nodes))
+    return {hv: pv for hv, pv in zip(hypothesis.nodes, images) if rng.random() < 0.7}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs("p", 6), _graphs("h", 5), _graphs("p", 4), st.randoms(use_true_random=False))
+def test_contexts_from_kept_halves_equal_fresh_ones(a, b, c, rng):
+    """A batch keeps each graph's half of the tables in one dict across
+    pairs: every context composed from kept halves, a graph against itself
+    (one object in both roles) included, has the tables, counts and
+    alignment of one built afresh, and the halves are built once."""
+    tables: dict = {}
+    graphs = (a, b, c)
+    for premise, hypothesis in itertools.product(graphs, repeat=2):
+        for include_top in (True, False):
+            kept = _MatchContext(premise, hypothesis, include_top, tables)
+            fresh = _MatchContext(premise, hypothesis, include_top)
+            assert vars(kept) == vars(fresh)
+            for _ in range(3):
+                m = _random_mapping(rng, premise, hypothesis)
+                assert kept.count(m) == fresh.count(m)
+            seed = rng.randrange(100)
+            assert (align_hill_climb(premise, hypothesis, 2, seed, include_top, tables)
+                    == align_hill_climb(premise, hypothesis, 2, seed, include_top))
+    # One premise half and one claim half per graph and include_top.
+    assert len(tables) == 2 * len(graphs) * 2
+    again = _MatchContext(a, a, True, tables)
+    assert again.prem_rel is _MatchContext(a, b, True, tables).prem_rel
+    assert again.hyp_edges is _MatchContext(b, a, True, tables).hyp_edges
+
+
 def test_gain_caps_duplicate_edges_at_the_premise_count():
     # Two equal hypothesis edges land on the one premise edge: one match.
     premise = _unchecked_graph({"p0": "a", "p1": "c"}, [("p0", "ARG0", "p1")])
