@@ -18,6 +18,7 @@ import random
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ConfigError, GraphError, MappingError
 from .graph import AmrGraph, extract_triples
@@ -70,7 +71,9 @@ class AlignConfig:
 def _premise_half(premise: AmrGraph, include_top: bool) -> tuple:
     """The premise's tables: its concepts, triple total, relation counter,
     ``(kind, role, value) -> {variable: multiplicity}`` index, edges by
-    role, and the variables each role leaves and enters."""
+    role, the variables each role leaves and enters, and the edge indexes
+    ``(role, target) -> {source: multiplicity}`` and ``(role, source) ->
+    {target: multiplicity}``."""
     triples = extract_triples(premise, include_top)
     rel: Counter = Counter()
     unary: dict[tuple[str, str, str], dict[str, int]] = defaultdict(dict)
@@ -81,19 +84,24 @@ def _premise_half(premise: AmrGraph, include_top: bool) -> tuple:
             counts = unary[(kind, role, value)]
             counts[var] = counts.get(var, 0) + 1
     edges_by_role: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for s, r, t in rel:
+    sources: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
+    targets: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
+    for (s, r, t), p in rel.items():
         edges_by_role[r].append((s, t))
+        sources[(r, t)][s] = p
+        targets[(r, s)][t] = p
     leaves = {r: {s for s, _t in ends} for r, ends in edges_by_role.items()}
     enters = {r: {t for _s, t in ends} for r, ends in edges_by_role.items()}
     return (premise.nodes, len(triples), rel, dict(unary), dict(edges_by_role),
-            leaves, enters)
+            leaves, enters, dict(sources), dict(targets))
 
 
 def _claim_half(hypothesis: AmrGraph, include_top: bool) -> tuple:
     """The claim's tables: its concepts, variables, triple total,
     ``variable -> {(kind, role, value): multiplicity}`` index, distinct
-    edges with their multiplicities, and each variable's incident edges as
-    indices into them."""
+    edges with their multiplicities, each variable's incident edges as
+    indices into them, and the edges between each two variables, under
+    both orders of the pair."""
     triples = extract_triples(hypothesis, include_top)
     rel: Counter = Counter()
     unary: dict[str, dict[tuple[str, str, str], int]] = {v: {} for v in hypothesis.nodes}
@@ -105,11 +113,14 @@ def _claim_half(hypothesis: AmrGraph, include_top: bool) -> tuple:
             counts[key] = counts.get(key, 0) + 1
     edges = list(rel)
     edges_at: dict[str, list[int]] = {v: [] for v in hypothesis.nodes}
+    between: dict[tuple[str, str], list[int]] = defaultdict(list)
     for i, (s, _r, t) in enumerate(edges):
         edges_at[s].append(i)
         edges_at[t].append(i)
+        between[(s, t)].append(i)
+        between[(t, s)].append(i)
     return (hypothesis.nodes, list(hypothesis.nodes), len(triples), unary, edges,
-            list(rel.values()), edges_at)
+            list(rel.values()), edges_at, dict(between))
 
 
 def _half(build, graph: AmrGraph, include_top: bool, tables: dict | None) -> tuple:
@@ -139,6 +150,12 @@ class _MatchContext:
     edges to distinct images, so an edge whose image the premise holds p
     times matches ``min(hyp_mult[i], p)`` times.
 
+    The climber's match tables (:func:`_match_tables`) read the premise's
+    edges through ``prem_sources[(role, target)]`` and
+    ``prem_targets[(role, source)]``, each ``{variable: multiplicity}``,
+    and the claim edges between two variables through
+    ``hyp_between[(a, b)]``, keyed by both orders of the pair.
+
     Each graph's tables depend on that graph alone: a premise half
     (:func:`_premise_half`) and a claim half (:func:`_claim_half`), which a
     caller aligning many pairs may keep in *tables* across contexts.  Only
@@ -148,10 +165,10 @@ class _MatchContext:
     def __init__(self, premise: AmrGraph, hypothesis: AmrGraph, include_top: bool,
                  tables: dict | None = None):
         (self.prem_concepts, self.prem_total, self.prem_rel, prem_unary,
-         self.prem_edges_by_role, leaves, enters) = _half(
-            _premise_half, premise, include_top, tables)
+         self.prem_edges_by_role, leaves, enters, self.prem_sources,
+         self.prem_targets) = _half(_premise_half, premise, include_top, tables)
         (self.hyp_nodes, self.hyp_vars, self.hyp_total, hyp_unary, self.hyp_edges,
-         self.hyp_mult, self.hyp_edges_at) = _half(
+         self.hyp_mult, self.hyp_edges_at, self.hyp_between) = _half(
             _claim_half, hypothesis, include_top, tables)
         # bound[hv][pv]: the most triples mapping hv -> pv can ever match:
         # unary[hv][pv] plus each incident edge's multiplicity when its role
@@ -239,30 +256,13 @@ def _place(m: dict[str, str], inv: dict[str, str], changes: dict[str, str | None
         changes[occupant] = vacated
 
 
-def _neighbours(ctx: _MatchContext, m: dict[str, str]) -> Iterator[dict[str, str | None]]:
-    """Yield every neighbour of *m* as a change set ``{hv: new pv or None}``,
-    in search order.
-
-    First single moves (each hypothesis variable to each free premise
-    variable), then swaps of two hypothesis variables with different
-    images, then edge plantings: for a hypothesis edge and a premise edge
-    with the same role, map both endpoints onto the premise edge in one
-    step.  The coordinated move is what lets a relation match be reached
-    when neither endpoint alone gains anything.  Unmapping a variable
-    alone never gains, so it is no move; a swap or planting may still
-    unmap the variable it displaces.
-    """
-    inv = {pv: hv for hv, pv in m.items()}
-    for hv in ctx.hyp_vars:
-        for pv in ctx.prem_concepts:
-            if pv not in inv:
-                yield {hv: pv}
-    for i, h1 in enumerate(ctx.hyp_vars):
-        for h2 in ctx.hyp_vars[i + 1:]:
-            p1, p2 = m.get(h1), m.get(h2)
-            if p1 == p2:
-                continue
-            yield {h1: p2, h2: p1}
+def _plantings(ctx: _MatchContext, m: dict[str, str],
+               inv: dict[str, str]) -> Iterator[dict[str, str | None]]:
+    """Yield *m*'s edge plantings as change sets ``{hv: new pv or None}``,
+    in search order: for a hypothesis edge and a premise edge with the same
+    role, map both endpoints onto the premise edge in one step.  The
+    coordinated move is what lets a relation match be reached when neither
+    endpoint alone gains anything.  *inv* is *m*'s inverse."""
     for s, r, t in ctx.hyp_edges:
         for ps, pt in ctx.prem_edges_by_role.get(r, ()):
             if m.get(s) == ps and m.get(t) == pt:
@@ -276,7 +276,9 @@ def _neighbours(ctx: _MatchContext, m: dict[str, str]) -> Iterator[dict[str, str
 
 def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None]) -> int:
     """``count(m + changes) - count(m)`` from the changed variables' unary
-    entries and incident edges."""
+    entries and incident edges: the step score of :func:`_canonicalize`
+    and :func:`align_exhaustive`, and the oracle of the climber's
+    :func:`_table_gain`."""
     gain = 0
     unary, prem_rel, mult = ctx.unary, ctx.prem_rel, ctx.hyp_mult
     edges: list[int] = []
@@ -300,32 +302,173 @@ def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None])
     return gain
 
 
+def _match_tables(ctx: _MatchContext, m: dict[str, str]) -> dict[str, dict[str | None, int]]:
+    """The climb's match tables under *m*: ``score[hv][pv]`` is what hv's
+    own triples match with hv at pv and every other variable at its image,
+    ``unary[hv][pv]`` plus ``min(n, p)`` for each distinct incident edge,
+    where p is the premise count of the edge's image (0 while its other
+    endpoint is unmapped)."""
+    sources, targets, edges, mult = (ctx.prem_sources, ctx.prem_targets,
+                                     ctx.hyp_edges, ctx.hyp_mult)
+    score = {}
+    for hv in ctx.hyp_vars:
+        row = score[hv] = dict(ctx.unary[hv])
+        for i in ctx.hyp_edges_at[hv]:
+            s, r, t = edges[i]
+            ends = sources.get((r, m.get(t))) if s == hv else targets.get((r, m.get(s)))
+            if ends:
+                n = mult[i]
+                for pv, p in ends.items():
+                    row[pv] += n if n < p else p
+    return score
+
+
+def _crossed(ctx: _MatchContext, i: int, old_s: str | None, old_t: str | None,
+             new_s: str | None, new_t: str | None) -> int:
+    """The correction for claim edge *i* when both its endpoints move: its
+    match at both new images, less the two matches the endpoints' row
+    differences each count with the other endpoint left in place, plus its
+    match at both old images, which both differences subtract."""
+    r, n, get = ctx.hyp_edges[i][1], ctx.hyp_mult[i], ctx.prem_rel.get
+    crossed = 0
+    if p := get((new_s, r, new_t)):
+        crossed += n if n < p else p
+    if p := get((new_s, r, old_t)):
+        crossed -= n if n < p else p
+    if p := get((old_s, r, new_t)):
+        crossed -= n if n < p else p
+    if p := get((old_s, r, old_t)):
+        crossed += n if n < p else p
+    return crossed
+
+
+def _table_gain(ctx: _MatchContext, score: dict, m: dict[str, str],
+                changes: dict[str, str | None]) -> int:
+    """``_gain(ctx, m, changes)`` read from *m*'s match tables: the changed
+    variables' row differences, plus :func:`_crossed` for each claim edge
+    between two changed variables.  A graph is a rooted DAG, so no edge has
+    both ends on one variable."""
+    gain = 0
+    moved = []
+    for hv, new in changes.items():
+        old = m.get(hv)
+        if old != new:
+            row = score[hv]
+            gain += row[new] - row[old]
+            moved.append(hv)
+    if len(moved) > 1:
+        between, edges = ctx.hyp_between, ctx.hyp_edges
+        for pair in combinations(moved, 2):
+            for i in between.get(pair, ()):
+                s, _r, t = edges[i]
+                gain += _crossed(ctx, i, m.get(s), m.get(t), changes[s], changes[t])
+    return gain
+
+
+def _swap_gain(ctx: _MatchContext, score: dict, h1: str, p1: str | None,
+               h2: str, p2: str | None) -> int:
+    """The gain of swapping the images p1 of h1 and p2 of h2, read from the
+    match tables *score*: :func:`_table_gain` for ``{h1: p2, h2: p1}``
+    without building the change set."""
+    row1, row2 = score[h1], score[h2]
+    gain = row1[p2] - row1[p1] + row2[p1] - row2[p2]
+    for i in ctx.hyp_between.get((h1, h2), ()):
+        # Symmetric in the swapped images, so the edge's direction does not
+        # matter.
+        gain += _crossed(ctx, i, p1, p2, p2, p1)
+    return gain
+
+
+def _take(ctx: _MatchContext, score: dict, m: dict[str, str],
+          changes: dict[str, str | None]) -> None:
+    """Apply *changes* to *m* and keep *score* its match tables.  A row
+    reads only the images of its variable's claim neighbours, so only the
+    rows across the changed variables' incident edges move: each loses the
+    entries of the premise edges at the old image and gains those at the
+    new one."""
+    sources, targets, edges, mult = (ctx.prem_sources, ctx.prem_targets,
+                                     ctx.hyp_edges, ctx.hyp_mult)
+    for hv, new in changes.items():
+        old = m.get(hv)
+        if old == new:
+            continue
+        for i in ctx.hyp_edges_at[hv]:
+            s, r, t = edges[i]
+            n = mult[i]
+            if s == hv:
+                row, index = score[t], targets
+            else:
+                row, index = score[s], sources
+            for pv, p in index.get((r, old), {}).items():
+                row[pv] -= n if n < p else p
+            for pv, p in index.get((r, new), {}).items():
+                row[pv] += n if n < p else p
+        _assign(m, hv, new)
+
+
+def _best_step(ctx: _MatchContext, score: dict,
+               m: dict[str, str]) -> tuple[int, dict[str, str | None] | None]:
+    """The climber's step from *m*: the first neighbour in search order
+    with the largest strict gain, as ``(gain, change set)``, or ``(0,
+    None)`` at a local optimum.
+
+    The search order is single moves (each hypothesis variable to each
+    free premise variable), then swaps of two hypothesis variables with
+    different images, then :func:`_plantings`.  Unmapping a variable alone
+    never gains, so it is no move; a swap or planting may still unmap the
+    variable it displaces.  Single moves are read from the match tables
+    *score* and swaps through :func:`_swap_gain`, neither as a change set;
+    a swap or planting whose ``ctx.bound`` sum cannot beat the best gain so
+    far is not scored, as it could not be taken."""
+    bound, hyp_vars = ctx.bound, ctx.hyp_vars
+    images = [m.get(hv) for hv in hyp_vars]
+    inv = {pv: hv for hv, pv in m.items()}
+    free = [pv for pv in ctx.prem_concepts if pv not in inv]
+    best_gain = 0
+    best: dict[str, str | None] | None = None
+    if free:
+        for hv, p1 in zip(hyp_vars, images):
+            row = score[hv]
+            pv = max(free, key=row.__getitem__)  # the first of the largest
+            if row[pv] - row[p1] > best_gain:
+                best_gain, best = row[pv] - row[p1], {hv: pv}
+    for i, h1 in enumerate(hyp_vars):
+        p1, bound1 = images[i], bound[h1]
+        for j in range(i + 1, len(hyp_vars)):
+            p2 = images[j]
+            if p1 == p2:
+                continue
+            h2 = hyp_vars[j]
+            if bound1[p2] + bound[h2][p1] <= best_gain:
+                continue
+            gain = _swap_gain(ctx, score, h1, p1, h2, p2)
+            if gain > best_gain:
+                best_gain, best = gain, {h1: p2, h2: p1}
+    for changes in _plantings(ctx, m, inv):
+        ub = 0
+        for hv, pv in changes.items():
+            ub += bound[hv][pv]
+        if ub <= best_gain:
+            continue
+        gain = _table_gain(ctx, score, m, changes)
+        if gain > best_gain:
+            best_gain, best = gain, changes
+    return best_gain, best
+
+
 def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int]:
-    """Greedy local search until no gain: each step takes the first
-    neighbour with the largest strict gain.  Returns the mapping and its
-    count.  A neighbour whose ``ctx.bound`` sum cannot beat the step's best
-    gain so far is not scored: it could not be taken, so the step is the
-    same."""
-    bound = ctx.bound
+    """Greedy local search until no gain: each step takes
+    :func:`_best_step` and applies it with :func:`_take`, which keeps the
+    climb's match tables (:func:`_match_tables`, built once per climb)
+    exact for the new mapping.  Returns the mapping and its count."""
+    score = _match_tables(ctx, m)
     current = ctx.count(m)
     while True:
-        best_gain = 0
-        best: dict[str, str | None] | None = None
-        for changes in _neighbours(ctx, m):
-            ub = 0
-            for hv, pv in changes.items():
-                ub += bound[hv][pv]
-            if ub <= best_gain:
-                continue
-            gain = _gain(ctx, m, changes)
-            if gain > best_gain:
-                best_gain = gain
-                best = changes
+        gain, best = _best_step(ctx, score, m)
         if best is None:
             return m, current
-        for hv, pv in best.items():
-            _assign(m, hv, pv)
-        current += best_gain
+        _take(ctx, score, m, best)
+        current += gain
 
 
 def _max_assignment(weights: list[list[int]]) -> int:

@@ -30,6 +30,11 @@ from .smatch import AlignConfig, SmatchResult, align_hill_climb
 _TENTH = Fraction(1, 10)
 _HALF = Fraction(1, 2)
 
+# Each dataset's labels, built once: a VerdictLabel is frozen.
+_FEVER_S, _FEVER_R, _FEVER_N = (VerdictLabel(v, FEVER) for v in "SRN")
+_AVERITEC_S, _AVERITEC_R, _AVERITEC_N, _AVERITEC_C = (
+    VerdictLabel(v, AVERITEC) for v in "SRNC")
+
 
 @dataclass(frozen=True)
 class PairScore:
@@ -46,6 +51,8 @@ class ClaimVerdict:
 
 
 def _as_fraction(e) -> Fraction:
+    if type(e) is Fraction:  # the mean of every sweep; skips the ABC check
+        return e
     if isinstance(e, Rational):
         return Fraction(e)
     return Fraction(float(e))  # exact binary value of the float
@@ -64,21 +71,21 @@ def aggregate(decisions) -> Fraction:
 def th2_fever(e) -> VerdictLabel:
     e = _as_fraction(e)
     if e >= _TENTH:
-        return VerdictLabel("S", FEVER)
+        return _FEVER_S
     if e <= -_TENTH:
-        return VerdictLabel("R", FEVER)
-    return VerdictLabel("N", FEVER)
+        return _FEVER_R
+    return _FEVER_N
 
 
 def th2_averitec(e) -> VerdictLabel:
     e = _as_fraction(e)
     if e >= _HALF:
-        return VerdictLabel("S", AVERITEC)
+        return _AVERITEC_S
     if e <= -_HALF:
-        return VerdictLabel("R", AVERITEC)
+        return _AVERITEC_R
     if -_TENTH <= e <= _TENTH:
-        return VerdictLabel("N", AVERITEC)
-    return VerdictLabel("C", AVERITEC)
+        return _AVERITEC_N
+    return _AVERITEC_C
 
 
 def th2(e, dataset: str) -> VerdictLabel:
@@ -111,9 +118,11 @@ def usable_cpus() -> int:
 
 
 # Estimated alignment work (see worker_count) that pays for one more worker.
-# On 2 vCPUs serial alignment takes about 2 µs per unit and a spawned worker,
-# which imports amrex afresh, about 0.15 s to start; the seed-13 perfbench
-# workloads hold 145k-305k units, and each stays serial with a 1.6x margin.
+# On 2 vCPUs serial alignment takes about 0.6 µs per unit on the largest
+# seed-13 perfbench pairs (long-evidence) and up to 1.3 µs on the smallest
+# (averitec-sweep), where per-pair set-up weighs most; a spawned worker, which
+# imports amrex afresh, takes about 0.15 s to start.  The seed-13 workloads
+# hold 145k-305k units, and each stays serial with a 1.6x margin.
 _WORK_PER_WORKER = 500_000
 
 

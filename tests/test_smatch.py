@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from amrex.errors import ConfigError, GraphError, MappingError
 from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex import smatch
-from amrex.smatch import (VariableMapping, _assign, _gain, _MatchContext,
-                          _max_assignment, _neighbours, _upper_bound,
-                          align_exhaustive, align_hill_climb)
+from amrex.smatch import (VariableMapping, _assign, _best_step, _gain, _MatchContext,
+                          _match_tables, _max_assignment, _plantings, _swap_gain,
+                          _table_gain, _take, _upper_bound, align_exhaustive, align_hill_climb)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -376,6 +376,23 @@ def test_count_is_the_multiset_intersection_of_substituted_triples(graphs):
         assert ctx.count(m) == _literal_count(premise, hypothesis, m, include_top)
 
 
+def _neighbours(ctx, m):
+    """The climber's neighbourhood of *m* as change sets, in search order:
+    single moves and swaps, which ``_best_step`` reads from its match
+    tables without building them, then the plantings it scans."""
+    inv = {pv: hv for hv, pv in m.items()}
+    for hv in ctx.hyp_vars:
+        for pv in ctx.prem_concepts:
+            if pv not in inv:
+                yield {hv: pv}
+    for i, h1 in enumerate(ctx.hyp_vars):
+        for h2 in ctx.hyp_vars[i + 1:]:
+            p1, p2 = m.get(h1), m.get(h2)
+            if p1 != p2:
+                yield {h1: p2, h2: p1}
+    yield from _plantings(ctx, m, inv)
+
+
 def _copied_neighbours(ctx, m):
     """The climber's neighbourhood in search order, each neighbour built as
     a whole copied mapping: the reference for the change sets."""
@@ -445,6 +462,84 @@ def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
         for changes in _neighbours(ctx, m):
             bound = sum(ctx.bound[hv][pv] for hv, pv in changes.items())
             assert _gain(ctx, m, changes) <= bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_graphs())
+def test_table_gain_of_every_neighbour_equals_gain(graphs):
+    """The climber scores its steps from per-climb match tables: for every
+    single move, swap and planting, the table gain equals ``_gain`` and the
+    count difference, a single move's gain is its row difference, and a
+    swap's is ``_swap_gain``."""
+    premise, hypothesis, m = graphs
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        score = _match_tables(ctx, m)
+        before = ctx.count(m)
+        for changes in _neighbours(ctx, m):
+            after = dict(m)
+            for hv, pv in changes.items():
+                _assign(after, hv, pv)
+            expected = ctx.count(after) - before
+            assert _table_gain(ctx, score, m, changes) == _gain(ctx, m, changes) == expected
+            if len(changes) == 1:
+                (hv, pv), = changes.items()
+                assert score[hv][pv] - score[hv][m.get(hv)] == expected
+            elif len(changes) == 2:
+                (h1, p2), (h2, p1) = changes.items()
+                if (p1, p2) == (m.get(h1), m.get(h2)):  # a swap
+                    assert _swap_gain(ctx, score, h1, p1, h2, p2) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_graphs(), st.lists(st.integers(0, 10**6), max_size=8))
+def test_tables_kept_over_steps_equal_fresh_tables(graphs, picks):
+    """After any sequence of applied neighbours, the tables ``_take`` kept
+    in place equal tables built afresh from the final mapping, and the
+    mapping is the one the change sets give."""
+    premise, hypothesis, m0 = graphs
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        m = dict(m0)
+        score = _match_tables(ctx, m)
+        for pick in picks:
+            moves = list(_neighbours(ctx, m))
+            if not moves:
+                break
+            changes = moves[pick % len(moves)]
+            expected = dict(m)
+            for hv, pv in changes.items():
+                _assign(expected, hv, pv)
+            _take(ctx, score, m, changes)
+            assert m == expected
+        assert score == _match_tables(ctx, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_graphs())
+def test_each_step_is_the_first_best_neighbour_by_count(graphs):
+    """Along a whole climb, each step ``_best_step`` takes from its kept
+    tables is the one a scan of every neighbour, built by copying the
+    mapping and scored by ``count``, takes: the first with the largest
+    strict gain."""
+    premise, hypothesis, m = graphs
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        climbed = dict(m)
+        score = _match_tables(ctx, climbed)
+        while True:
+            before = ctx.count(climbed)
+            best_gain, best = 0, None
+            for trial in _copied_neighbours(ctx, climbed):
+                if ctx.count(trial) - before > best_gain:
+                    best_gain, best = ctx.count(trial) - before, trial
+            gain, changes = _best_step(ctx, score, climbed)
+            assert gain == best_gain
+            if best is None:
+                assert changes is None
+                break
+            _take(ctx, score, climbed, changes)
+            assert climbed == best
 
 
 def _literal_bound(premise, hypothesis, include_top):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -62,6 +63,34 @@ def test_th2_averitec_cases():
     assert th2_averitec(Fraction(-1, 10)).value == "N"
     assert th2_averitec(Fraction(-3, 10)).value == "C"
     assert th2_averitec(1).value == "S"
+
+
+def _literal_label(e, dataset: str) -> str:
+    """The module docstring's label maps, on the exact value of *e*."""
+    e = Fraction(e)
+    if dataset == FEVER:
+        return "S" if e >= Fraction(1, 10) else "R" if e <= Fraction(-1, 10) else "N"
+    if e >= Fraction(1, 2):
+        return "S"
+    if e <= Fraction(-1, 2):
+        return "R"
+    return "N" if abs(e) <= Fraction(1, 10) else "C"
+
+
+def test_th2_equals_a_fresh_label_at_every_boundary():
+    """th2 returns labels built once per dataset: at each boundary and one
+    step either side, as an int, a Fraction or a float, it equals the
+    label built afresh from the written-out maps."""
+    values = [-1, 0, 1]
+    for b in (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 2), Fraction(-1, 2)):
+        values += [b - Fraction(1, 1000), b, b + Fraction(1, 1000)]
+        values += [math.nextafter(float(b), -math.inf), float(b),
+                   math.nextafter(float(b), math.inf)]
+    for dataset in (FEVER, AVERITEC):
+        for e in values:
+            label = th2(e, dataset)
+            assert type(label) is VerdictLabel
+            assert label == VerdictLabel(_literal_label(e, dataset), dataset), (e, dataset)
 
 
 def test_threshold_partition_total_coverage():
