@@ -14,7 +14,8 @@ import math
 import operator
 import sys
 import zlib
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,37 +28,76 @@ from .errors import ConfigError, EmbeddingMissError, SimilarityError, TransportE
 # 16 ran as fast as 32.
 _TEXTS_PER_REQUEST = 16
 
+_NUMBER_TYPES = frozenset((int, float))
 
-@dataclass(frozen=True)
+
+def _is_number_list(row) -> bool:
+    """Whether *row*, decoded by ``json.loads``, is a list of numbers.
+    The decoder gives exact types, so testing each component's type
+    against int and float is ``isinstance(x, (int, float))`` without bool,
+    at C speed."""
+    return isinstance(row, list) and _NUMBER_TYPES.issuperset(map(type, row))
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class EmbeddingVector:
-    values: tuple[float, ...]
+    """A sentence embedding: one or more finite real components.
 
-    def __post_init__(self):
+    The components are packed as C doubles, 8 bytes each, in a read-only
+    ``'d'`` memoryview over bytes; a tuple of float objects costs 32 (an
+    8-byte slot and a 24-byte float).  ``values`` gives them back as a
+    tuple of floats.  A vector is immutable and equals another with equal
+    components.  An empty vector, a component that is not a real number,
+    and one that is not finite as a float (an integer too large for a
+    float included) are SimilarityErrors.
+    """
+
+    _packed: memoryview
+
+    def __init__(self, values: Iterable[float]):
+        # list(): array() would read bytes as raw machine doubles.
+        values = list(values)
         try:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            packed = array("d", values)
+        except TypeError:
+            raise SimilarityError("non-number value in embedding vector") from None
         except OverflowError:  # an integer too large for a float
             raise SimilarityError("non-finite value in embedding vector") from None
-        if not self.values:
+        if not packed:
             raise SimilarityError("empty embedding vector")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, values)):
             raise SimilarityError("non-finite value in embedding vector")
+        object.__setattr__(self, "_packed", memoryview(packed.tobytes()).cast("d"))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._packed)
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return len(self._packed)
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"EmbeddingVector(values={self.values!r})"
+
+    def __reduce__(self):
+        return EmbeddingVector, (self.values,)
 
     @cached_property
-    def _scaled(self) -> tuple[tuple[float, ...], float]:
-        """The values and their norm.  When the sum of squares is below the
-        least normal float and a component is nonzero, the values are first
-        scaled by a power of two (exact) that brings the largest into
-        [0.5, 1).  Computed once per vector, on its first cosine."""
-        values = self.values
-        squares = sum(v * v for v in values)
+    def _scaled(self) -> tuple[Sequence[float], float]:
+        """The components and their norm.  When the sum of squares is below
+        the least normal float and a component is nonzero, the components
+        are first scaled by a power of two (exact) that brings the largest
+        into [0.5, 1).  Computed once per vector, on its first cosine."""
+        values = self._packed
+        squares = sum(map(operator.mul, values, values))
         if squares < sys.float_info.min and any(values):
             shift = -math.frexp(max(map(abs, values)))[1]
             values = tuple(math.ldexp(v, shift) for v in values)
-            squares = sum(v * v for v in values)
+            squares = sum(map(operator.mul, values, values))
         return values, math.sqrt(squares)
 
 
@@ -101,7 +141,8 @@ class SimilarityBackend:
 
 class PrecomputedFileBackend(SimilarityBackend):
     """Looks vectors up by exact text key in a JSONL file of
-    ``{"text": ..., "vector": [...]}`` records."""
+    ``{"text": ..., "vector": [...]}`` records.  A vector is a JSON list of
+    numbers, as in a service reply: true and false are not numbers."""
 
     def __init__(self, path: str):
         super().__init__()
@@ -117,7 +158,10 @@ class PrecomputedFileBackend(SimilarityBackend):
                     continue
                 try:
                     record = json.loads(line.decode("utf-8"))
-                    self._cache[record["text"]] = EmbeddingVector(tuple(record["vector"]))
+                    text, vector = record["text"], record["vector"]
+                    if not _is_number_list(vector):
+                        raise ValueError("'vector' is not a list of numbers")
+                    self._cache[text] = EmbeddingVector(vector)
                 except (KeyError, TypeError, ValueError, SimilarityError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")
 
@@ -151,10 +195,10 @@ class EmbeddingServiceBackend(SimilarityBackend):
         rows = self._request(texts)
         for other, row in zip(texts[1:], rows[1:]):
             try:
-                self._cache[other] = EmbeddingVector(tuple(row))
+                self._cache[other] = EmbeddingVector(row)
             except SimilarityError:
                 pass  # requested again, and the error raised, when *other* is embedded
-        return EmbeddingVector(tuple(rows[0]))
+        return EmbeddingVector(rows[0])
 
     def _request(self, texts: list[str]) -> list[list]:
         """One POST of *texts*: a list of numbers per text, in order."""
@@ -164,9 +208,7 @@ class EmbeddingServiceBackend(SimilarityBackend):
             raise TransportError(
                 f"embedding response length {len(vectors) if isinstance(vectors, list) else '?'} "
                 f"does not match request length {len(texts)}")
-        if not all(isinstance(v, list) and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-                for v in vectors):
+        if not all(map(_is_number_list, vectors)):
             raise TransportError("malformed embedding service vector: "
                                  "expected a list of numbers per text")
         return vectors
@@ -224,7 +266,7 @@ class DeterministicTestBackend(SimilarityBackend):
             values[h % self.dim] += sign
         if not any(values):
             values[0] = 1.0
-        return EmbeddingVector(tuple(values))
+        return EmbeddingVector(values)
 
 
 def backend_from_spec(spec: str) -> SimilarityBackend:

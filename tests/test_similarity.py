@@ -1,8 +1,14 @@
+import copy
 import json
 import math
+import pickle
+import random
+import re
 import sys
 import threading
+import tracemalloc
 import zlib
+from dataclasses import FrozenInstanceError
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -23,6 +29,40 @@ def test_vector_validation():
         EmbeddingVector(())
     with pytest.raises(SimilarityError):
         EmbeddingVector((1.0, float("nan")))
+
+
+@pytest.mark.parametrize("values, message", [
+    ((), "empty embedding vector"),
+    ([], "empty embedding vector"),
+    ((1.0, float("nan")), "non-finite value in embedding vector"),
+    ([float("-inf"), 1.0], "non-finite value in embedding vector"),
+    ((1, 10 ** 400), "non-finite value in embedding vector"),
+    ([2.0, -(10 ** 309)], "non-finite value in embedding vector"),
+    ("123", "non-number value in embedding vector"),
+    (["1", 2.0], "non-number value in embedding vector"),
+    ((1.0, None), "non-number value in embedding vector"),
+    ([[1.0], 2.0], "non-number value in embedding vector"),
+])
+def test_vector_errors(values, message):
+    with pytest.raises(SimilarityError, match=f"^{message}$"):
+        EmbeddingVector(values)
+
+
+def test_a_vector_of_bytes_holds_their_integers():
+    # Not their bytes read as machine doubles.
+    assert EmbeddingVector(bytes(range(1, 9))).values == tuple(map(float, range(1, 9)))
+
+
+def test_vectors_are_immutable_values():
+    v = EmbeddingVector([0.0, 1.5, -2])
+    assert v == EmbeddingVector((-0.0, 1.5, -2.0)) and v != EmbeddingVector((0.0, 1.5))
+    assert hash(v) == hash(EmbeddingVector((-0.0, 1.5, -2.0)))
+    assert v.dim == 3 and repr(v) == "EmbeddingVector(values=(0.0, 1.5, -2.0))"
+    assert pickle.loads(pickle.dumps(v)) == copy.deepcopy(v) == v
+    with pytest.raises(FrozenInstanceError):
+        v.values = (1.0,)
+    with pytest.raises(FrozenInstanceError):
+        del v.values
 
 
 def test_cosine_identical():
@@ -147,6 +187,44 @@ def test_cosine_dot_product_is_the_zip_sum_bit_for_bit(pair):
     assert cosine(a, b) == sum(p * q for p, q in zip(x, y)) / (norm_a * norm_b)
 
 
+_STORED = (_ANY_SCALE | _TINY | st.integers(-(2 ** 64), 2 ** 64)
+           | st.integers(-(10 ** 150), 10 ** 150))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(*[st.lists(_STORED, min_size=n, max_size=n)] * 2)),
+    st.sampled_from([list, tuple]))
+def test_packed_vectors_give_the_floats_and_cosine_of_their_components(pair, kind):
+    """Packed storage keeps each component as the float ``float()`` makes
+    of it, and the cosine over it is the written-out formula's float."""
+    a, b = EmbeddingVector(kind(pair[0])), EmbeddingVector(kind(pair[1]))
+    assert a.values == tuple(map(float, pair[0])) and b.values == tuple(map(float, pair[1]))
+    assert all(type(v) is float for v in a.values + b.values)
+    try:
+        expected = _uncached_cosine(a, b)
+    except ZeroDivisionError:
+        with pytest.raises(SimilarityError, match="zero-norm"):
+            cosine(a, b)
+    else:
+        assert cosine(a, b) == expected
+
+
+def test_vectors_hold_eight_bytes_per_component():
+    """100 vectors of 384 components, built from a decoded JSON list, keep
+    their packed doubles and a small constant each: no float objects."""
+    rng = random.Random(0)
+    text = json.dumps([[rng.uniform(-1, 1) for _ in range(384)] for _ in range(100)])
+    tracemalloc.start()
+    try:
+        vectors = [EmbeddingVector(row) for row in json.loads(text)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vectors) == 100
+    assert held <= 100 * (8 * 384 + 1024)
+
+
 def test_cosine_with_cached_norms_of_an_underflowing_vector():
     tiny, one = EmbeddingVector((1e-200, 1e-200)), EmbeddingVector((1.0, 1.0))
     for _ in range(2):
@@ -219,6 +297,20 @@ def test_precomputed_backend_bad_record(tmp_path):
     with pytest.raises(ConfigError) as exc:
         PrecomputedFileBackend(str(path))
     assert f"{path}:1: bad embedding record" in str(exc.value)
+
+
+@pytest.mark.parametrize("vector", [
+    "123", [True, "2", 3], [1, True], [False], [1.0, None], [[1.0]], {"1": 2}, 5, None,
+    [], [1e400], [1, 10 ** 400],
+])
+def test_precomputed_backend_takes_a_list_of_finite_numbers(tmp_path, vector):
+    """The file backend's number rule is the service's: a non-empty JSON
+    list of finite numbers, with true and false not numbers."""
+    path = tmp_path / "vecs.jsonl"
+    path.write_text(json.dumps({"text": "hello", "vector": [1, 0]}) + "\n"
+                    + json.dumps({"text": "bad", "vector": vector}) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad embedding record: "):
+        PrecomputedFileBackend(str(path))
 
 
 def test_backend_from_spec():
@@ -406,6 +498,27 @@ def test_any_service_reply_gives_vectors_or_a_typed_error(stub_server, data):
         assert type(exc) is expected, exc
     else:
         assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS)
+def test_file_records_and_service_replies_give_the_same_vectors(stub_server, tmp_path_factory,
+                                                                vector):
+    """A vector a service reply would give, the same JSON in a file record
+    gives; one the service rejects, the file rejects with its line."""
+    _StubHandler.scripted = (200, json.dumps({"vectors": [vector]}).encode())
+    try:
+        expected = EmbeddingServiceBackend(f"{stub_server}/scripted", timeout=5).embed("t")
+    except SimilarityError:
+        expected = None
+    path = tmp_path_factory.mktemp("vecs") / "vecs.jsonl"
+    path.write_text(json.dumps({"text": "t", "vector": vector}) + "\n")
+    try:
+        got = PrecomputedFileBackend(str(path)).embed("t")
+    except ConfigError as exc:
+        assert expected is None and f"{path}:1: bad embedding record: " in str(exc)
+    else:
+        assert got.values == expected.values
 
 
 _GRAPH = parse_penman("(x / film)")
