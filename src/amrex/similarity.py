@@ -141,7 +141,8 @@ class SimilarityBackend:
 
 class PrecomputedFileBackend(SimilarityBackend):
     """Looks vectors up by exact text key in a JSONL file of
-    ``{"text": ..., "vector": [...]}`` records.  A vector is a JSON list of
+    ``{"text": ..., "vector": [...]}`` records.  A text is a JSON string
+    that no other record of the file holds.  A vector is a JSON list of
     numbers, as in a service reply: true and false are not numbers."""
 
     def __init__(self, path: str):
@@ -152,6 +153,7 @@ class PrecomputedFileBackend(SimilarityBackend):
         except OSError as exc:
             raise ConfigError(f"cannot read embeddings file {path}: "
                               f"{exc.strerror or exc}")
+        first: dict[str, int] = {}  # text -> the line of its record
         with fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
@@ -159,9 +161,15 @@ class PrecomputedFileBackend(SimilarityBackend):
                 try:
                     record = json.loads(line.decode("utf-8"))
                     text, vector = record["text"], record["vector"]
+                    if type(text) is not str:
+                        raise ValueError("'text' is not a string")
+                    if text in first:
+                        raise ValueError(f"duplicate text {text!r} "
+                                         f"(first at line {first[text]})")
                     if not _is_number_list(vector):
                         raise ValueError("'vector' is not a list of numbers")
                     self._cache[text] = EmbeddingVector(vector)
+                    first[text] = lineno
                 except (KeyError, TypeError, ValueError, SimilarityError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")
 

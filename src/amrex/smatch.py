@@ -150,11 +150,13 @@ class _MatchContext:
     edges to distinct images, so an edge whose image the premise holds p
     times matches ``min(hyp_mult[i], p)`` times.
 
-    The climber's match tables (:func:`_match_tables`) read the premise's
-    edges through ``prem_sources[(role, target)]`` and
-    ``prem_targets[(role, source)]``, each ``{variable: multiplicity}``,
-    and the claim edges between two variables through
-    ``hyp_between[(a, b)]``, keyed by both orders of the pair.
+    Every step score, the climber's, canonicalization's and the exhaustive
+    search's, reads the match tables (:func:`_match_tables`), which
+    :func:`_take` keeps through the premise's edges
+    ``prem_sources[(role, target)]`` and ``prem_targets[(role, source)]``,
+    each ``{variable: multiplicity}``.  A change set that moves both ends
+    of a claim edge reads it through ``hyp_between[(a, b)]``, keyed by
+    both orders of the pair.
 
     Each graph's tables depend on that graph alone: a premise half
     (:func:`_premise_half`) and a claim half (:func:`_claim_half`), which a
@@ -274,52 +276,16 @@ def _plantings(ctx: _MatchContext, m: dict[str, str],
             yield changes
 
 
-def _gain(ctx: _MatchContext, m: dict[str, str], changes: dict[str, str | None]) -> int:
-    """``count(m + changes) - count(m)`` from the changed variables' unary
-    entries and incident edges: the step score of :func:`_canonicalize`
-    and :func:`align_exhaustive`, and the oracle of the climber's
-    :func:`_table_gain`."""
-    gain = 0
-    unary, prem_rel, mult = ctx.unary, ctx.prem_rel, ctx.hyp_mult
-    edges: list[int] = []
-    for hv, new in changes.items():
-        old = m.get(hv)
-        if old == new:
-            continue
-        row = unary[hv]
-        gain += row[new] - row[old]
-        edges += ctx.hyp_edges_at[hv]
-    # A swap or planting reaches an edge between two changed variables
-    # twice: dedupe by index.  Each edge matches min(n, p) times, spelled
-    # out as this is the hot path.
-    for i in (set(edges) if len(changes) > 1 else edges):
-        s, r, t = ctx.hyp_edges[i]
-        n, old_s, old_t = mult[i], m.get(s), m.get(t)
-        if p := prem_rel.get((old_s, r, old_t)):
-            gain -= n if n < p else p
-        if p := prem_rel.get((changes.get(s, old_s), r, changes.get(t, old_t))):
-            gain += n if n < p else p
-    return gain
-
-
 def _match_tables(ctx: _MatchContext, m: dict[str, str]) -> dict[str, dict[str | None, int]]:
-    """The climb's match tables under *m*: ``score[hv][pv]`` is what hv's
-    own triples match with hv at pv and every other variable at its image,
+    """The match tables under *m*: ``score[hv][pv]`` is what hv's own
+    triples match with hv at pv and every other variable at its image,
     ``unary[hv][pv]`` plus ``min(n, p)`` for each distinct incident edge,
     where p is the premise count of the edge's image (0 while its other
-    endpoint is unmapped)."""
-    sources, targets, edges, mult = (ctx.prem_sources, ctx.prem_targets,
-                                     ctx.hyp_edges, ctx.hyp_mult)
-    score = {}
-    for hv in ctx.hyp_vars:
-        row = score[hv] = dict(ctx.unary[hv])
-        for i in ctx.hyp_edges_at[hv]:
-            s, r, t = edges[i]
-            ends = sources.get((r, m.get(t))) if s == hv else targets.get((r, m.get(s)))
-            if ends:
-                n = mult[i]
-                for pv, p in ends.items():
-                    row[pv] += n if n < p else p
+    endpoint is unmapped).  While hv is unmapped, ``score[hv][pv]`` is the
+    gain of mapping it to pv; ``score[hv][None]`` is 0.  Built as the
+    unary rows with *m* applied by :func:`_take`."""
+    score = {hv: dict(ctx.unary[hv]) for hv in ctx.hyp_vars}
+    _take(ctx, score, {}, m)
     return score
 
 
@@ -344,10 +310,10 @@ def _crossed(ctx: _MatchContext, i: int, old_s: str | None, old_t: str | None,
 
 def _table_gain(ctx: _MatchContext, score: dict, m: dict[str, str],
                 changes: dict[str, str | None]) -> int:
-    """``_gain(ctx, m, changes)`` read from *m*'s match tables: the changed
-    variables' row differences, plus :func:`_crossed` for each claim edge
-    between two changed variables.  A graph is a rooted DAG, so no edge has
-    both ends on one variable."""
+    """``count(m + changes) - count(m)`` read from *m*'s match tables
+    *score*: the changed variables' row differences, plus :func:`_crossed`
+    for each claim edge between two changed variables.  A graph is a rooted
+    DAG, so no edge has both ends on one variable."""
     gain = 0
     moved = []
     for hv, new in changes.items():
@@ -381,11 +347,11 @@ def _swap_gain(ctx: _MatchContext, score: dict, h1: str, p1: str | None,
 
 def _take(ctx: _MatchContext, score: dict, m: dict[str, str],
           changes: dict[str, str | None]) -> None:
-    """Apply *changes* to *m* and keep *score* its match tables.  A row
-    reads only the images of its variable's claim neighbours, so only the
-    rows across the changed variables' incident edges move: each loses the
-    entries of the premise edges at the old image and gains those at the
-    new one."""
+    """Apply *changes* to *m* and keep *score* its match tables: the one
+    place their edge entries are written.  A row reads only the images of
+    its variable's claim neighbours, so only the rows across the changed
+    variables' incident edges move: each loses the entries of the premise
+    edges at the old image and gains those at the new one."""
     sources, targets, edges, mult = (ctx.prem_sources, ctx.prem_targets,
                                      ctx.hyp_edges, ctx.hyp_mult)
     for hv, new in changes.items():
@@ -456,17 +422,18 @@ def _best_step(ctx: _MatchContext, score: dict,
     return best_gain, best
 
 
-def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int]:
+def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int, dict]:
     """Greedy local search until no gain: each step takes
     :func:`_best_step` and applies it with :func:`_take`, which keeps the
     climb's match tables (:func:`_match_tables`, built once per climb)
-    exact for the new mapping.  Returns the mapping and its count."""
+    exact for the new mapping.  Returns the mapping, its count and its
+    match tables."""
     score = _match_tables(ctx, m)
     current = ctx.count(m)
     while True:
         gain, best = _best_step(ctx, score, m)
         if best is None:
-            return m, current
+            return m, current, score
         _take(ctx, score, m, best)
         current += gain
 
@@ -534,24 +501,23 @@ def _upper_bound(ctx: _MatchContext, incumbent: int) -> int:
     return _max_assignment(weight) // 2
 
 
-def _canonicalize(ctx: _MatchContext, m: dict[str, str]) -> dict[str, str]:
+def _canonicalize(ctx: _MatchContext, m: dict[str, str], score: dict) -> dict[str, str]:
     """Deterministically re-place variables whose assignment contributes
-    no matched triple.
+    no matched triple, in *m* and its match tables *score*, both kept
+    exact with :func:`_take`; returns *m*.
 
+    A variable floats when ``score[hv][m.get(hv)]`` is 0: unmapping it
+    loses nothing, and so changes no other variable's entry at its image.
     Zero-contribution assignments are ties for the climber; among them we
     prefer premise variables that preserve graph adjacency with the images
     of already-mapped neighbours (outgoing edges first), breaking remaining
-    ties by premise declaration order.  This never changes the matched
-    count but pins the reported mapping.
+    ties by premise declaration order.  A floater is placed by its entry
+    ``score[hv][pv]``, its gain while it is unmapped, first.  This never
+    changes the matched count but pins the reported mapping.
     """
-    m = dict(m)
     links = {(s, t) for s, _r, t in ctx.prem_rel}
-    floating = []
-    for hv in ctx.hyp_vars:
-        if hv in m and _gain(ctx, m, {hv: None}) != 0:
-            continue
-        m.pop(hv, None)
-        floating.append(hv)
+    floating = [hv for hv in ctx.hyp_vars if score[hv][m.get(hv)] == 0]
+    _take(ctx, score, m, dict.fromkeys(floating))
     used = set(m.values())
     for hv in floating:
         free = [pv for pv in ctx.prem_concepts if pv not in used]
@@ -564,10 +530,11 @@ def _canonicalize(ctx: _MatchContext, m: dict[str, str]) -> dict[str, str]:
                           if s == hv and t in m and (pv, m[t]) in links)
             in_adj = sum(n for (s, _r, t), n in edges
                          if t == hv and s in m and (m[s], pv) in links)
-            return _gain(ctx, m, {hv: pv}), out_adj, in_adj
+            return score[hv][pv], out_adj, in_adj
 
-        m[hv] = max(free, key=rank)
-        used.add(m[hv])
+        pv = max(free, key=rank)
+        _take(ctx, score, m, {hv: pv})
+        used.add(pv)
     return m
 
 
@@ -594,17 +561,15 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     bound = None
     for r in range(restarts):
         init = _greedy_init(ctx, rng) if r == 0 else _random_init(ctx, rng)
-        m, c = _climb(ctx, init)
+        m, c, score = _climb(ctx, init)
         if c > best_count:
-            best_count = c
-            best_m = m
+            best_count, best_m, best_score = c, m, score
         if r + 1 < restarts:
             if bound is None:
                 bound = _upper_bound(ctx, best_count)
             if best_count >= bound:
                 break
-    best_m = _canonicalize(ctx, best_m)
-    return _result(ctx, best_m)
+    return _result(ctx, _canonicalize(ctx, best_m, best_score))
 
 
 def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
@@ -613,7 +578,8 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
 
     Guarded to small graphs (hypothesis <= 10 nodes, premise <= 12) since
     the mapping space grows factorially.  Used as the testing oracle for
-    the hill climber.
+    the hill climber.  Each placement of a still unmapped variable gains
+    its match-table entry, and is applied and undone with :func:`_take`.
     """
     if len(hypothesis.nodes) > _EXHAUSTIVE_MAX_HYP:
         raise GraphError(
@@ -641,6 +607,7 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
 
     best = {"count": -1, "m": {}}
     m: dict[str, str] = {}
+    score = _match_tables(ctx, m)
     used: set[str] = set()
 
     def dfs(i: int, current: int) -> None:
@@ -655,15 +622,15 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
         for pv in ctx.prem_concepts:
             if pv in used:
                 continue
-            gain = _gain(ctx, m, {hv: pv})  # exact, as hv is still unmapped
-            m[hv] = pv
+            gain = score[hv][pv]  # exact, as hv is still unmapped
+            _take(ctx, score, m, {hv: pv})
             used.add(pv)
             dfs(i + 1, current + gain)
             used.discard(pv)
-            del m[hv]
+            _take(ctx, score, m, {hv: None})
         dfs(i + 1, current)  # leave hv unmapped
 
     dfs(0, 0)
-    final = _canonicalize(ctx, best["m"])
-    return _result(ctx, final)
+    final = best["m"]
+    return _result(ctx, _canonicalize(ctx, final, _match_tables(ctx, final)))
 

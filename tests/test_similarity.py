@@ -313,6 +313,30 @@ def test_precomputed_backend_takes_a_list_of_finite_numbers(tmp_path, vector):
         PrecomputedFileBackend(str(path))
 
 
+@pytest.mark.parametrize("text", [5, None, True, ["a"], {"a": 1}])
+def test_precomputed_backend_takes_a_text_that_is_a_string(tmp_path, text):
+    """A key that is no string could never be looked up by a text."""
+    path = tmp_path / "vecs.jsonl"
+    path.write_text(json.dumps({"text": "hello", "vector": [1, 0]}) + "\n"
+                    + json.dumps({"text": text, "vector": [1, 0]}) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad embedding record: "
+                                          "'text' is not a string$"):
+        PrecomputedFileBackend(str(path))
+
+
+def test_precomputed_backend_rejects_a_repeated_text(tmp_path):
+    """Two records for one text would make the file's vector for it depend
+    on record order: the second is an error naming the first's line."""
+    path = tmp_path / "vecs.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in (
+        {"text": "a", "vector": [1, 0]}, {"text": "b", "vector": [1, 0]},
+        {"text": "a", "vector": [0, 1]})) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        PrecomputedFileBackend(str(path))
+    assert str(exc.value) == (f"{path}:3: bad embedding record: "
+                              "duplicate text 'a' (first at line 1)")
+
+
 def test_backend_from_spec():
     assert isinstance(backend_from_spec("test"), DeterministicTestBackend)
     assert backend_from_spec("test:dim=32").dim == 32

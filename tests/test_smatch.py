@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from amrex.errors import ConfigError, GraphError, MappingError
 from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex import smatch
-from amrex.smatch import (VariableMapping, _assign, _best_step, _gain, _MatchContext,
-                          _match_tables, _max_assignment, _plantings, _swap_gain,
-                          _table_gain, _take, _upper_bound, align_exhaustive, align_hill_climb)
+from amrex.smatch import (VariableMapping, _assign, _best_step, _canonicalize, _climb,
+                          _MatchContext, _match_tables, _max_assignment, _plantings,
+                          _swap_gain, _table_gain, _take, _upper_bound, align_exhaustive,
+                          align_hill_climb)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -151,7 +152,9 @@ def test_exhaustive_counts_each_repeated_edge():
     assert align_exhaustive(premise, hypothesis).matched == 5
 
 
-def test_hill_climb_matches_exhaustive_oracle():
+def _oracle_pairs():
+    """The 85 seeded small pairs the exhaustive oracle checks the climber
+    on, the last 60 with edges and attributes repeated."""
     rng = random.Random(7)
     pairs = [(random_graph(rng, max_nodes=8, prefix="p"),
               random_graph(rng, max_nodes=6, prefix="h")) for _ in range(25)]
@@ -159,13 +162,33 @@ def test_hill_climb_matches_exhaustive_oracle():
     pairs += [(_with_repeats(rng, random_graph(rng, max_nodes=8, prefix="p")),
                _with_repeats(rng, random_graph(rng, max_nodes=6, prefix="h")))
               for _ in range(60)]
-    for premise, hypothesis in pairs:
+    return pairs
+
+
+def test_hill_climb_matches_exhaustive_oracle():
+    for premise, hypothesis in _oracle_pairs():
         for include_top in (True, False):
             oracle = align_exhaustive(premise, hypothesis, include_top=include_top)
             hc = align_hill_climb(premise, hypothesis, restarts=8, seed=3,
                                   include_top=include_top)
             assert hc.matched <= oracle.matched
             assert hc.matched == oracle.matched
+
+
+_GOLDEN_ORACLE_MAPPINGS_SHA256 = "b2148d6236261b2de42503e87eff982ae30e820e0f2766308d29e80aa554765e"
+
+
+def test_exhaustive_mappings_match_golden_digest():
+    """Pins the oracle's exact mappings, not only its counts: a change to
+    its placement order, its step score or canonicalization changes the
+    SHA-256 of its (mapping, matched) results on the oracle pairs, with and
+    without the top triple."""
+    digest = hashlib.sha256()
+    for premise, hypothesis in _oracle_pairs():
+        for include_top in (True, False):
+            r = align_exhaustive(premise, hypothesis, include_top=include_top)
+            digest.update(repr((r.mapping.pairs, r.matched)).encode())
+    assert digest.hexdigest() == _GOLDEN_ORACLE_MAPPINGS_SHA256
 
 
 _GOLDEN_MAPPINGS_SHA256 = "ec89214b164c29a38305fb45972e419551fa54295055f86f16514b1aaec87b09"
@@ -368,12 +391,47 @@ def _literal_count(premise, hypothesis, m, include_top):
 @settings(max_examples=300, deadline=None)
 @given(_mapped_graphs())
 def test_count_is_the_multiset_intersection_of_substituted_triples(graphs):
-    """count(), _gain and the bound share the unary table, so count() is held
-    to the definition written out here without _MatchContext."""
+    """count(), the match tables and the bound share the unary table, so
+    count() is held to the definition written out here without
+    _MatchContext."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
         assert ctx.count(m) == _literal_count(premise, hypothesis, m, include_top)
+
+
+def _gain(ctx, m, changes):
+    """``count(m + changes) - count(m)`` from the changed variables' unary
+    entries and incident edges, each edge rescored at its old and new
+    images: the reference the library's table gains are held to."""
+    gain = 0
+    edges = set()
+    for hv, new in changes.items():
+        old = m.get(hv)
+        if old != new:
+            gain += ctx.unary[hv][new] - ctx.unary[hv][old]
+            edges.update(ctx.hyp_edges_at[hv])
+    for i in edges:
+        s, r, t = ctx.hyp_edges[i]
+        n, old_s, old_t = ctx.hyp_mult[i], m.get(s), m.get(t)
+        gain -= min(n, ctx.prem_rel.get((old_s, r, old_t), 0))
+        gain += min(n, ctx.prem_rel.get((changes.get(s, old_s), r, changes.get(t, old_t)), 0))
+    return gain
+
+
+def _literal_tables(ctx, m):
+    """The match tables under *m* as defined: ``unary[hv][pv]`` plus, for
+    each distinct claim edge at hv, ``min(n, p)`` with p the premise count
+    of its image when hv is at pv and the other endpoint at its image."""
+    score = {}
+    for hv in ctx.hyp_vars:
+        row = score[hv] = dict(ctx.unary[hv])
+        for i in ctx.hyp_edges_at[hv]:
+            s, r, t = ctx.hyp_edges[i]
+            for pv in ctx.prem_concepts:
+                image = (pv, r, m.get(t)) if s == hv else (m.get(s), r, pv)
+                row[pv] += min(ctx.hyp_mult[i], ctx.prem_rel.get(image, 0))
+    return score
 
 
 def _neighbours(ctx, m):
@@ -433,7 +491,7 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
     change set a mapping's neighbourhood yields, the gain equals the count
     after applying it minus the count before.  Applied in order, the change
     sets are the neighbours built by copying the mapping.  Unmapping one
-    variable is no neighbour, but ``_canonicalize`` scores it too."""
+    variable is no neighbour, but ``_canonicalize`` reads its gain too."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
@@ -454,27 +512,30 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
 def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
     """The climber skips a neighbour whose bound cannot beat the step's best
     gain, so the bound must hold: for every change set a mapping's
-    neighbourhood yields, the gain is at most the sum of ``ctx.bound``
-    over the change set's entries."""
+    neighbourhood yields, the table gain is at most the sum of
+    ``ctx.bound`` over the change set's entries."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
+        score = _match_tables(ctx, m)
         for changes in _neighbours(ctx, m):
             bound = sum(ctx.bound[hv][pv] for hv, pv in changes.items())
-            assert _gain(ctx, m, changes) <= bound
+            assert _table_gain(ctx, score, m, changes) <= bound
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mapped_graphs())
 def test_table_gain_of_every_neighbour_equals_gain(graphs):
-    """The climber scores its steps from per-climb match tables: for every
-    single move, swap and planting, the table gain equals ``_gain`` and the
-    count difference, a single move's gain is its row difference, and a
-    swap's is ``_swap_gain``."""
+    """The climber scores its steps from per-climb match tables: the
+    tables are the formula's, and for every single move, swap and
+    planting, the table gain equals the reference ``_gain`` and the count
+    difference, a single move's gain is its row difference, and a swap's
+    is ``_swap_gain``."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
         score = _match_tables(ctx, m)
+        assert score == _literal_tables(ctx, m)
         before = ctx.count(m)
         for changes in _neighbours(ctx, m):
             after = dict(m)
@@ -495,8 +556,8 @@ def test_table_gain_of_every_neighbour_equals_gain(graphs):
 @given(_mapped_graphs(), st.lists(st.integers(0, 10**6), max_size=8))
 def test_tables_kept_over_steps_equal_fresh_tables(graphs, picks):
     """After any sequence of applied neighbours, the tables ``_take`` kept
-    in place equal tables built afresh from the final mapping, and the
-    mapping is the one the change sets give."""
+    in place are the formula's for the final mapping, and the mapping is
+    the one the change sets give."""
     premise, hypothesis, m0 = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
@@ -512,7 +573,24 @@ def test_tables_kept_over_steps_equal_fresh_tables(graphs, picks):
                 _assign(expected, hv, pv)
             _take(ctx, score, m, changes)
             assert m == expected
-        assert score == _match_tables(ctx, m)
+        assert score == _literal_tables(ctx, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mapped_graphs())
+def test_canonicalize_from_kept_tables_equals_from_fresh_ones(graphs):
+    """``align_hill_climb`` canonicalizes the winning climb's mapping with
+    the tables the climb kept: that gives the mapping fresh tables of it
+    give, leaves the count as it was and keeps the tables exact."""
+    premise, hypothesis, m = graphs
+    for include_top in (True, False):
+        ctx = _MatchContext(premise, hypothesis, include_top)
+        climbed, count, score = _climb(ctx, dict(m))
+        fresh = _canonicalize(ctx, dict(climbed), _match_tables(ctx, climbed))
+        kept = _canonicalize(ctx, climbed, score)
+        assert kept == fresh
+        assert ctx.count(kept) == count
+        assert score == _literal_tables(ctx, kept)
 
 
 @settings(max_examples=300, deadline=None)
@@ -622,7 +700,8 @@ def test_gain_caps_duplicate_edges_at_the_premise_count():
                                   [("h0", "ARG0", "h1"), ("h0", "ARG0", "h1")])
     ctx = _MatchContext(premise, hypothesis, include_top=False)
     m = {"h0": "p0"}
-    assert _gain(ctx, m, {"h1": "p1"}) == 1
+    score = _match_tables(ctx, m)
+    assert score["h1"]["p1"] == _table_gain(ctx, score, m, {"h1": "p1"}) == 1
     assert ctx.count({"h0": "p0", "h1": "p1"}) - ctx.count(m) == 1
 
 
