@@ -159,17 +159,24 @@ def _id(value, field: str) -> str:
                        f"got {type(value).__name__}")
 
 
-def _records(path: str, parse_record) -> Iterator:
-    """``parse_record(raw, lineno)`` for each line of *path*, read as they
-    are consumed; a missing required key and any DatasetError of the parser
-    (a malformed field or a record it rejects) name ``path:line``."""
+def _records(path: str, parse_record, id_field: str) -> Iterator[tuple[int, str, object]]:
+    """``(lineno, id, value)`` for each line of *path*, read as they are
+    consumed, where ``parse_record(raw, lineno)`` gives the record's id and
+    value.  A missing required key, any DatasetError of the parser (a
+    malformed field or a record it rejects) and an id that an earlier line
+    holds name ``path:line``; a repeated id also names its first line."""
+    first: dict[str, int] = {}  # id -> the line of its record
     for lineno, raw in read_jsonl(path):
         try:
-            yield parse_record(raw, lineno)
+            rid, value = parse_record(raw, lineno)
         except KeyError as exc:
             raise DatasetError(f"{path}:{lineno}: missing key {exc}")
         except DatasetError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}")
+        if first.setdefault(rid, lineno) != lineno:
+            raise DatasetError(f"{path}:{lineno}: duplicate {id_field} {rid!r} "
+                               f"(first at line {first[rid]})")
+        yield lineno, rid, value
 
 
 def _map_label(raw: str, mapping: dict[str, str], dataset: str,
@@ -200,7 +207,7 @@ def _normalized_evidence(raw_items, claim_id: str, dataset: str) -> list[Evidenc
     return items
 
 
-def _fever_record(raw, lineno) -> ClaimRecord:
+def _fever_record(raw, lineno) -> tuple[str, ClaimRecord]:
     """A 3-way claim.  Every claim, N-labelled ones included, must carry at
     least one evidence sentence (the N-augmented release)."""
     claim_id = _id(raw.get("claim_id", lineno), "claim_id")
@@ -210,8 +217,9 @@ def _fever_record(raw, lineno) -> ClaimRecord:
         raise DatasetError(
             f"claim {claim_id!r} has no evidence; expected the release "
             "that provides evidence for N-labelled claims")
-    return ClaimRecord(claim_id=claim_id, claim_text=_typed(raw["claim"], str, "claim"),
-                       dataset=FEVER, gold_label=label, evidence=evidence)
+    return claim_id, ClaimRecord(claim_id=claim_id,
+                                 claim_text=_typed(raw["claim"], str, "claim"),
+                                 dataset=FEVER, gold_label=label, evidence=evidence)
 
 
 def _averitec_items_from_questions(questions, claim_id: str) -> list[EvidenceItem]:
@@ -239,7 +247,7 @@ def _averitec_record(question_mode: str):
     if question_mode not in QUESTION_MODES:
         raise DatasetError(f"unknown question mode {question_mode!r}")
 
-    def parse_record(raw, lineno) -> ClaimRecord:
+    def parse_record(raw, lineno) -> tuple[str, ClaimRecord]:
         claim_id = _id(raw.get("claim_id", lineno), "claim_id")
         label = _map_label(raw["label"], AVERITEC_LABEL_MAP, AVERITEC, claim_id)
         if "questions" in raw:
@@ -249,9 +257,9 @@ def _averitec_record(question_mode: str):
         if question_mode == "question-plus-answer":
             items = [replace(ev, text=f"{ev.question} {ev.text}", question=None)
                      if ev.question else ev for ev in items]
-        return ClaimRecord(claim_id=claim_id,
-                           claim_text=_typed(raw["claim"], str, "claim"),
-                           dataset=AVERITEC, gold_label=label, evidence=items)
+        return claim_id, ClaimRecord(claim_id=claim_id,
+                                     claim_text=_typed(raw["claim"], str, "claim"),
+                                     dataset=AVERITEC, gold_label=label, evidence=items)
 
     return parse_record
 
@@ -259,11 +267,10 @@ def _averitec_record(question_mode: str):
 def iter_claims(path: str, dataset: str,
                 question_mode: str = "answer-only") -> Iterator[ClaimRecord]:
     """The claims of *path*, parsed one line at a time as they are consumed."""
-    if dataset == FEVER:
-        return _records(path, _fever_record)
-    if dataset == AVERITEC:
-        return _records(path, _averitec_record(question_mode))
-    raise DatasetError(f"unknown dataset {dataset!r}")
+    if dataset not in (FEVER, AVERITEC):
+        raise DatasetError(f"unknown dataset {dataset!r}")
+    parse = _fever_record if dataset == FEVER else _averitec_record(question_mode)
+    return (record for _lineno, _cid, record in _records(path, parse, "claim id"))
 
 
 def load_claims(path: str, dataset: str,
@@ -278,15 +285,11 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
     the same (immutable) graph object.  With *ids*, only those rows' graphs
     are parsed; every row's id and type are still checked."""
     wanted = None if ids is None else set(ids)
-    seen: set[str] = set()
     bundle: dict[str, AmrGraph] = {}
     parsed: dict[str, AmrGraph] = {}  # Penman text -> its graph
     rows = _records(path, lambda raw, lineno: (
-        lineno, _id(raw["id"], "bundle id"), _typed(raw["penman"], str, "penman")))
+        _id(raw["id"], "bundle id"), _typed(raw["penman"], str, "penman")), "bundle id")
     for lineno, rid, text in rows:
-        if rid in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate bundle id {rid!r}")
-        seen.add(rid)
         if wanted is not None and rid not in wanted:
             continue
         graph = parsed.get(text)

@@ -150,8 +150,8 @@ class _MatchContext:
     edges to distinct images, so an edge whose image the premise holds p
     times matches ``min(hyp_mult[i], p)`` times.
 
-    Every step score, the climber's, canonicalization's and the exhaustive
-    search's, reads the match tables (:func:`_match_tables`), which
+    Every count and step score, the climber's, canonicalization's and the
+    exhaustive search's, reads the match tables (:func:`_match_tables`), which
     :func:`_take` keeps through the premise's edges
     ``prem_sources[(role, target)]`` and ``prem_targets[(role, source)]``,
     each ``{variable: multiplicity}``.  A change set that moves both ends
@@ -191,17 +191,8 @@ class _MatchContext:
                 for pv in (leaves if s == hv else enters).get(r, ()):
                     bound[pv] += self.hyp_mult[i]
 
-    def count(self, m: dict[str, str]) -> int:
-        """Matched hypothesis triples under mapping *m* (multiset-aware)."""
-        unary, prem_rel = self.unary, self.prem_rel
-        matched = sum(unary[hv][pv] for hv, pv in m.items())
-        for (s, r, t), n in zip(self.hyp_edges, self.hyp_mult):
-            matched += min(n, prem_rel.get((m.get(s), r, m.get(t)), 0))
-        return matched
 
-
-def _result(ctx: _MatchContext, m: dict[str, str]) -> SmatchResult:
-    matched = ctx.count(m)
+def _result(ctx: _MatchContext, m: dict[str, str], matched: int) -> SmatchResult:
     pairs = tuple((hv, m[hv]) for hv in ctx.hyp_vars if hv in m)
     precision = matched / ctx.hyp_total if ctx.hyp_total else 0.0
     recall = matched / ctx.prem_total if ctx.prem_total else 0.0
@@ -276,17 +267,21 @@ def _plantings(ctx: _MatchContext, m: dict[str, str],
             yield changes
 
 
-def _match_tables(ctx: _MatchContext, m: dict[str, str]) -> dict[str, dict[str | None, int]]:
-    """The match tables under *m*: ``score[hv][pv]`` is what hv's own
-    triples match with hv at pv and every other variable at its image,
-    ``unary[hv][pv]`` plus ``min(n, p)`` for each distinct incident edge,
-    where p is the premise count of the edge's image (0 while its other
-    endpoint is unmapped).  While hv is unmapped, ``score[hv][pv]`` is the
-    gain of mapping it to pv; ``score[hv][None]`` is 0.  Built as the
-    unary rows with *m* applied by :func:`_take`."""
+def _match_tables(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict, int]:
+    """The match tables under *m*, and *m*'s count.  ``score[hv][pv]`` is
+    what hv's own triples match with hv at pv and every other variable at
+    its image: ``unary[hv][pv]`` plus ``min(n, p)`` for each distinct
+    incident edge, p the premise count of its image (0 while its other
+    endpoint is unmapped); ``score[hv][None]`` is 0.  While hv is unmapped,
+    ``score[hv][pv]`` is the gain of mapping it to pv, so the entries *m*'s
+    variables gain as :func:`_take` places them one by one sum to its count."""
     score = {hv: dict(ctx.unary[hv]) for hv in ctx.hyp_vars}
-    _take(ctx, score, {}, m)
-    return score
+    placed: dict[str, str] = {}
+    matched = 0
+    for hv, pv in m.items():
+        matched += score[hv][pv]
+        _take(ctx, score, placed, {hv: pv})
+    return score, matched
 
 
 def _crossed(ctx: _MatchContext, i: int, old_s: str | None, old_t: str | None,
@@ -310,7 +305,7 @@ def _crossed(ctx: _MatchContext, i: int, old_s: str | None, old_t: str | None,
 
 def _table_gain(ctx: _MatchContext, score: dict, m: dict[str, str],
                 changes: dict[str, str | None]) -> int:
-    """``count(m + changes) - count(m)`` read from *m*'s match tables
+    """The count of ``m + changes`` less *m*'s, read from *m*'s match tables
     *score*: the changed variables' row differences, plus :func:`_crossed`
     for each claim edge between two changed variables.  A graph is a rooted
     DAG, so no edge has both ends on one variable."""
@@ -428,8 +423,7 @@ def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int, 
     climb's match tables (:func:`_match_tables`, built once per climb)
     exact for the new mapping.  Returns the mapping, its count and its
     match tables."""
-    score = _match_tables(ctx, m)
-    current = ctx.count(m)
+    score, current = _match_tables(ctx, m)
     while True:
         gain, best = _best_step(ctx, score, m)
         if best is None:
@@ -489,7 +483,7 @@ def _upper_bound(ctx: _MatchContext, incumbent: int) -> int:
     maximum-weight assignment of claim to premise variables, unless the
     cheaper row bound, each claim variable's best weight regardless of
     injectivity, is already no more than *incumbent*."""
-    # weight[i][j] is twice hv = hyp_vars[i]'s share of count() when mapped
+    # weight[i][j] is twice hv = hyp_vars[i]'s share of a count when mapped
     # to the j-th premise variable: a relation is in both endpoints' bounds
     # and so weighs a half in each.  So a mapping's count is at most half
     # the weight of its pairs.
@@ -556,7 +550,6 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     ctx = _MatchContext(premise, hypothesis, include_top, tables)
     rng = random.Random(seed)
-    best_m: dict[str, str] | None = None
     best_count = -1
     bound = None
     for r in range(restarts):
@@ -569,7 +562,7 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
                 bound = _upper_bound(ctx, best_count)
             if best_count >= bound:
                 break
-    return _result(ctx, _canonicalize(ctx, best_m, best_score))
+    return _result(ctx, _canonicalize(ctx, best_m, best_score), best_count)
 
 
 def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
@@ -607,7 +600,7 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
 
     best = {"count": -1, "m": {}}
     m: dict[str, str] = {}
-    score = _match_tables(ctx, m)
+    score = _match_tables(ctx, m)[0]
     used: set[str] = set()
 
     def dfs(i: int, current: int) -> None:
@@ -631,6 +624,6 @@ def align_exhaustive(premise: AmrGraph, hypothesis: AmrGraph,
         dfs(i + 1, current)  # leave hv unmapped
 
     dfs(0, 0)
-    final = best["m"]
-    return _result(ctx, _canonicalize(ctx, final, _match_tables(ctx, final)))
+    _take(ctx, score, m, best["m"])  # from the empty mapping dfs restored
+    return _result(ctx, _canonicalize(ctx, m, score), best["count"])
 

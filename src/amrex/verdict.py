@@ -135,6 +135,16 @@ def worker_count(jobs: int, work, cpus: int) -> int:
     return max(1, min(wanted, len(work), cpus))
 
 
+def _align_batch(pairs, cfg: AlignConfig) -> list[SmatchResult]:
+    """Align the evidence and claim graphs of each of :func:`score_pairs`'
+    *pairs* with its seed under *cfg*, building each graph's alignment
+    tables once for the batch."""
+    tables: dict = {}
+    return [align_hill_climb(ev_graph, claim_graph, cfg.restarts, seed,
+                             cfg.include_top, tables)
+            for _, ev_graph, _, claim_graph, seed in pairs]
+
+
 def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfig(),
                 jobs: int = 0, names=()) -> list[tuple[SmatchResult, float]]:
     """``(alignment, cosine)`` of each ``(evidence text, evidence graph,
@@ -146,11 +156,10 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     service backend fetches the texts it lacks in a few batched requests.
     A SimilarityError for the i-th pair, a failed request included, is
     raised while that pair is embedded, keeps its type and is prefixed
-    with ``names[i]`` when given.  The alignments run in this process
-    unless :func:`worker_count` gives more than one worker for *jobs* and
-    the pairs' work, ``|claim nodes|² × |evidence nodes|`` each; in this
-    process each graph's alignment tables are built once per call, and a
-    worker builds them per pair.
+    with ``names[i]`` when given.  The pairs are aligned in this process
+    as one batch (:func:`_align_batch`), unless :func:`worker_count` gives
+    more than one worker for *jobs* and the pairs' work, ``|claim nodes|² ×
+    |evidence nodes|`` each; then each worker aligns about four batches.
     """
     texts = iter(dict.fromkeys(text for p in pairs for text in (p[0], p[2])))
     sims = []
@@ -165,21 +174,16 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
     workers = worker_count(jobs, work, usable_cpus())
     if workers == 1:
-        tables: dict = {}
-        alignments = [align_hill_climb(ev_graph, claim_graph, cfg.restarts, seed,
-                                       cfg.include_top, tables)
-                      for _, ev_graph, _, claim_graph, seed in pairs]
-    else:
-        columns = ([p[1] for p in pairs], [p[3] for p in pairs],
-                   [cfg.restarts] * len(pairs), [p[4] for p in pairs],
-                   [cfg.include_top] * len(pairs))
-        # Imported here: a serial run need not pay for loading them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
-            alignments = list(pool.map(align_hill_climb, *columns,
-                                       chunksize=-(-len(pairs) // (4 * workers))))
+        return list(zip(_align_batch(pairs, cfg), sims))
+    size = -(-len(pairs) // (4 * workers))
+    batches = [pairs[i:i + size] for i in range(0, len(pairs), size)]
+    # Imported here: a serial run need not pay for loading them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+        alignments = [result for batch in pool.map(_align_batch, batches, [cfg] * len(batches))
+                      for result in batch]
     return list(zip(alignments, sims))
 
 

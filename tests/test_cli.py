@@ -204,13 +204,10 @@ def test_parallel_matches_serial_byte_for_byte(fever_files, tmp_path, command):
     assert outputs["1"] and outputs["0"] == outputs["1"] == outputs["8"]
 
 
-def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
-    """Rows with one Penman text share one graph, and a serial batch keeps
-    each graph's alignment tables across its pairs, a claim whose evidence
-    has its own text included.  verify writes the same bytes at --jobs 1
-    and --jobs 2, and as when every row's text is distinct (leading spaces
-    that parse to equal graphs)."""
-    rng = random.Random(21)
+def _shared_graph_claims(rng: random.Random):
+    """12 FEVER claims with 1-3 evidence items each, and their ``(id,
+    Penman text)`` bundle rows: every text is one of four graphs', and
+    every third claim's first evidence has the claim's text."""
     pool = [serialize_penman(random_graph(rng, max_nodes=7)) for _ in range(4)]
     claims, amrs = [], []
     for i in range(12):
@@ -219,13 +216,22 @@ def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
         evidence = []
         for j in range(rng.randint(1, 3)):
             eid = f"{cid}-e{j}"
-            # Every third claim's first evidence has the claim's text.
             amrs.append((eid, amrs[-1][1] if j == 0 and i % 3 == 0
                          else rng.choice(pool)))
             evidence.append({"id": eid, "text": f"evidence {rng.randrange(5)}"})
         claims.append({"claim_id": cid, "claim": f"claim {i % 4}",
                        "label": rng.choice(["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"]),
                        "evidence": evidence})
+    return claims, amrs
+
+
+def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
+    """Rows with one Penman text share one graph, and a serial batch keeps
+    each graph's alignment tables across its pairs, a claim whose evidence
+    has its own text included.  verify writes the same bytes at --jobs 1
+    and --jobs 2, and as when every row's text is distinct (leading spaces
+    that parse to equal graphs)."""
+    claims, amrs = _shared_graph_claims(random.Random(21))
     claims_path = tmp_path / "claims.jsonl"
     claims_path.write_text("".join(json.dumps(r) + "\n" for r in claims))
     shared = tmp_path / "shared.jsonl"
@@ -235,7 +241,8 @@ def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
     distinct.write_text("".join(json.dumps({"id": rid, "penman": " " * k + text}) + "\n"
                                 for k, (rid, text) in enumerate(amrs)))
     graphs = load_amr_bundle(str(shared))
-    assert len({id(g) for g in graphs.values()}) == len(set(pool)) < len(graphs)
+    assert (len({id(g) for g in graphs.values()}) == len({text for _rid, text in amrs})
+            < len(graphs))
     assert graphs["c0"] is graphs["c0-e0"]
     outputs = []
     for bundle, jobs in ((shared, "1"), (shared, "2"), (distinct, "1")):
@@ -247,6 +254,43 @@ def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
         outputs.append(out.read_bytes())
     assert len(outputs[0].splitlines()) == 12
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_rows_of_a_claim_subset_equal_the_whole_runs(tmp_path):
+    """A claim's row does not depend on the other claims of the run: the
+    rows of a subset of the claims equal the whole run's, at --jobs 1 and
+    at --jobs 2, where the pool's batches, and so the graphs whose tables
+    each batch shares, fall differently.  Each subset's graphs are also
+    graphs of claims it drops."""
+    claims, amrs = _shared_graph_claims(random.Random(22))
+    texts = dict(amrs)
+    bundle = tmp_path / "amrs.jsonl"
+    bundle.write_text("".join(json.dumps({"id": rid, "penman": text}) + "\n"
+                              for rid, text in amrs))
+
+    def graphs(subset):
+        return {texts[i] for c in subset
+                for i in (c["claim_id"], *(ev["id"] for ev in c["evidence"]))}
+
+    def rows(subset, jobs):
+        claims_path, out = tmp_path / "claims.jsonl", tmp_path / "verdicts.jsonl"
+        claims_path.write_text("".join(json.dumps(r) + "\n" for r in subset))
+        assert dispatch(["verify", "--dataset", "fever", "--claims", str(claims_path),
+                         "--amrs", str(bundle), "--backend", "test:dim=64",
+                         "--seed", "3", "--lambda", "0.5", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+        return {json.loads(line)["claim_id"]: line
+                for line in out.read_text().splitlines()}
+
+    whole = rows(claims, "1")
+    assert len(whole) == 12 and rows(claims, "2") == whole
+    for keep in ((0, 2, 4, 6, 8, 10), (1, 5, 9, 11), (7,)):
+        subset = [claims[i] for i in keep]
+        dropped = [c for i, c in enumerate(claims) if i not in keep]
+        assert graphs(subset) & graphs(dropped)
+        for jobs in ("1", "2"):
+            assert rows(subset, jobs) == {c["claim_id"]: whole[c["claim_id"]]
+                                          for c in subset}
 
 
 def test_explicit_jobs_starts_a_pool_and_the_default_does_not(
@@ -715,7 +759,12 @@ NOT_UTF8 = b"\xff\xfe\n"
      '{"id": "c1", "penman": "(a / x :mod (b / y :mod a))"}', ":1)"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
      '{"id": "c1", "penman": "(x / y)"}\n{"id": "c1", "penman": "(x / z)"}',
-     ":2: duplicate bundle id 'c1'"),
+     ":2: duplicate bundle id 'c1' (first at line 1)"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim_id": "c1", "claim": "x", "label": "S", "evidence": [{"text": "y"}]}\n'
+     '{"claim_id": "c2", "claim": "x", "label": "S", "evidence": [{"text": "y"}]}\n'
+     '{"claim_id": "c1", "claim": "z", "label": "R", "evidence": [{"text": "y"}]}',
+     ":3: duplicate claim id 'c1' (first at line 1)"),
     (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
      '{"claim_id": "c", "claim": "film \\ud800", "label": "S", "evidence": [{"text": "y"}]}',
      ":1: claim holds a lone surrogate"),
@@ -772,7 +821,7 @@ NOT_UTF8 = b"\xff\xfe\n"
         "amrs-not-object", "evidence-not-a-list", "evidence-text-not-a-string",
         "label-not-a-string", "penman-not-a-string", "claim-id-a-list",
         "claim-id-a-bool", "evidence-id-a-float", "bundle-id-null",
-        "bundle-id-an-object", "bundle-graph-cyclic", "bundle-id-twice",
+        "bundle-id-an-object", "bundle-graph-cyclic", "bundle-id-twice", "claim-id-twice",
         "claim-text-lone-surrogate", "claim-id-lone-surrogate",
         "evidence-id-lone-surrogate", "bundle-concept-lone-surrogate",
         "bundle-id-lone-surrogate", "evidence-ids-twice", "label-unknown",
