@@ -159,13 +159,17 @@ def _id(value, field: str) -> str:
                        f"got {type(value).__name__}")
 
 
-def _records(path: str, parse_record, id_field: str) -> Iterator[tuple[int, str, object]]:
+def _records(path: str, parse_record, id_key: str,
+             id_field: str) -> Iterator[tuple[int, str, object]]:
     """``(lineno, id, value)`` for each line of *path*, read as they are
     consumed, where ``parse_record(raw, lineno)`` gives the record's id and
-    value.  A missing required key, any DatasetError of the parser (a
-    malformed field or a record it rejects) and an id that an earlier line
-    holds name ``path:line``; a repeated id also names its first line."""
-    first: dict[str, int] = {}  # id -> the line of its record
+    value: its *id_key* (its *id_field* in messages) or, where the parser
+    allows the key to be missing, its line number.  A missing required key,
+    any DatasetError of the parser (a malformed field or a record it
+    rejects) and an id that an earlier line holds name ``path:line``; a
+    repeated id also names its first line, and a line that took its number
+    as id."""
+    first: dict[str, tuple[int, bool]] = {}  # id -> its line, and if numbered
     for lineno, raw in read_jsonl(path):
         try:
             rid, value = parse_record(raw, lineno)
@@ -173,9 +177,14 @@ def _records(path: str, parse_record, id_field: str) -> Iterator[tuple[int, str,
             raise DatasetError(f"{path}:{lineno}: missing key {exc}")
         except DatasetError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}")
-        if first.setdefault(rid, lineno) != lineno:
-            raise DatasetError(f"{path}:{lineno}: duplicate {id_field} {rid!r} "
-                               f"(first at line {first[rid]})")
+        numbered = id_key not in raw
+        line, line_numbered = first.setdefault(rid, (lineno, numbered))
+        if line != lineno:
+            took = line if line_numbered else lineno if numbered else None
+            raise DatasetError(
+                f"{path}:{lineno}: duplicate {id_field} {rid!r} (first at line {line})"
+                + (f"; line {took} has no {id_key} and took its line number as id"
+                   if took else ""))
         yield lineno, rid, value
 
 
@@ -270,7 +279,7 @@ def iter_claims(path: str, dataset: str,
     if dataset not in (FEVER, AVERITEC):
         raise DatasetError(f"unknown dataset {dataset!r}")
     parse = _fever_record if dataset == FEVER else _averitec_record(question_mode)
-    return (record for _lineno, _cid, record in _records(path, parse, "claim id"))
+    return (record for _lineno, _cid, record in _records(path, parse, "claim_id", "claim id"))
 
 
 def load_claims(path: str, dataset: str,
@@ -288,7 +297,7 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
     bundle: dict[str, AmrGraph] = {}
     parsed: dict[str, AmrGraph] = {}  # Penman text -> its graph
     rows = _records(path, lambda raw, lineno: (
-        _id(raw["id"], "bundle id"), _typed(raw["penman"], str, "penman")), "bundle id")
+        _id(raw["id"], "bundle id"), _typed(raw["penman"], str, "penman")), "id", "bundle id")
     for lineno, rid, text in rows:
         if wanted is not None and rid not in wanted:
             continue

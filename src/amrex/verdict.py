@@ -24,7 +24,7 @@ from numbers import Rational
 from .entailment import EntailmentScore, blend
 from .errors import ConfigError, DatasetError, SimilarityError
 from .ingest import AVERITEC, FEVER, VerdictLabel, require_graphs
-from .similarity import SimilarityBackend, cosine
+from .similarity import EmbeddingServiceBackend, SimilarityBackend, cosine
 from .smatch import AlignConfig, SmatchResult, align_hill_climb
 
 _TENTH = Fraction(1, 10)
@@ -120,10 +120,20 @@ def usable_cpus() -> int:
 # Estimated alignment work (see worker_count) that pays for one more worker.
 # On 2 vCPUs serial alignment takes about 0.6 µs per unit on the largest
 # seed-13 perfbench pairs (long-evidence) and up to 1.3 µs on the smallest
-# (averitec-sweep), where per-pair set-up weighs most; a spawned worker, which
-# imports amrex afresh, takes about 0.15 s to start.  The seed-13 workloads
-# hold 145k-305k units, and each stays serial with a 1.6x margin.
+# (averitec-sweep), where per-pair set-up weighs most.  The value was sized
+# for a spawned worker, which imports amrex afresh and takes about 0.15 s to
+# start; a forked one (see _pool) takes 35-40 ms, and re-sizing the value for
+# it needs a benchmark workload that starts a pool.  The seed-13 workloads
+# hold 145k-305k units, and each stays below a pool with a 1.6x margin.
 _WORK_PER_WORKER = 500_000
+
+# Estimated alignment work that pays for aligning in one worker while this
+# process embeds through a service.  A forked worker takes about 35-40 ms to
+# start on 2 vCPUs (importing concurrent.futures and multiprocessing, then
+# the fork), and 100k units take at least 60 ms to align, so the worker
+# aligns for longer than it costs.  The seed-13 averitec-sweep batch holds
+# 145k units; a service test's batch holds about one per pair.
+_WORK_TO_OVERLAP = 100_000
 
 
 def worker_count(jobs: int, work, cpus: int) -> int:
@@ -135,14 +145,62 @@ def worker_count(jobs: int, work, cpus: int) -> int:
     return max(1, min(wanted, len(work), cpus))
 
 
-def _align_batch(pairs, cfg: AlignConfig) -> list[SmatchResult]:
+def _cosines(pairs, backend: SimilarityBackend, names) -> list[float]:
+    """The cosine of each of :func:`score_pairs`' *pairs*, embedded by
+    *backend* in this process (see :func:`score_pairs`)."""
+    texts = iter(dict.fromkeys(text for p in pairs for text in (p[0], p[2])))
+    sims = []
+    for i, (ev_text, _, claim_text, _, _) in enumerate(pairs):
+        try:
+            sims.append(cosine(backend.embed(ev_text, texts),
+                               backend.embed(claim_text, texts)))
+        except SimilarityError as exc:
+            if names:
+                exc.args = (f"{names[i]}: {exc}",)
+            raise
+    return sims
+
+
+def _align_batch(pairs, cfg: AlignConfig, tables: dict) -> list[SmatchResult]:
     """Align the evidence and claim graphs of each of :func:`score_pairs`'
-    *pairs* with its seed under *cfg*, building each graph's alignment
-    tables once for the batch."""
-    tables: dict = {}
+    *pairs* with its seed under *cfg*, keeping each graph's alignment
+    tables in *tables*."""
     return [align_hill_climb(ev_graph, claim_graph, cfg.restarts, seed,
                              cfg.include_top, tables)
             for _, ev_graph, _, claim_graph, seed in pairs]
+
+
+# The pairs a pool worker aligns chunks of, and the one tables dict its
+# chunks share; set by _start_worker in worker processes only.
+_worker_batch: tuple = ((), {})
+
+
+def _start_worker(pairs) -> None:
+    global _worker_batch
+    _worker_batch = pairs, {}
+
+
+def _align_chunk(start: int, stop: int, cfg: AlignConfig) -> list[SmatchResult]:
+    """:func:`_align_batch` on ``pairs[start:stop]`` of this worker's pairs."""
+    pairs, tables = _worker_batch
+    return _align_batch(pairs[start:stop], cfg, tables)
+
+
+def _pool(workers: int, pairs):
+    """A pool of *workers* processes that each hold *pairs*, the one place
+    alignment workers are made.  They start by fork where the platform
+    offers it and this process runs a single thread, and inherit *pairs*;
+    otherwise by spawn, which pickles *pairs* to each, because forking a
+    process that runs other threads (an HTTP stub, a tracer) can copy a
+    lock one of them holds."""
+    # Imported here: a serial run need not pay for loading them.
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              and threading.active_count() == 1 else "spawn")
+    return ProcessPoolExecutor(workers, multiprocessing.get_context(method),
+                               initializer=_start_worker, initargs=(pairs,))
 
 
 def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfig(),
@@ -156,34 +214,33 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     service backend fetches the texts it lacks in a few batched requests.
     A SimilarityError for the i-th pair, a failed request included, is
     raised while that pair is embedded, keeps its type and is prefixed
-    with ``names[i]`` when given.  The pairs are aligned in this process
-    as one batch (:func:`_align_batch`), unless :func:`worker_count` gives
-    more than one worker for *jobs* and the pairs' work, ``|claim nodes|² ×
-    |evidence nodes|`` each; then each worker aligns about four batches.
+    with ``names[i]`` when given.
+
+    The pairs are aligned after embedding, in this process as one batch
+    (:func:`_align_batch`), unless a pool aligns them while this process
+    embeds: a pool of :func:`worker_count` workers for *jobs* and the
+    pairs' work, ``|claim nodes|² × |evidence nodes|`` each, when that is
+    more than one, else of one worker when *backend* is an embedding
+    service, *jobs* is not 1 and the work reaches ``_WORK_TO_OVERLAP``.
+    Each worker aligns about four chunks of consecutive pairs.  On an
+    error the chunks not yet started are dropped, and no worker outlives
+    the call.
     """
-    texts = iter(dict.fromkeys(text for p in pairs for text in (p[0], p[2])))
-    sims = []
-    for i, (ev_text, _, claim_text, _, _) in enumerate(pairs):
-        try:
-            sims.append(cosine(backend.embed(ev_text, texts),
-                               backend.embed(claim_text, texts)))
-        except SimilarityError as exc:
-            if names:
-                exc.args = (f"{names[i]}: {exc}",)
-            raise
     work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
     workers = worker_count(jobs, work, usable_cpus())
-    if workers == 1:
-        return list(zip(_align_batch(pairs, cfg), sims))
+    if workers == 1 and (jobs == 1 or sum(work) < _WORK_TO_OVERLAP
+                         or not isinstance(backend, EmbeddingServiceBackend)):
+        sims = _cosines(pairs, backend, names)
+        return list(zip(_align_batch(pairs, cfg, {}), sims))
     size = -(-len(pairs) // (4 * workers))
-    batches = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-    # Imported here: a serial run need not pay for loading them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # spawn, not fork: the caller may have threads (an HTTP stub, a tracer)
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
-        alignments = [result for batch in pool.map(_align_batch, batches, [cfg] * len(batches))
-                      for result in batch]
+    pool = _pool(workers, pairs)
+    try:
+        chunks = [pool.submit(_align_chunk, i, i + size, cfg)
+                  for i in range(0, len(pairs), size)]
+        sims = _cosines(pairs, backend, names)
+        alignments = [result for chunk in chunks for result in chunk.result()]
+    finally:
+        pool.shutdown(cancel_futures=True)
     return list(zip(alignments, sims))
 
 

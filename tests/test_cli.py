@@ -766,6 +766,11 @@ NOT_UTF8 = b"\xff\xfe\n"
      '{"claim_id": "c1", "claim": "z", "label": "R", "evidence": [{"text": "y"}]}',
      ":3: duplicate claim id 'c1' (first at line 1)"),
     (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+     '{"claim": "x", "label": "S", "evidence": [{"text": "y"}]}\n'
+     '{"claim_id": 1, "claim": "z", "label": "R", "evidence": [{"text": "y"}]}',
+     ":2: duplicate claim id '1' (first at line 1); "
+     "line 1 has no claim_id and took its line number as id"),
+    (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
      '{"claim_id": "c", "claim": "film \\ud800", "label": "S", "evidence": [{"text": "y"}]}',
      ":1: claim holds a lone surrogate"),
     (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
@@ -822,7 +827,7 @@ NOT_UTF8 = b"\xff\xfe\n"
         "label-not-a-string", "penman-not-a-string", "claim-id-a-list",
         "claim-id-a-bool", "evidence-id-a-float", "bundle-id-null",
         "bundle-id-an-object", "bundle-graph-cyclic", "bundle-id-twice", "claim-id-twice",
-        "claim-text-lone-surrogate", "claim-id-lone-surrogate",
+        "claim-id-numbered-twice", "claim-text-lone-surrogate", "claim-id-lone-surrogate",
         "evidence-id-lone-surrogate", "bundle-concept-lone-surrogate",
         "bundle-id-lone-surrogate", "evidence-ids-twice", "label-unknown",
         "evidence-kind-unknown", "answer-type-unknown", "fever-kind-not-sentence",

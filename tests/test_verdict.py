@@ -1,10 +1,17 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from amrex import verdict
+from amrex.cli import dispatch
 from amrex.errors import ConfigError, DatasetError, EmbeddingMissError
 from amrex.graph import parse_penman
 from amrex.ingest import ClaimRecord, EvidenceItem, label_set
@@ -14,7 +21,8 @@ from amrex.verdict import (AVERITEC, FEVER, VerdictLabel, aggregate, pair_seed,
                            precompute_pair_components, th2, th2_averitec,
                            th2_fever, verify_claim)
 
-from _fixtures import RABIES_CLAIM, RABIES_EVIDENCE, random_graph
+from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM, RABIES_EVIDENCE,
+                       random_graph)
 
 
 def test_label_validation():
@@ -215,3 +223,133 @@ def test_a_text_missing_from_a_file_backend_names_its_pair(tmp_path):
                        match=r"^claim 'c1' / evidence 'e1': no embedding for text") as exc:
         precompute_pair_components([_record(2)], PrecomputedFileBackend(str(path)))
     assert exc.value.text == "evidence text number 1"
+
+
+# An embedding service run in a process of its own, so that this one may run
+# a single thread: hashed vectors, and HTTP 500 for a request holding a text
+# that starts with "fail".
+_SERVICE = r"""
+import json, zlib
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        if any(t.startswith("fail") for t in texts):
+            self.send_response(500)
+            self.end_headers()
+            return
+        data = json.dumps({"vectors": [[zlib.crc32(t.encode()) % 97 - 48.0, len(t), 1.0]
+                                       for t in texts]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+server = HTTPServer(("127.0.0.1", 0), Handler)
+print(server.server_port, flush=True)
+server.serve_forever()
+"""
+
+
+@pytest.fixture(scope="module")
+def service_url():
+    proc = subprocess.Popen([sys.executable, "-c", _SERVICE], stdout=subprocess.PIPE,
+                            text=True)
+    try:
+        yield f"http://127.0.0.1:{proc.stdout.readline().strip()}"
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+def _service_verify(tmp_path, url, failing=None):
+    """``verify`` argv over 12 FEVER claims of 3 evidence each, embedded by
+    the service at *url*; the evidence at *failing*, a (claim, evidence)
+    index, has a text the service rejects."""
+    claims, amrs = [], []
+    for i in range(12):
+        claim, evidence = [(MARNIE_CLAIM, MARNIE_EVIDENCE), (RABIES_CLAIM, RABIES_EVIDENCE)][i % 2]
+        claims.append({"claim_id": f"c{i}", "claim": f"claim {i}", "label": "SUPPORTS",
+                       "evidence": [{"id": f"c{i}-e{k}",
+                                     "text": f"{'fail ' * ((i, k) == failing)}evidence {i} {k}"}
+                                    for k in range(3)]})
+        amrs += [{"id": f"c{i}", "penman": claim}]
+        amrs += [{"id": f"c{i}-e{k}", "penman": evidence} for k in range(3)]
+    for name, rows in (("claims", claims), ("amrs", amrs)):
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return ["verify", "--dataset", "fever", "--claims", str(tmp_path / "claims.jsonl"),
+            "--amrs", str(tmp_path / "amrs.jsonl"), "--backend", f"service:{url}"]
+
+
+@pytest.fixture
+def pool_methods(monkeypatch):
+    """The start method of each pool score_pairs makes, with the batch
+    work that pays for a service worker lowered to one unit."""
+    real = concurrent.futures.ProcessPoolExecutor
+    methods = []
+
+    def spy(workers, mp_context, **kwargs):
+        methods.append(mp_context.get_start_method())
+        return real(workers, mp_context, **kwargs)
+
+    # verdict imports the executor from concurrent.futures when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(verdict, "_WORK_TO_OVERLAP", 1)
+    return methods
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_a_service_batch_aligns_in_a_worker_with_the_serial_bytes(
+        service_url, tmp_path, pool_methods, method):
+    """At the default --jobs a batch embedded by a service aligns in one
+    worker while this process embeds: a forked one while this process runs
+    a single thread, a spawned one while it runs another.  It writes the
+    bytes of --jobs 1, and no worker outlives the command."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the platform cannot fork")
+    if threading.active_count() != 1:
+        pytest.skip("the test process already runs another thread")
+    argv = _service_verify(tmp_path, service_url)
+
+    def rows(*jobs):
+        out = tmp_path / f"verdicts{jobs}.jsonl"
+        assert dispatch([*argv, "--out", str(out), *jobs]) == 0
+        return out.read_bytes()
+
+    serial = rows("--jobs", "1")
+    assert pool_methods == []
+    other = threading.Event()
+    thread = threading.Thread(target=other.wait)
+    if method == "spawn":
+        thread.start()
+    try:
+        assert rows() == serial
+    finally:
+        other.set()
+        if method == "spawn":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert pool_methods == [method]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_service_failing_mid_batch_ends_as_at_jobs_1(service_url, tmp_path, capsys,
+                                                       pool_methods):
+    """A request the service fails while a worker aligns gives the error of
+    --jobs 1, naming the pair, with exit 1; the pending alignment chunks
+    are dropped and no worker outlives the command."""
+    argv = _service_verify(tmp_path, service_url, failing=(8, 1))
+    errors = []
+    for jobs in (["--jobs", "1"], []):
+        assert dispatch([*argv, *jobs]) == 1
+        errors.append([line for line in capsys.readouterr().err.splitlines()
+                       if line.startswith("error:")])
+    assert len(pool_methods) == 1
+    assert errors[0] == errors[1] == [
+        "error: claim 'c8' / evidence 'c8-e0': embedding service returned HTTP 500"]
+    assert multiprocessing.active_children() == []
