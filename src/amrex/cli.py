@@ -172,6 +172,8 @@ def cmd_evaluate(args) -> int:
     lambdas = (evaluation.sweep_range(args.sweep) if args.sweep
                else [cfg.resolved_lambda()])
     records = _verify_records(cfg, args.claims, args.amrs)
+    if not records:
+        raise DatasetError(f"{args.claims}: no claims to evaluate")
     backend = backend_from_spec(cfg.backend)
     reports = evaluation.lambda_sweep(records, lambdas, backend,
                                       _align_config(cfg), cfg.seed,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .errors import GraphError, PenmanParseError
@@ -107,6 +108,13 @@ class AmrGraph:
         unreachable = [v for v in self.nodes if v not in on_walk]
         if unreachable:
             raise GraphError(f"nodes unreachable from root: {unreachable}")
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Tables derived from this graph, kept for as long as it lives
+        and pickled with it: not a field, so equality and ``repr`` ignore
+        it."""
+        return {}
 
 
 class _Parser:

@@ -123,17 +123,14 @@ def _claim_half(hypothesis: AmrGraph, include_top: bool) -> tuple:
             list(rel.values()), edges_at, dict(between))
 
 
-def _half(build, graph: AmrGraph, include_top: bool, tables: dict | None) -> tuple:
-    """``build(graph, include_top)``, or the half kept in *tables* by an
-    earlier call for the same graph object; the entry holds the graph, so
-    its id is not reused while *tables* lives."""
-    if tables is None:
-        return build(graph, include_top)
-    key = (build, id(graph), include_top)
-    entry = tables.get(key)
-    if entry is None:
-        entry = tables[key] = (graph, build(graph, include_top))
-    return entry[1]
+def _half(build, graph: AmrGraph, include_top: bool) -> tuple:
+    """``build(graph, include_top)``, built once per graph and kept in its
+    memo for as long as the graph lives."""
+    key = build, include_top
+    half = graph._memo.get(key)
+    if half is None:
+        half = graph._memo[key] = build(graph, include_top)
+    return half
 
 
 class _MatchContext:
@@ -159,19 +156,19 @@ class _MatchContext:
     both orders of the pair.
 
     Each graph's tables depend on that graph alone: a premise half
-    (:func:`_premise_half`) and a claim half (:func:`_claim_half`), which a
-    caller aligning many pairs may keep in *tables* across contexts.  Only
-    the ``unary`` and ``bound`` rows are built per pair.
+    (:func:`_premise_half`) and a claim half (:func:`_claim_half`), each
+    built on the graph's first context in that role and kept on the graph
+    (:func:`_half`).  Only the ``unary`` and ``bound`` rows are built per
+    pair.
     """
 
-    def __init__(self, premise: AmrGraph, hypothesis: AmrGraph, include_top: bool,
-                 tables: dict | None = None):
+    def __init__(self, premise: AmrGraph, hypothesis: AmrGraph, include_top: bool):
         (self.prem_concepts, self.prem_total, self.prem_rel, prem_unary,
          self.prem_edges_by_role, leaves, enters, self.prem_sources,
-         self.prem_targets) = _half(_premise_half, premise, include_top, tables)
+         self.prem_targets) = _half(_premise_half, premise, include_top)
         (self.hyp_nodes, self.hyp_vars, self.hyp_total, hyp_unary, self.hyp_edges,
          self.hyp_mult, self.hyp_edges_at, self.hyp_between) = _half(
-            _claim_half, hypothesis, include_top, tables)
+            _claim_half, hypothesis, include_top)
         # bound[hv][pv]: the most triples mapping hv -> pv can ever match:
         # unary[hv][pv] plus each incident edge's multiplicity when its role
         # leaves (hv the source) or enters (hv the target) pv in the
@@ -534,7 +531,7 @@ def _canonicalize(ctx: _MatchContext, m: dict[str, str], score: dict) -> dict[st
 
 def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
                      restarts: int = 4, seed: int = 0,
-                     include_top: bool = True, tables: dict | None = None) -> SmatchResult:
+                     include_top: bool = True) -> SmatchResult:
     """Best alignment over at most *restarts* hill-climbing runs.
 
     The first restart starts from a concept-match-greedy mapping, the rest
@@ -542,13 +539,13 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     move, swap or edge planting until no gain.  Deterministic for a fixed
     seed.  The runs stop once the best count reaches ``_upper_bound``:
     a later run could only tie, and a tie never replaces the first best,
-    so the result is the one all *restarts* runs give.  *tables*, a dict
-    the caller keeps for a batch, shares each graph's half of the
-    alignment tables between the batch's pairs (see :class:`_MatchContext`).
+    so the result is the one all *restarts* runs give.  Each graph's half
+    of the alignment tables is built once and kept on the graph, so every
+    pair a graph is in shares it (see :class:`_MatchContext`).
     """
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
-    ctx = _MatchContext(premise, hypothesis, include_top, tables)
+    ctx = _MatchContext(premise, hypothesis, include_top)
     rng = random.Random(seed)
     best_count = -1
     bound = None

@@ -161,46 +161,28 @@ def _cosines(pairs, backend: SimilarityBackend, names) -> list[float]:
     return sims
 
 
-def _align_batch(pairs, cfg: AlignConfig, tables: dict) -> list[SmatchResult]:
+def _align_batch(pairs, cfg: AlignConfig) -> list[SmatchResult]:
     """Align the evidence and claim graphs of each of :func:`score_pairs`'
-    *pairs* with its seed under *cfg*, keeping each graph's alignment
-    tables in *tables*."""
-    return [align_hill_climb(ev_graph, claim_graph, cfg.restarts, seed,
-                             cfg.include_top, tables)
+    *pairs* with its seed under *cfg*.  Each graph keeps its alignment
+    tables, so the pairs a graph is in share them."""
+    return [align_hill_climb(ev_graph, claim_graph, restarts=cfg.restarts,
+                             seed=seed, include_top=cfg.include_top)
             for _, ev_graph, _, claim_graph, seed in pairs]
 
 
-# The pairs a pool worker aligns chunks of, and the one tables dict its
-# chunks share; set by _start_worker in worker processes only.
-_worker_batch: tuple = ((), {})
-
-
-def _start_worker(pairs) -> None:
-    global _worker_batch
-    _worker_batch = pairs, {}
-
-
-def _align_chunk(start: int, stop: int, cfg: AlignConfig) -> list[SmatchResult]:
-    """:func:`_align_batch` on ``pairs[start:stop]`` of this worker's pairs."""
-    pairs, tables = _worker_batch
-    return _align_batch(pairs[start:stop], cfg, tables)
-
-
-def _pool(workers: int, pairs):
-    """A pool of *workers* processes that each hold *pairs*, the one place
-    alignment workers are made.  They start by fork where the platform
-    offers it and this process runs a single thread, and inherit *pairs*;
-    otherwise by spawn, which pickles *pairs* to each, because forking a
-    process that runs other threads (an HTTP stub, a tracer) can copy a
-    lock one of them holds."""
+def _pool(workers: int):
+    """A pool of *workers* processes, the one place alignment workers are
+    made.  They start by fork where the platform offers it and this
+    process runs a single thread, as they then start fastest; otherwise by
+    spawn, because forking a process that runs other threads (an HTTP
+    stub, a tracer) can copy a lock one of them holds."""
     # Imported here: a serial run need not pay for loading them.
     import multiprocessing
     import threading
     from concurrent.futures import ProcessPoolExecutor
     method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
               and threading.active_count() == 1 else "spawn")
-    return ProcessPoolExecutor(workers, multiprocessing.get_context(method),
-                               initializer=_start_worker, initargs=(pairs,))
+    return ProcessPoolExecutor(workers, multiprocessing.get_context(method))
 
 
 def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfig(),
@@ -222,20 +204,20 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     pairs' work, ``|claim nodes|² × |evidence nodes|`` each, when that is
     more than one, else of one worker when *backend* is an embedding
     service, *jobs* is not 1 and the work reaches ``_WORK_TO_OVERLAP``.
-    Each worker aligns about four chunks of consecutive pairs.  On an
-    error the chunks not yet started are dropped, and no worker outlives
-    the call.
+    Each worker aligns about four chunks of consecutive pairs, each sent
+    to it as an argument.  On an error the chunks not yet started are
+    dropped, and no worker outlives the call.
     """
     work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
     workers = worker_count(jobs, work, usable_cpus())
     if workers == 1 and (jobs == 1 or sum(work) < _WORK_TO_OVERLAP
                          or not isinstance(backend, EmbeddingServiceBackend)):
         sims = _cosines(pairs, backend, names)
-        return list(zip(_align_batch(pairs, cfg, {}), sims))
+        return list(zip(_align_batch(pairs, cfg), sims))
     size = -(-len(pairs) // (4 * workers))
-    pool = _pool(workers, pairs)
+    pool = _pool(workers)
     try:
-        chunks = [pool.submit(_align_chunk, i, i + size, cfg)
+        chunks = [pool.submit(_align_batch, pairs[i:i + size], cfg)
                   for i in range(0, len(pairs), size)]
         sims = _cosines(pairs, backend, names)
         alignments = [result for chunk in chunks for result in chunk.result()]

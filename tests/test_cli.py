@@ -226,8 +226,8 @@ def _shared_graph_claims(rng: random.Random):
 
 
 def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
-    """Rows with one Penman text share one graph, and a serial batch keeps
-    each graph's alignment tables across its pairs, a claim whose evidence
+    """Rows with one Penman text share one graph, and each graph keeps its
+    alignment tables across its pairs, a claim whose evidence
     has its own text included.  verify writes the same bytes at --jobs 1
     and --jobs 2, and as when every row's text is distinct (leading spaces
     that parse to equal graphs)."""
@@ -259,8 +259,8 @@ def test_graphs_shared_by_bundle_rows_give_the_bytes_of_distinct_ones(tmp_path):
 def test_rows_of_a_claim_subset_equal_the_whole_runs(tmp_path):
     """A claim's row does not depend on the other claims of the run: the
     rows of a subset of the claims equal the whole run's, at --jobs 1 and
-    at --jobs 2, where the pool's batches, and so the graphs whose tables
-    each batch shares, fall differently.  Each subset's graphs are also
+    at --jobs 2, where the pool's chunks, and so the graph copies whose
+    tables each chunk shares, fall differently.  Each subset's graphs are also
     graphs of claims it drops."""
     claims, amrs = _shared_graph_claims(random.Random(22))
     texts = dict(amrs)
@@ -820,6 +820,7 @@ NOT_UTF8 = b"\xff\xfe\n"
       "--out", "{bad}/v.jsonl"], None, "/v.jsonl: No such file"),
     (["evaluate", "--claims", "{claims}", "--amrs", "{amrs}",
       "--report", "{bad}/reports"], "a file", "/reports: "),
+    (["evaluate", "--claims", "{bad}", "--amrs", "{amrs}"], "", ": no claims to evaluate"),
     (["ingest", "--in", "{claims}", "--out", "{bad}/n.jsonl"], None,
      "/n.jsonl: No such file"),
 ], ids=["parse-missing", "claims-missing", "claims-no-label", "claims-not-object",
@@ -834,7 +835,7 @@ NOT_UTF8 = b"\xff\xfe\n"
         "claim-without-evidence", "verdicts-missing",
         "verdicts-bad-json", "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
         "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
-        "evaluate-report-under-a-file", "ingest-out-no-dir"])
+        "evaluate-report-under-a-file", "evaluate-claims-empty", "ingest-out-no-dir"])
 def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, capsys,
                                                        argv, content, where):
     claims, amrs = fever_files

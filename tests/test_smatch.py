@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -12,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from amrex.errors import ConfigError, GraphError, MappingError
 from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex import smatch
-from amrex.smatch import (VariableMapping, _assign, _best_step, _canonicalize, _climb,
-                          _MatchContext, _match_tables, _max_assignment, _plantings,
-                          _swap_gain, _table_gain, _take, _upper_bound, align_exhaustive,
-                          align_hill_climb)
+from amrex.smatch import (VariableMapping, _assign, _best_step, _canonicalize, _claim_half,
+                          _climb, _MatchContext, _match_tables, _max_assignment,
+                          _plantings, _premise_half, _swap_gain, _table_gain, _take,
+                          _upper_bound, align_exhaustive, align_hill_climb)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -722,20 +723,32 @@ def _random_mapping(rng, premise, hypothesis):
     return {hv: pv for hv, pv in zip(hypothesis.nodes, images) if rng.random() < 0.7}
 
 
+def _copy(g: AmrGraph) -> AmrGraph:
+    """An equal graph that holds no tables yet."""
+    return _unchecked_graph(g.nodes, g.edges, g.attributes)
+
+
+def _halves(g: AmrGraph) -> dict:
+    """The premise and claim halves of *g* under both include_top values,
+    built directly, keyed as a graph keeps them."""
+    return {(build, include_top): build(g, include_top)
+            for build in (_premise_half, _claim_half) for include_top in (True, False)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(_graphs("p", 6), _graphs("h", 5), _graphs("p", 4), st.randoms(use_true_random=False))
 def test_contexts_from_kept_halves_equal_fresh_ones(a, b, c, rng):
-    """A batch keeps each graph's half of the tables in one dict across
-    pairs: every context composed from kept halves, a graph against itself
-    (one object in both roles) included, has the tables, counts and
-    alignment of one built afresh, its counts are the literal ones, and
-    the halves are built once."""
-    tables: dict = {}
+    """Each graph keeps its half of the tables across pairs: every context
+    composed from kept halves, a graph against itself (one object in both
+    roles) included, has the tables, counts and alignment of one built
+    from fresh copies of its graphs, its counts are the literal ones, and
+    each graph builds one half per role and include_top, equal to the one
+    ``_premise_half`` or ``_claim_half`` builds."""
     graphs = (a, b, c)
     for premise, hypothesis in itertools.product(graphs, repeat=2):
         for include_top in (True, False):
-            kept = _MatchContext(premise, hypothesis, include_top, tables)
-            fresh = _MatchContext(premise, hypothesis, include_top)
+            kept = _MatchContext(premise, hypothesis, include_top)
+            fresh = _MatchContext(_copy(premise), _copy(hypothesis), include_top)
             assert vars(kept) == vars(fresh)
             for _ in range(3):
                 m = _random_mapping(rng, premise, hypothesis)
@@ -743,13 +756,30 @@ def test_contexts_from_kept_halves_equal_fresh_ones(a, b, c, rng):
                         == (_literal_tables(fresh, m),
                             _literal_count(premise, hypothesis, m, include_top)))
             seed = rng.randrange(100)
-            assert (align_hill_climb(premise, hypothesis, 2, seed, include_top, tables)
-                    == align_hill_climb(premise, hypothesis, 2, seed, include_top))
-    # One premise half and one claim half per graph and include_top.
-    assert len(tables) == 2 * len(graphs) * 2
-    again = _MatchContext(a, a, True, tables)
-    assert again.prem_rel is _MatchContext(a, b, True, tables).prem_rel
-    assert again.hyp_edges is _MatchContext(b, a, True, tables).hyp_edges
+            assert (align_hill_climb(premise, hypothesis, 2, seed, include_top)
+                    == align_hill_climb(_copy(premise), _copy(hypothesis), 2, seed,
+                                        include_top))
+    for g in graphs:
+        assert g._memo == _halves(g)
+    again = _MatchContext(a, a, True)
+    assert again.prem_rel is _MatchContext(a, b, True).prem_rel
+    assert again.hyp_edges is _MatchContext(b, a, True).hyp_edges
+
+
+def test_a_pickled_graph_holding_its_halves_loads_back_equal():
+    """A graph pickled after it built its halves loads back equal, and its
+    contexts equal those of graphs that built none."""
+    premise, hypothesis = parse_penman(MARNIE_EVIDENCE), parse_penman(MARNIE_CLAIM)
+    for include_top in (True, False):
+        _MatchContext(premise, hypothesis, include_top)
+        _MatchContext(hypothesis, premise, include_top)
+    assert premise._memo == _halves(premise)
+    loaded = pickle.loads(pickle.dumps((premise, hypothesis)))
+    assert loaded == (premise, hypothesis)
+    for include_top in (True, False):
+        for p, h in (loaded, loaded[::-1]):
+            assert (vars(_MatchContext(p, h, include_top))
+                    == vars(_MatchContext(_copy(p), _copy(h), include_top)))
 
 
 def test_gain_caps_duplicate_edges_at_the_premise_count():

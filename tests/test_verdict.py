@@ -353,3 +353,36 @@ def test_a_service_failing_mid_batch_ends_as_at_jobs_1(service_url, tmp_path, ca
     assert errors[0] == errors[1] == [
         "error: claim 'c8' / evidence 'c8-e0': embedding service returned HTTP 500"]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_graphs_holding_their_tables_score_as_fresh_ones(monkeypatch, pool_methods, method):
+    """A graph keeps its alignment tables once a batch has built them, and
+    a pool worker gets its chunk of pairs, graphs and tables included, as
+    an argument: score_pairs run twice on the same pairs gives equal
+    results at jobs=1 and jobs=2, by a forked pool while this process runs
+    a single thread and by a spawned one while it runs another."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the platform cannot fork")
+    if threading.active_count() != 1:
+        pytest.skip("the test process already runs another thread")
+    monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
+    rng = random.Random(29)
+    graphs = [random_graph(rng, prefix=p) for p in "abcd"]
+    pairs = [(f"evidence {i}", graphs[i], f"claim {j}", graphs[j], pair_seed(7, str(j), str(i)))
+             for i in range(4) for j in range(4)]
+    backend = DeterministicTestBackend(dim=16)
+    other = threading.Event()
+    thread = threading.Thread(target=other.wait)
+    if method == "spawn":
+        thread.start()
+    try:
+        results = [verdict.score_pairs(pairs, backend, jobs=jobs) for jobs in (2, 1, 2, 1)]
+    finally:
+        other.set()
+        if method == "spawn":
+            thread.join(timeout=10)
+    assert all(g._memo for g in graphs)
+    assert results[0] == results[1] == results[2] == results[3]
+    assert pool_methods == [method, method]
+    assert multiprocessing.active_children() == []
