@@ -8,7 +8,10 @@ the hypothesis meaning is contained in the premise.
 
 Two search procedures are provided: a restarted hill climber (the
 production path) and an exhaustive branch-and-bound search used as an
-oracle on small graphs.  Both are deterministic for a fixed seed.
+oracle on small graphs.  Both are deterministic for a fixed seed.  Each
+climber step is a short list of moves ``(hv, old pv, new pv)``: one for a
+single move, two for a swap, up to four for an edge planting, all scored
+from the climb's match tables by one gain function.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ class _MatchContext:
     exhaustive search's, reads the match tables (:func:`_match_tables`), which
     :func:`_take` keeps through the premise's edges
     ``prem_sources[(role, target)]`` and ``prem_targets[(role, source)]``,
-    each ``{variable: multiplicity}``.  A change set that moves both ends
+    each ``{variable: multiplicity}``.  A step whose moves move both ends
     of a claim edge reads it through ``hyp_between[(a, b)]``, keyed by
     both orders of the pair.
 
@@ -173,7 +176,7 @@ class _MatchContext:
         # unary[hv][pv] plus each incident edge's multiplicity when its role
         # leaves (hv the source) or enters (hv the target) pv in the
         # premise.  Unmapping never gains and an edge matches at most its
-        # multiplicity, so a change set gains at most the sum of its entries.
+        # multiplicity, so a step gains at most the sum of its moves' entries.
         self.unary: dict[str, dict[str | None, int]] = {}
         self.bound: dict[str, dict[str | None, int]] = {}
         for hv in self.hyp_vars:
@@ -232,36 +235,29 @@ def _assign(m: dict[str, str], hv: str, pv: str | None) -> None:
         m[hv] = pv
 
 
-def _place(m: dict[str, str], inv: dict[str, str], changes: dict[str, str | None],
-           hv: str, pv: str) -> None:
-    """Add hv -> pv to the change set *changes* of *m*, moving any occupant
-    of pv to hv's vacated premise variable (or unmapping it).  *inv* is
-    *m*'s inverse, premise -> hypothesis."""
-    occupant = next((h for h, p in changes.items() if p == pv), None)
-    if occupant is None and inv.get(pv) not in changes:
-        occupant = inv.get(pv)
-    vacated = changes.get(hv, m.get(hv))
-    changes[hv] = pv
-    if occupant is not None and occupant != hv:
-        changes[occupant] = vacated
-
-
 def _plantings(ctx: _MatchContext, m: dict[str, str],
-               inv: dict[str, str]) -> Iterator[dict[str, str | None]]:
-    """Yield *m*'s edge plantings as change sets ``{hv: new pv or None}``,
-    in search order: for a hypothesis edge and a premise edge with the same
-    role, map both endpoints onto the premise edge in one step.  The
-    coordinated move is what lets a relation match be reached when neither
-    endpoint alone gains anything.  *inv* is *m*'s inverse."""
+               inv: dict[str, str]) -> Iterator[list[tuple[str, str | None, str | None]]]:
+    """Yield *m*'s edge plantings as moves ``(hv, old pv, new pv)``, in
+    search order: for a hypothesis edge s -r-> t and a premise edge ps -r->
+    pt, map s to ps and t to pt in one step.  The coordinated move is what
+    lets a relation match be reached when neither endpoint alone gains
+    anything.  A variable displaced from ps takes the image s vacates, or
+    t's when s vacates pt; one displaced from pt takes t's, or s's when t
+    vacates ps; a displaced variable is unmapped when that image is None.
+    An endpoint already in place is a move that changes nothing.  *inv* is
+    *m*'s inverse, premise -> hypothesis."""
     for s, r, t in ctx.hyp_edges:
+        a, b = m.get(s), m.get(t)
         for ps, pt in ctx.prem_edges_by_role.get(r, ()):
-            if m.get(s) == ps and m.get(t) == pt:
+            if a == ps and b == pt:
                 continue
-            changes: dict[str, str | None] = {}
-            _place(m, inv, changes, s, ps)
-            if changes.get(t, m.get(t)) != pt:
-                _place(m, inv, changes, t, pt)
-            yield changes
+            moves = [(s, a, ps), (t, b, pt)]
+            o1, o2 = inv.get(ps), inv.get(pt)
+            if o1 is not None and o1 != s and o1 != t:
+                moves.append((o1, ps, b if a == pt else a))
+            if o2 is not None and o2 != s and o2 != t:
+                moves.append((o2, pt, a if b == ps else b))
+            yield moves
 
 
 def _match_tables(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict, int]:
@@ -300,40 +296,23 @@ def _crossed(ctx: _MatchContext, i: int, old_s: str | None, old_t: str | None,
     return crossed
 
 
-def _table_gain(ctx: _MatchContext, score: dict, m: dict[str, str],
-                changes: dict[str, str | None]) -> int:
-    """The count of ``m + changes`` less *m*'s, read from *m*'s match tables
-    *score*: the changed variables' row differences, plus :func:`_crossed`
-    for each claim edge between two changed variables.  A graph is a rooted
-    DAG, so no edge has both ends on one variable."""
+def _moves_gain(ctx: _MatchContext, score: dict, moves) -> int:
+    """The count after *moves*, each ``(hv, old pv, new pv)``, less the count
+    before, read from the match tables *score* before them: the moved
+    variables' row differences, plus :func:`_crossed` for each claim edge
+    between two of them.  A graph is a rooted DAG, so no edge has both ends
+    on one variable.  A move that changes nothing adds 0 to both."""
     gain = 0
-    moved = []
-    for hv, new in changes.items():
-        old = m.get(hv)
-        if old != new:
-            row = score[hv]
-            gain += row[new] - row[old]
-            moved.append(hv)
-    if len(moved) > 1:
-        between, edges = ctx.hyp_between, ctx.hyp_edges
-        for pair in combinations(moved, 2):
-            for i in between.get(pair, ()):
-                s, _r, t = edges[i]
-                gain += _crossed(ctx, i, m.get(s), m.get(t), changes[s], changes[t])
-    return gain
-
-
-def _swap_gain(ctx: _MatchContext, score: dict, h1: str, p1: str | None,
-               h2: str, p2: str | None) -> int:
-    """The gain of swapping the images p1 of h1 and p2 of h2, read from the
-    match tables *score*: :func:`_table_gain` for ``{h1: p2, h2: p1}``
-    without building the change set."""
-    row1, row2 = score[h1], score[h2]
-    gain = row1[p2] - row1[p1] + row2[p1] - row2[p2]
-    for i in ctx.hyp_between.get((h1, h2), ()):
-        # Symmetric in the swapped images, so the edge's direction does not
-        # matter.
-        gain += _crossed(ctx, i, p1, p2, p2, p1)
+    for hv, old, new in moves:
+        row = score[hv]
+        gain += row[new] - row[old]
+    between, edges = ctx.hyp_between, ctx.hyp_edges
+    for (h1, old1, new1), (h2, old2, new2) in combinations(moves, 2):
+        for i in between.get((h1, h2), ()):
+            if edges[i][0] == h1:
+                gain += _crossed(ctx, i, old1, old2, new1, new2)
+            else:
+                gain += _crossed(ctx, i, old2, old1, new2, new1)
     return gain
 
 
@@ -375,21 +354,22 @@ def _best_step(ctx: _MatchContext, score: dict,
     different images, then :func:`_plantings`.  Unmapping a variable alone
     never gains, so it is no move; a swap or planting may still unmap the
     variable it displaces.  Single moves are read from the match tables
-    *score* and swaps through :func:`_swap_gain`, neither as a change set;
-    a swap or planting whose ``ctx.bound`` sum cannot beat the best gain so
-    far is not scored, as it could not be taken."""
+    *score*'s rows.  A swap is the two moves ``(h1, p1, p2), (h2, p2,
+    p1)``, and it and each planting are scored by :func:`_moves_gain`,
+    unless the ``ctx.bound`` sum of their moves cannot beat the best gain
+    so far, as they then could not be taken."""
     bound, hyp_vars = ctx.bound, ctx.hyp_vars
     images = [m.get(hv) for hv in hyp_vars]
     inv = {pv: hv for hv, pv in m.items()}
     free = [pv for pv in ctx.prem_concepts if pv not in inv]
     best_gain = 0
-    best: dict[str, str | None] | None = None
+    best = None
     if free:
         for hv, p1 in zip(hyp_vars, images):
             row = score[hv]
             pv = max(free, key=row.__getitem__)  # the first of the largest
             if row[pv] - row[p1] > best_gain:
-                best_gain, best = row[pv] - row[p1], {hv: pv}
+                best_gain, best = row[pv] - row[p1], [(hv, p1, pv)]
     for i, h1 in enumerate(hyp_vars):
         p1, bound1 = images[i], bound[h1]
         for j in range(i + 1, len(hyp_vars)):
@@ -399,19 +379,20 @@ def _best_step(ctx: _MatchContext, score: dict,
             h2 = hyp_vars[j]
             if bound1[p2] + bound[h2][p1] <= best_gain:
                 continue
-            gain = _swap_gain(ctx, score, h1, p1, h2, p2)
+            moves = (h1, p1, p2), (h2, p2, p1)
+            gain = _moves_gain(ctx, score, moves)
             if gain > best_gain:
-                best_gain, best = gain, {h1: p2, h2: p1}
-    for changes in _plantings(ctx, m, inv):
+                best_gain, best = gain, moves
+    for moves in _plantings(ctx, m, inv):
         ub = 0
-        for hv, pv in changes.items():
-            ub += bound[hv][pv]
+        for hv, _old, new in moves:
+            ub += bound[hv][new]
         if ub <= best_gain:
             continue
-        gain = _table_gain(ctx, score, m, changes)
+        gain = _moves_gain(ctx, score, moves)
         if gain > best_gain:
-            best_gain, best = gain, changes
-    return best_gain, best
+            best_gain, best = gain, moves
+    return best_gain, best and {hv: new for hv, _old, new in best}
 
 
 def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int, dict]:

@@ -162,12 +162,12 @@ def _cosines(pairs, backend: SimilarityBackend, names) -> list[float]:
 
 
 def _align_batch(pairs, cfg: AlignConfig) -> list[SmatchResult]:
-    """Align the evidence and claim graphs of each of :func:`score_pairs`'
-    *pairs* with its seed under *cfg*.  Each graph keeps its alignment
-    tables, so the pairs a graph is in share them."""
+    """Align each ``(evidence graph, claim graph, seed)`` in *pairs* under
+    *cfg*.  Each graph keeps its alignment tables, so the pairs a graph is
+    in share them."""
     return [align_hill_climb(ev_graph, claim_graph, restarts=cfg.restarts,
                              seed=seed, include_top=cfg.include_top)
-            for _, ev_graph, _, claim_graph, seed in pairs]
+            for ev_graph, claim_graph, seed in pairs]
 
 
 def _pool(workers: int):
@@ -205,20 +205,22 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     more than one, else of one worker when *backend* is an embedding
     service, *jobs* is not 1 and the work reaches ``_WORK_TO_OVERLAP``.
     Each worker aligns about four chunks of consecutive pairs, each sent
-    to it as an argument.  On an error the chunks not yet started are
-    dropped, and no worker outlives the call.
+    to it as an argument of ``(evidence graph, claim graph, seed)``
+    triples, without the texts it does not read.  On an error the chunks
+    not yet started are dropped, and no worker outlives the call.
     """
-    work = [len(p[3].nodes) ** 2 * len(p[1].nodes) for p in pairs]
+    graphs = [(ev_graph, claim_graph, seed) for _, ev_graph, _, claim_graph, seed in pairs]
+    work = [len(claim.nodes) ** 2 * len(ev.nodes) for ev, claim, _ in graphs]
     workers = worker_count(jobs, work, usable_cpus())
     if workers == 1 and (jobs == 1 or sum(work) < _WORK_TO_OVERLAP
                          or not isinstance(backend, EmbeddingServiceBackend)):
         sims = _cosines(pairs, backend, names)
-        return list(zip(_align_batch(pairs, cfg), sims))
-    size = -(-len(pairs) // (4 * workers))
+        return list(zip(_align_batch(graphs, cfg), sims))
+    size = -(-len(graphs) // (4 * workers))
     pool = _pool(workers)
     try:
-        chunks = [pool.submit(_align_batch, pairs[i:i + size], cfg)
-                  for i in range(0, len(pairs), size)]
+        chunks = [pool.submit(_align_batch, graphs[i:i + size], cfg)
+                  for i in range(0, len(graphs), size)]
         sims = _cosines(pairs, backend, names)
         alignments = [result for chunk in chunks for result in chunk.result()]
     finally:

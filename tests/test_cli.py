@@ -293,6 +293,38 @@ def test_rows_of_a_claim_subset_equal_the_whole_runs(tmp_path):
                                           for c in subset}
 
 
+def test_permuting_a_claims_evidence_permutes_its_pairs(tmp_path):
+    """A pair's seed reads its ids, not its position: rotating every
+    claim's evidence rotates its row's pairs and leaves its label, its e
+    and each pair's object as they were, at --jobs 1 and at --jobs 2."""
+    claims, amrs = _shared_graph_claims(random.Random(30))
+    bundle = tmp_path / "amrs.jsonl"
+    bundle.write_text("".join(json.dumps({"id": rid, "penman": text}) + "\n"
+                              for rid, text in amrs))
+
+    def rows(claims, jobs):
+        claims_path, out = tmp_path / "claims.jsonl", tmp_path / "verdicts.jsonl"
+        claims_path.write_text("".join(json.dumps(r) + "\n" for r in claims))
+        assert dispatch(["verify", "--dataset", "fever", "--claims", str(claims_path),
+                         "--amrs", str(bundle), "--backend", "test:dim=64",
+                         "--seed", "3", "--lambda", "0.5", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+        return {row["claim_id"]: row
+                for row in map(json.loads, out.read_text().splitlines())}
+
+    rotated = [{**c, "evidence": c["evidence"][1:] + c["evidence"][:1]} for c in claims]
+    assert sum(len(c["evidence"]) > 1 for c in claims) >= 6
+    before = rows(claims, "1")
+    for jobs in ("1", "2"):
+        after = rows(rotated, jobs)
+        assert list(after) == list(before)
+        for claim in rotated:
+            old, new = before[claim["claim_id"]], after[claim["claim_id"]]
+            assert (new["label"], new["e"]) == (old["label"], old["e"])
+            by_id = {pair["evidence_id"]: pair for pair in old["pairs"]}
+            assert new["pairs"] == [by_id[ev["id"]] for ev in claim["evidence"]]
+
+
 def test_explicit_jobs_starts_a_pool_and_the_default_does_not(
         fever_files, tmp_path, monkeypatch):
     """The fixture batch is far below one worker's worth of work, so only

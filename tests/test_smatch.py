@@ -15,7 +15,7 @@ from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex import smatch
 from amrex.smatch import (VariableMapping, _assign, _best_step, _canonicalize, _claim_half,
                           _climb, _MatchContext, _match_tables, _max_assignment,
-                          _plantings, _premise_half, _swap_gain, _table_gain, _take,
+                          _moves_gain, _plantings, _premise_half, _take,
                           _upper_bound, align_exhaustive, align_hill_climb)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
@@ -442,21 +442,28 @@ def _literal_tables(ctx, m):
     return score
 
 
-def _neighbours(ctx, m):
-    """The climber's neighbourhood of *m* as change sets, in search order:
-    single moves and swaps, which ``_best_step`` reads from its match
-    tables without building them, then the plantings it scans."""
+def _neighbour_moves(ctx, m):
+    """The climber's neighbourhood of *m* as moves ``(hv, old pv, new pv)``,
+    in search order: single moves and swaps, which ``_best_step`` reads
+    from its match tables, then the plantings it scans."""
     inv = {pv: hv for hv, pv in m.items()}
     for hv in ctx.hyp_vars:
         for pv in ctx.prem_concepts:
             if pv not in inv:
-                yield {hv: pv}
+                yield [(hv, m.get(hv), pv)]
     for i, h1 in enumerate(ctx.hyp_vars):
         for h2 in ctx.hyp_vars[i + 1:]:
             p1, p2 = m.get(h1), m.get(h2)
             if p1 != p2:
-                yield {h1: p2, h2: p1}
+                yield [(h1, p1, p2), (h2, p2, p1)]
     yield from _plantings(ctx, m, inv)
+
+
+def _neighbours(ctx, m):
+    """The climber's neighbourhood of *m* as change sets ``{hv: new pv}``,
+    in search order."""
+    for moves in _neighbour_moves(ctx, m):
+        yield {hv: new for hv, _old, new in moves}
 
 
 def _copied_neighbours(ctx, m):
@@ -521,27 +528,29 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
 @settings(max_examples=300, deadline=None)
 @given(_mapped_graphs())
 def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
-    """The climber skips a neighbour whose bound cannot beat the step's best
-    gain, so the bound must hold: for every change set a mapping's
-    neighbourhood yields, the table gain is at most the sum of
-    ``ctx.bound`` over the change set's entries."""
+    """The climber skips a swap or planting whose bound cannot beat the
+    step's best gain, so the bound must hold: for every neighbour a
+    mapping's neighbourhood yields, ``_moves_gain`` is at most the sum of
+    ``ctx.bound`` over the moves that change an image, and so at most the
+    sum over all its moves, which the climber reads."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
         score, _count = _match_tables(ctx, m)
-        for changes in _neighbours(ctx, m):
-            bound = sum(ctx.bound[hv][pv] for hv, pv in changes.items())
-            assert _table_gain(ctx, score, m, changes) <= bound
+        for moves in _neighbour_moves(ctx, m):
+            bound = sum(ctx.bound[hv][new] for hv, old, new in moves if old != new)
+            assert _moves_gain(ctx, score, moves) <= bound
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mapped_graphs())
 def test_table_gain_of_every_neighbour_equals_gain(graphs):
     """The climber scores its steps from per-climb match tables: the
-    tables are the formula's, and for every single move, swap and
-    planting, the table gain equals the reference ``_gain`` and the
-    literal count difference, a single move's gain is its row difference,
-    and a swap's is ``_swap_gain``."""
+    tables are the formula's, each move starts from its variable's image
+    under the mapping and moves a variable no other move moves, and for
+    every single move, swap and planting, ``_moves_gain`` of its moves, in
+    either order, equals the reference ``_gain`` and the literal count
+    difference; a single move's gain is its row difference."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
@@ -550,19 +559,70 @@ def test_table_gain_of_every_neighbour_equals_gain(graphs):
         score, before = _match_tables(ctx, m)
         assert score == _literal_tables(ctx, m)
         assert before == count(m)
-        for changes in _neighbours(ctx, m):
+        for moves in _neighbour_moves(ctx, m):
+            assert [old for _hv, old, _new in moves] == [m.get(hv) for hv, _o, _n in moves]
+            changes = {hv: new for hv, _old, new in moves}
+            assert len(changes) == len(moves)
             after = dict(m)
             for hv, pv in changes.items():
                 _assign(after, hv, pv)
             expected = count(after) - before
-            assert _table_gain(ctx, score, m, changes) == _gain(ctx, m, changes) == expected
-            if len(changes) == 1:
-                (hv, pv), = changes.items()
-                assert score[hv][pv] - score[hv][m.get(hv)] == expected
-            elif len(changes) == 2:
-                (h1, p2), (h2, p1) = changes.items()
-                if (p1, p2) == (m.get(h1), m.get(h2)):  # a swap
-                    assert _swap_gain(ctx, score, h1, p1, h2, p2) == expected
+            assert _moves_gain(ctx, score, moves) == _gain(ctx, m, changes) == expected
+            assert _moves_gain(ctx, score, moves[::-1]) == expected
+            if len(moves) == 1:
+                (hv, old, new), = moves
+                assert score[hv][new] - score[hv][old] == expected
+
+
+# Planting h0 -ARG0-> h1 onto p0 -ARG0-> p1 from a mapping in each case of
+# what the premise edge's ends hold, and the mapping it gives.  The ARG1
+# edges join the displaced variables to the endpoints, so their moves'
+# gains cross.
+_PLANTING_CASES = {
+    "t-at-ps": ({"h0": "p2", "h1": "p0", "h2": "p1"},
+                {"h0": "p0", "h1": "p1", "h2": "p2"}),
+    "s-at-pt": ({"h0": "p1", "h1": "p3", "h2": "p0"},
+                {"h0": "p0", "h1": "p1", "h2": "p3"}),
+    "swapped": ({"h0": "p1", "h1": "p0", "h3": "p4"},
+                {"h0": "p0", "h1": "p1", "h3": "p4"}),
+    "both-occupied": ({"h0": "p2", "h1": "p3", "h2": "p0", "h3": "p1"},
+                      {"h0": "p0", "h1": "p1", "h2": "p2", "h3": "p3"}),
+    "s-unmapped": ({"h1": "p3", "h2": "p0", "h3": "p1"},
+                   {"h0": "p0", "h1": "p1", "h3": "p3"}),
+    "t-unmapped": ({"h0": "p2", "h2": "p0", "h3": "p1"},
+                   {"h0": "p0", "h1": "p1", "h2": "p2"}),
+    "s-in-place": ({"h0": "p0", "h1": "p3", "h3": "p1"},
+                   {"h0": "p0", "h1": "p1", "h3": "p3"}),
+    "t-in-place": ({"h0": "p2", "h1": "p1", "h2": "p0"},
+                   {"h0": "p0", "h1": "p1", "h2": "p2"}),
+}
+
+
+@pytest.mark.parametrize("m, expected", _PLANTING_CASES.values(), ids=_PLANTING_CASES)
+def test_each_displacement_case_of_a_planting(m, expected):
+    """A planting's moves start from the mapping's images and give the
+    mapping written out above, which the neighbour built by copying the
+    mapping gives too, and their gain is the literal count difference."""
+    premise = _unchecked_graph(
+        {"p0": "a", "p1": "b", "p2": "c", "p3": "a", "p4": "b"},
+        [("p0", "ARG0", "p1"), ("p2", "ARG1", "p0"), ("p3", "ARG1", "p1")])
+    hypothesis = _unchecked_graph(
+        {"h0": "a", "h1": "b", "h2": "c", "h3": "a"},
+        [("h0", "ARG0", "h1"), ("h2", "ARG1", "h0"), ("h3", "ARG1", "h1")])
+    ctx = _MatchContext(premise, hypothesis, include_top=False)
+    count = functools.partial(_literal_count, premise, hypothesis, include_top=False)
+    score, _count = _match_tables(ctx, m)
+    plantings = list(_plantings(ctx, m, {pv: hv for hv, pv in m.items()}))
+    moves = plantings[0]  # the first claim edge onto the one ARG0 premise edge
+    assert moves[:2] == [("h0", m.get("h0"), "p0"), ("h1", m.get("h1"), "p1")]
+    after = dict(m)
+    for hv, old, new in moves:
+        assert old == m.get(hv)
+        _assign(after, hv, new)
+    assert after == expected
+    copied = list(_copied_neighbours(ctx, m))
+    assert copied[len(copied) - len(plantings)] == expected
+    assert _moves_gain(ctx, score, moves) == count(expected) - count(m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -790,7 +850,7 @@ def test_gain_caps_duplicate_edges_at_the_premise_count():
     ctx = _MatchContext(premise, hypothesis, include_top=False)
     m = {"h0": "p0"}
     score, count = _match_tables(ctx, m)
-    assert score["h1"]["p1"] == _table_gain(ctx, score, m, {"h1": "p1"}) == 1
+    assert score["h1"]["p1"] == _moves_gain(ctx, score, [("h1", None, "p1")]) == 1
     assert count == _literal_count(premise, hypothesis, m, False)
     after = {"h0": "p0", "h1": "p1"}
     assert (_match_tables(ctx, after)[1] - count

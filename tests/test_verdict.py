@@ -386,3 +386,42 @@ def test_graphs_holding_their_tables_score_as_fresh_ones(monkeypatch, pool_metho
     assert results[0] == results[1] == results[2] == results[3]
     assert pool_methods == [method, method]
     assert multiprocessing.active_children() == []
+
+
+def test_a_pool_chunk_holds_graphs_and_seeds_but_no_text(monkeypatch):
+    """A worker aligns graphs under seeds and reads no text, so no text is
+    sent to it: each chunk score_pairs submits to its pool holds
+    ``(evidence graph, claim graph, seed)`` triples, the chunks in order
+    are the batch's, and the results are those of jobs=1."""
+    submitted = []
+
+    class InlinePool:
+        """An executor that runs each chunk in this process as it is
+        submitted, recording the chunk."""
+
+        def __init__(self, workers):
+            pass
+
+        def submit(self, fn, chunk, *args):
+            submitted.append(chunk)
+            future = concurrent.futures.Future()
+            future.set_result(fn(chunk, *args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(verdict, "_pool", InlinePool)
+    monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
+    rng = random.Random(30)
+    graphs = [random_graph(rng, prefix=p) for p in "abc"]
+    pairs = [(f"evidence {i}", graphs[i], f"claim {j}", graphs[j], pair_seed(5, str(j), str(i)))
+             for i in range(3) for j in range(3)]
+    backend = DeterministicTestBackend(dim=16)
+    assert (verdict.score_pairs(pairs, backend, jobs=2)
+            == verdict.score_pairs(pairs, backend, jobs=1))
+    assert len(submitted) > 1
+    assert not any(isinstance(value, str)
+                   for chunk in submitted for item in chunk for value in item)
+    assert [item for chunk in submitted for item in chunk] == [
+        (ev_graph, claim_graph, seed) for _, ev_graph, _, claim_graph, seed in pairs]
