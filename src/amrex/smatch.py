@@ -16,7 +16,6 @@ from the climb's match tables by one gain function.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter, defaultdict
 from collections.abc import Iterator
@@ -410,67 +409,21 @@ def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int, 
         current += gain
 
 
-def _max_assignment(weights: list[list[int]]) -> int:
-    """The largest total weight of an injective partial assignment of rows
-    to columns, for non-negative integer weights.
-
-    The Hungarian method (Kuhn 1955; Munkres 1957) in potentials form, on
-    costs ``-weight``.  With no negative weight some best assignment gives
-    every row a column, so zero columns added up to the row count stand in
-    for a row left unassigned.
-    """
-    n = len(weights)
-    m = max(n, len(weights[0]))
-    cost = [[]] + [[0] + [-w for w in row] + [0] * (m - len(row)) for row in weights]
-    u, v = [0] * (n + 1), [0] * (m + 1)
-    owner = [0] * (m + 1)  # owner[j]: the row holding column j, 0 for none
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        # Grow a shortest augmenting path from row i over reduced costs.
-        owner[0], j0 = i, 0
-        minv = [math.inf] * (m + 1)
-        used = [False] * (m + 1)
-        while owner[j0]:
-            used[j0] = True
-            i0 = owner[j0]
-            row, ui = cost[i0], u[i0]
-            delta, j1 = math.inf, 0
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = row[j] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j], way[j] = cur, j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            for j in range(m + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = way[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
-    return v[0]
-
-
-def _upper_bound(ctx: _MatchContext, incumbent: int) -> int:
-    """An upper bound on the count of every injective mapping: half a
-    maximum-weight assignment of claim to premise variables, unless the
-    cheaper row bound, each claim variable's best weight regardless of
-    injectivity, is already no more than *incumbent*."""
+def _upper_bound(ctx: _MatchContext) -> int:
+    """An upper bound on the count of every injective mapping: half the
+    smaller of the row bound, each claim variable's largest weight, and the
+    column bound, each premise variable's largest weight."""
     # weight[i][j] is twice hv = hyp_vars[i]'s share of a count when mapped
     # to the j-th premise variable: a relation is in both endpoints' bounds
     # and so weighs a half in each.  So a mapping's count is at most half
-    # the weight of its pairs.
+    # the weight of its pairs, and as it uses each claim and each premise
+    # variable at most once, and no weight is negative, at most half of
+    # either sum.
     weight = [[ctx.unary[hv][pv] + ctx.bound[hv][pv] for pv in ctx.prem_concepts]
               for hv in ctx.hyp_vars]
-    bound = sum(max(row) for row in weight) // 2
-    if bound <= incumbent:
-        return bound
-    return _max_assignment(weight) // 2
+    rows = sum(max(row) for row in weight)
+    columns = sum(max(column) for column in zip(*weight))
+    return min(rows, columns) // 2
 
 
 def _canonicalize(ctx: _MatchContext, m: dict[str, str], score: dict) -> dict[str, str]:
@@ -529,17 +482,14 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     ctx = _MatchContext(premise, hypothesis, include_top)
     rng = random.Random(seed)
     best_count = -1
-    bound = None
+    bound = _upper_bound(ctx)
     for r in range(restarts):
         init = _greedy_init(ctx, rng) if r == 0 else _random_init(ctx, rng)
         m, c, score = _climb(ctx, init)
         if c > best_count:
             best_count, best_m, best_score = c, m, score
-        if r + 1 < restarts:
-            if bound is None:
-                bound = _upper_bound(ctx, best_count)
-            if best_count >= bound:
-                break
+        if best_count >= bound:
+            break
     return _result(ctx, _canonicalize(ctx, best_m, best_score), best_count)
 
 

@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import itertools
-import math
 import pickle
 import random
 from collections import Counter, defaultdict
@@ -14,9 +13,9 @@ from amrex.errors import ConfigError, GraphError, MappingError
 from amrex.graph import AmrGraph, Triple, extract_triples, parse_penman
 from amrex import smatch
 from amrex.smatch import (VariableMapping, _assign, _best_step, _canonicalize, _claim_half,
-                          _climb, _MatchContext, _match_tables, _max_assignment,
-                          _moves_gain, _plantings, _premise_half, _take,
-                          _upper_bound, align_exhaustive, align_hill_climb)
+                          _climb, _MatchContext, _match_tables, _moves_gain, _plantings,
+                          _premise_half, _take, _upper_bound, align_exhaustive,
+                          align_hill_climb)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -288,7 +287,7 @@ def test_certified_restarts_change_no_result(monkeypatch):
     certified = [align_hill_climb(p, h, restarts=4, seed=seed, include_top=top)
                  for p, h, seed, top in pairs]
     calls = _count_climbs(monkeypatch)
-    monkeypatch.setattr(smatch, "_upper_bound", lambda ctx, incumbent: ctx.hyp_total + 1)
+    monkeypatch.setattr(smatch, "_upper_bound", lambda ctx: ctx.hyp_total + 1)
     assert [align_hill_climb(p, h, restarts=4, seed=seed, include_top=top)
             for p, h, seed, top in pairs] == certified
     assert calls[0] == 4 * len(pairs)
@@ -305,10 +304,20 @@ def test_restarts_stop_only_at_the_bound(monkeypatch):
                            "       :op2 (p3 / y :ARG0 (p2 / b)))")
     hypothesis = parse_penman("(h0 / a :ARG0 (h1 / b))")
     ctx = _MatchContext(premise, hypothesis, True)
-    assert _upper_bound(ctx, -1) == 3
+    assert _upper_bound(ctx) == 3
     calls[0] = 0
     assert align_hill_climb(premise, hypothesis, restarts=4).matched == 2
     assert calls[0] == 4
+    # Each claim variable could take p0 alone, so the row half is 4, but
+    # the claim's three variables share the premise's one: the column half
+    # is 2, the count the first climb reaches.
+    premise = parse_penman("(p0 / a)")
+    hypothesis = parse_penman("(h0 / a :mod (h1 / a) :domain (h2 / a))")
+    ctx = _MatchContext(premise, hypothesis, True)
+    assert _upper_bound(ctx) == 2
+    calls[0] = 0
+    assert align_hill_climb(premise, hypothesis, restarts=4).matched == 2
+    assert calls[0] == 1
 
 
 def test_result_bounds_and_f1():
@@ -879,32 +888,17 @@ def test_count_caps_duplicate_attributes_at_the_premise_count():
 def test_upper_bound_is_at_least_the_optimum(graphs):
     """The climber stops restarting once its count reaches the bound, so
     the bound must hold for every injective mapping: it is at least the
-    exhaustive optimum, both as the assignment bound (incumbent -1) and as
-    the row bound (an incumbent no bound exceeds)."""
+    exhaustive optimum.  It is also no looser than half of either the row
+    sum, each claim variable's largest weight, or the column sum, each
+    premise variable's largest weight."""
     premise, hypothesis, _m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
         optimum = align_exhaustive(premise, hypothesis, include_top).matched
-        assert _upper_bound(ctx, math.inf) >= _upper_bound(ctx, -1) >= optimum
-
-
-def _brute_force_assignment(weights) -> int:
-    """The heaviest injective partial assignment of rows to columns, over
-    every one of them."""
-    def best(i, free):
-        if i == len(weights):
-            return 0
-        return max([best(i + 1, free)] + [weights[i][j] + best(i + 1, free - {j})
-                                          for j in free])
-    return best(0, frozenset(range(len(weights[0]))))
-
-
-def test_max_assignment_equals_brute_force():
-    rng = random.Random(5)
-    for rows, cols in itertools.product(range(1, 6), range(1, 8)):
-        for _ in range(6):
-            high = rng.choice((1, 3, 9))
-            weights = [[0] * cols if rng.random() < 0.2
-                       else [rng.randint(0, high) for _ in range(cols)]
-                       for _ in range(rows)]
-            assert _max_assignment(weights) == _brute_force_assignment(weights), weights
+        weight = {(hv, pv): ctx.unary[hv][pv] + ctx.bound[hv][pv]
+                  for hv in ctx.hyp_vars for pv in ctx.prem_concepts}
+        rows = sum(max(weight[hv, pv] for pv in ctx.prem_concepts)
+                   for hv in ctx.hyp_vars)
+        columns = sum(max(weight[hv, pv] for hv in ctx.hyp_vars)
+                      for pv in ctx.prem_concepts)
+        assert optimum <= _upper_bound(ctx) <= min(rows, columns) // 2
