@@ -20,6 +20,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .errors import GraphError, PenmanParseError
@@ -27,8 +28,15 @@ from .errors import GraphError, PenmanParseError
 Edge = tuple[str, str, str]        # (source var, role, target var)
 Attribute = tuple[str, str, str]   # (source var, role, constant)
 
-_TOKEN_RE = re.compile(r'[^\s()/:"]+')
-# Deepest nesting parsed: parser and serializer recurse once per level.
+# A Penman token: a parenthesis or slash; a role, the colon and its name,
+# which may be empty; a quoted string, which runs to the end of the text
+# when it is not closed; or a bare token.  Every character but whitespace
+# is in one.
+_TOKENS = re.compile(r'[()/]|:[^\s()/:"]*|"[^"]*"?|[^\s()/:"]+')
+# The first characters of the tokens that are not bare.  The empty string
+# is in it too, so ``token[:1] in _PUNCT`` holds for an empty token.
+_PUNCT = '()/:"'
+# Deepest nesting parsed: the serializer recurses once per level.
 MAX_DEPTH = 500
 
 
@@ -117,125 +125,106 @@ class AmrGraph:
         return {}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.nodes: dict[str, str] = {}
-        self.edges: list[Edge] = []
-        self.attributes: list[Attribute] = []
+def _offset(text: str, index: int) -> int:
+    """Where the *index*-th token of *text* starts, or the text's length
+    past the last token: read only to raise an error."""
+    match = next(islice(_TOKENS.finditer(text), index, None), None)
+    return len(text) if match is None else match.start()
 
-    def fail(self, message: str, offset: int | None = None) -> None:
-        raise PenmanParseError(message, self.pos if offset is None else offset)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def read_token(self) -> str:
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if not m:
-            return ""
-        self.pos = m.end()
-        return m.group()
-
-    def read_quoted(self) -> str:
-        start = self.pos
-        self.pos += 1  # opening quote
-        while not self.at_end() and self.text[self.pos] != '"':
-            self.pos += 1
-        if self.at_end():
-            self.fail("unterminated string", start)
-        self.pos += 1  # closing quote
-        return self.text[start:self.pos]
-
-    def parse(self) -> AmrGraph:
-        self.skip_ws()
-        if self.peek() != "(":
-            self.fail("expected '('")
-        root = self.parse_node()
-        self.skip_ws()
-        if not self.at_end():
-            self.fail("dangling input after top-level form")
-        return AmrGraph(root=root, nodes=self.nodes,
-                        edges=tuple(self.edges),
-                        attributes=tuple(self.attributes))
-
-    def parse_node(self, depth: int = 1) -> str:
-        if depth > MAX_DEPTH:
-            self.fail(f"nodes nested deeper than {MAX_DEPTH} levels")
-        self.pos += 1  # consume '('
-        self.skip_ws()
-        var_offset = self.pos
-        var = self.read_token()
-        if not var:
-            self.fail("expected variable")
-        if var in self.nodes:
-            self.fail(f"duplicate variable declaration {var!r}", var_offset)
-        self.skip_ws()
-        if self.peek() != "/":
-            self.fail("expected '/' after variable")
-        self.pos += 1
-        self.skip_ws()
-        concept_offset = self.pos
-        concept = self.read_quoted() if self.peek() == '"' else self.read_token()
-        if not concept:
-            self.fail("empty concept", concept_offset)
-        self.nodes[var] = concept
-
-        while True:
-            self.skip_ws()
-            if self.at_end():
-                self.fail("unbalanced parenthesis")
-            ch = self.peek()
-            if ch == ")":
-                self.pos += 1
-                return var
-            if ch != ":":
-                self.fail(f"unexpected character {ch!r}")
-            self.pos += 1
-            role = self.read_token()
-            if not role:
-                self.fail("empty role")
-            self.skip_ws()
-            if self.at_end():
-                self.fail("unbalanced parenthesis")
-            ch = self.peek()
-            if ch == "(":
-                child = self.parse_node(depth + 1)
-                self.edges.append((var, role, child))
-            elif ch == '"':
-                value = self.read_quoted()
-                self.attributes.append((var, role, value))
-            else:
-                value_offset = self.pos
-                value = self.read_token()
-                if not value:
-                    self.fail("expected value", value_offset)
-                if value in self.nodes:
-                    # Re-entrant reference to an already declared variable.
-                    self.edges.append((var, role, value))
-                else:
-                    self.attributes.append((var, role, value))
+def _unterminated(quoted: str) -> bool:
+    return len(quoted) == 1 or quoted[-1] != '"'
 
 
 def parse_penman(text: str) -> AmrGraph:
     """Parse one Penman form into an :class:`AmrGraph`.
 
-    Raises :class:`PenmanParseError` with a byte offset on malformed input,
-    nodes nested deeper than :data:`MAX_DEPTH` included, and
-    :class:`GraphError` if the parsed structure violates a graph invariant
-    (e.g. a re-entrant edge closes a cycle).
+    The text is split into :data:`_TOKENS` and the graph built in one loop
+    over them, with a stack of the ``(parent, role)`` of each open node
+    below the root; an edge to a node is appended when the node closes.
+
+    Raises :class:`PenmanParseError` with the offset of the token at fault,
+    or the text's length past the last, on malformed input, nodes nested
+    deeper than :data:`MAX_DEPTH` included, and :class:`GraphError` if the
+    parsed structure violates a graph invariant (e.g. a re-entrant edge
+    closes a cycle).
     """
-    if not text or not text.strip():
+    tokens = _TOKENS.findall(text)
+    if not tokens:
         raise PenmanParseError("empty input", 0)
-    return _Parser(text).parse()
+    if tokens[0] != "(":
+        raise PenmanParseError("expected '('", _offset(text, 0))
+    # The end of the text reads as empty tokens, which no rule accepts:
+    # enough of them that a node's header can be read whole.
+    tokens += ("", "", "")
+    nodes: dict[str, str] = {}
+    edges: list[Edge] = []
+    attributes: list[Attribute] = []
+    stack: list[tuple[str, str]] = []
+    opening = True  # whether tokens[i] is the '(' of a node
+    i = 0
+    while True:
+        if opening:
+            var, slash, concept = tokens[i + 1:i + 4]
+            if var[:1] in _PUNCT:
+                raise PenmanParseError("expected variable", _offset(text, i + 1))
+            if var in nodes:
+                raise PenmanParseError(f"duplicate variable declaration {var!r}",
+                                       _offset(text, i + 1))
+            if slash != "/":
+                raise PenmanParseError("expected '/' after variable", _offset(text, i + 2))
+            if concept[:1] == '"':
+                if _unterminated(concept):
+                    raise PenmanParseError("unterminated string", _offset(text, i + 3))
+            elif concept[:1] in _PUNCT:
+                raise PenmanParseError("empty concept", _offset(text, i + 3))
+            nodes[var] = concept
+            opening = False
+            i += 4
+            continue
+        tok = tokens[i]
+        if tok == ")":
+            if not stack:
+                break
+            parent, role = stack.pop()
+            edges.append((parent, role, var))
+            var = parent
+            i += 1
+        elif tok[:1] == ":":
+            role = tok[1:]
+            if not role:
+                raise PenmanParseError("empty role", _offset(text, i) + 1)
+            value = tokens[i + 1]
+            if value == "(":
+                stack.append((var, role))
+                if len(stack) == MAX_DEPTH:
+                    raise PenmanParseError(f"nodes nested deeper than {MAX_DEPTH} levels",
+                                           _offset(text, i + 1))
+                opening = True
+                i += 1
+                continue
+            if value[:1] == '"':
+                if _unterminated(value):
+                    raise PenmanParseError("unterminated string", _offset(text, i + 1))
+                attributes.append((var, role, value))
+            elif not value:
+                raise PenmanParseError("unbalanced parenthesis", len(text))
+            elif value[:1] in _PUNCT:
+                raise PenmanParseError("expected value", _offset(text, i + 1))
+            elif value in nodes:
+                # Re-entrant reference to an already declared variable.
+                edges.append((var, role, value))
+            else:
+                attributes.append((var, role, value))
+            i += 2
+        elif tok:
+            raise PenmanParseError(f"unexpected character {tok[0]!r}", _offset(text, i))
+        else:
+            raise PenmanParseError("unbalanced parenthesis", len(text))
+    if tokens[i + 1]:
+        raise PenmanParseError("dangling input after top-level form", _offset(text, i + 1))
+    return AmrGraph(root=var, nodes=nodes, edges=tuple(edges),
+                    attributes=tuple(attributes))
 
 
 def serialize_penman(g: AmrGraph) -> str:

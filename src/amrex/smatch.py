@@ -356,7 +356,8 @@ def _best_step(ctx: _MatchContext, score: dict,
     *score*'s rows.  A swap is the two moves ``(h1, p1, p2), (h2, p2,
     p1)``, and it and each planting are scored by :func:`_moves_gain`,
     unless the ``ctx.bound`` sum of their moves cannot beat the best gain
-    so far, as they then could not be taken."""
+    so far, as they then could not be taken; a move that changes nothing
+    adds nothing to the sum."""
     bound, hyp_vars = ctx.bound, ctx.hyp_vars
     images = [m.get(hv) for hv in hyp_vars]
     inv = {pv: hv for hv, pv in m.items()}
@@ -384,8 +385,9 @@ def _best_step(ctx: _MatchContext, score: dict,
                 best_gain, best = gain, moves
     for moves in _plantings(ctx, m, inv):
         ub = 0
-        for hv, _old, new in moves:
-            ub += bound[hv][new]
+        for hv, old, new in moves:
+            if old != new:
+                ub += bound[hv][new]
         if ub <= best_gain:
             continue
         gain = _moves_gain(ctx, score, moves)
@@ -394,19 +396,23 @@ def _best_step(ctx: _MatchContext, score: dict,
     return best_gain, best and {hv: new for hv, _old, new in best}
 
 
-def _climb(ctx: _MatchContext, m: dict[str, str]) -> tuple[dict[str, str], int, dict]:
+def _climb(ctx: _MatchContext, m: dict[str, str],
+           limit: int) -> tuple[dict[str, str], int, dict]:
     """Greedy local search until no gain: each step takes
     :func:`_best_step` and applies it with :func:`_take`, which keeps the
     climb's match tables (:func:`_match_tables`, built once per climb)
-    exact for the new mapping.  Returns the mapping, its count and its
+    exact for the new mapping.  The climb stops once its count reaches
+    *limit*, an upper bound on every mapping's count (:func:`_upper_bound`),
+    as no step could then gain.  Returns the mapping, its count and its
     match tables."""
     score, current = _match_tables(ctx, m)
-    while True:
+    while current < limit:
         gain, best = _best_step(ctx, score, m)
         if best is None:
-            return m, current, score
+            break
         _take(ctx, score, m, best)
         current += gain
+    return m, current, score
 
 
 def _upper_bound(ctx: _MatchContext) -> int:
@@ -471,9 +477,10 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     The first restart starts from a concept-match-greedy mapping, the rest
     from random injective mappings; each run applies the best single
     move, swap or edge planting until no gain.  Deterministic for a fixed
-    seed.  The runs stop once the best count reaches ``_upper_bound``:
-    a later run could only tie, and a tie never replaces the first best,
-    so the result is the one all *restarts* runs give.  Each graph's half
+    seed.  A run stops once its count reaches ``_upper_bound``, and the
+    runs once the best count does: no step could then gain, a later run
+    could only tie, and a tie never replaces the first best, so the result
+    is the one all *restarts* runs to no gain give.  Each graph's half
     of the alignment tables is built once and kept on the graph, so every
     pair a graph is in shares it (see :class:`_MatchContext`).
     """
@@ -485,7 +492,7 @@ def align_hill_climb(premise: AmrGraph, hypothesis: AmrGraph,
     bound = _upper_bound(ctx)
     for r in range(restarts):
         init = _greedy_init(ctx, rng) if r == 0 else _random_init(ctx, rng)
-        m, c, score = _climb(ctx, init)
+        m, c, score = _climb(ctx, init, bound)
         if c > best_count:
             best_count, best_m, best_score = c, m, score
         if best_count >= bound:

@@ -790,6 +790,9 @@ NOT_UTF8 = b"\xff\xfe\n"
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
      '{"id": "c1", "penman": "(a / x :mod (b / y :mod a))"}', ":1)"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
+     '{"id": "c1", "penman": "(x / y :mod"}',
+     "error: bundle id 'c1': unbalanced parenthesis at offset 11 ({bad}:1)"),
+    (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
      '{"id": "c1", "penman": "(x / y)"}\n{"id": "c1", "penman": "(x / z)"}',
      ":2: duplicate bundle id 'c1' (first at line 1)"),
     (["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
@@ -859,7 +862,8 @@ NOT_UTF8 = b"\xff\xfe\n"
         "amrs-not-object", "evidence-not-a-list", "evidence-text-not-a-string",
         "label-not-a-string", "penman-not-a-string", "claim-id-a-list",
         "claim-id-a-bool", "evidence-id-a-float", "bundle-id-null",
-        "bundle-id-an-object", "bundle-graph-cyclic", "bundle-id-twice", "claim-id-twice",
+        "bundle-id-an-object", "bundle-graph-cyclic", "bundle-graph-not-closed",
+        "bundle-id-twice", "claim-id-twice",
         "claim-id-numbered-twice", "claim-text-lone-surrogate", "claim-id-lone-surrogate",
         "evidence-id-lone-surrogate", "bundle-concept-lone-surrogate",
         "bundle-id-lone-surrogate", "evidence-ids-twice", "label-unknown",
@@ -881,7 +885,9 @@ def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, ca
         argv += ["--dataset", "fever"]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
-    assert f"{bad}{where}" in err
+    # A where that names the file is the whole message; any other follows
+    # the file's name.
+    assert (where.format(bad=bad) if "{bad}" in where else f"{bad}{where}") in err
     # The file is named once: a prefix is never doubled.
     assert [line.count(str(bad)) for line in err.splitlines()
             if line.startswith("error:")] == [1]

@@ -1,11 +1,12 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from amrex.errors import GraphError, PenmanParseError
-from amrex.graph import (MAX_DEPTH, AmrGraph, Triple, extract_triples,
+from amrex.graph import (MAX_DEPTH, AmrGraph, Attribute, Edge, Triple, extract_triples,
                          parse_penman, serialize_penman)
 
 from _fixtures import (ALL_PENMAN, MARNIE_CLAIM, RABIES_CLAIM, WISH_EVIDENCE,
@@ -64,13 +65,23 @@ def test_unbalanced_parenthesis_reports_offset():
     ("(x/a : (y/b))", "empty role", 6),
     ("(x/a :mod )", "expected value", 10),
     ("(a / b", "unbalanced parenthesis", 6),
+    ('(x/a :r "b"c)', "unexpected character 'c'", 11),
+    ('(x/""', "unbalanced parenthesis", 5),
+    ('(x/a"b")', "unexpected character '\"'", 4),
+    ('(x/a :r "', "unterminated string", 8),
 ], ids=["unterminated-string", "unexpected-character", "empty-role",
-        "missing-value", "node-not-closed"])
+        "missing-value", "node-not-closed", "token-after-quoted-value",
+        "quoted-concept-not-closed", "quote-after-concept", "lone-quote-value"])
 def test_malformed_penman_names_the_fault_and_its_offset(text, message, offset):
     with pytest.raises(PenmanParseError) as exc:
         parse_penman(text)
     assert str(exc.value) == f"{message} at offset {offset}"
     assert exc.value.offset == offset
+
+
+def test_whitespace_between_tokens_is_any_unicode_space():
+    g = parse_penman("(x/a\u3000:r b)")
+    assert g.attributes == (("x", "r", "b"),)
 
 
 def test_duplicate_variable_rejected():
@@ -123,16 +134,155 @@ def test_nesting_too_deep_is_a_parse_error(depth):
     assert exc.value.offset == text.index(f"(n{MAX_DEPTH}/")
 
 
+_TOKEN_RE = re.compile(r'[^\s()/:"]+')
+
+
+class _Parser:
+    """The recursive-descent parser ``parse_penman`` replaced, which reads
+    one character at a time: the reference it is held to."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.nodes: dict[str, str] = {}
+        self.edges: list[Edge] = []
+        self.attributes: list[Attribute] = []
+
+    def fail(self, message: str, offset: int | None = None) -> None:
+        raise PenmanParseError(message, self.pos if offset is None else offset)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def read_token(self) -> str:
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if not m:
+            return ""
+        self.pos = m.end()
+        return m.group()
+
+    def read_quoted(self) -> str:
+        start = self.pos
+        self.pos += 1  # opening quote
+        while not self.at_end() and self.text[self.pos] != '"':
+            self.pos += 1
+        if self.at_end():
+            self.fail("unterminated string", start)
+        self.pos += 1  # closing quote
+        return self.text[start:self.pos]
+
+    def parse(self) -> AmrGraph:
+        if not self.text or not self.text.strip():
+            self.fail("empty input", 0)
+        self.skip_ws()
+        if self.peek() != "(":
+            self.fail("expected '('")
+        root = self.parse_node()
+        self.skip_ws()
+        if not self.at_end():
+            self.fail("dangling input after top-level form")
+        return AmrGraph(root=root, nodes=self.nodes,
+                        edges=tuple(self.edges),
+                        attributes=tuple(self.attributes))
+
+    def parse_node(self, depth: int = 1) -> str:
+        if depth > MAX_DEPTH:
+            self.fail(f"nodes nested deeper than {MAX_DEPTH} levels")
+        self.pos += 1  # consume '('
+        self.skip_ws()
+        var_offset = self.pos
+        var = self.read_token()
+        if not var:
+            self.fail("expected variable")
+        if var in self.nodes:
+            self.fail(f"duplicate variable declaration {var!r}", var_offset)
+        self.skip_ws()
+        if self.peek() != "/":
+            self.fail("expected '/' after variable")
+        self.pos += 1
+        self.skip_ws()
+        concept_offset = self.pos
+        concept = self.read_quoted() if self.peek() == '"' else self.read_token()
+        if not concept:
+            self.fail("empty concept", concept_offset)
+        self.nodes[var] = concept
+
+        while True:
+            self.skip_ws()
+            if self.at_end():
+                self.fail("unbalanced parenthesis")
+            ch = self.peek()
+            if ch == ")":
+                self.pos += 1
+                return var
+            if ch != ":":
+                self.fail(f"unexpected character {ch!r}")
+            self.pos += 1
+            role = self.read_token()
+            if not role:
+                self.fail("empty role")
+            self.skip_ws()
+            if self.at_end():
+                self.fail("unbalanced parenthesis")
+            ch = self.peek()
+            if ch == "(":
+                child = self.parse_node(depth + 1)
+                self.edges.append((var, role, child))
+            elif ch == '"':
+                value = self.read_quoted()
+                self.attributes.append((var, role, value))
+            else:
+                value_offset = self.pos
+                value = self.read_token()
+                if not value:
+                    self.fail("expected value", value_offset)
+                if value in self.nodes:
+                    # Re-entrant reference to an already declared variable.
+                    self.edges.append((var, role, value))
+                else:
+                    self.attributes.append((var, role, value))
+
+
+def _outcome(parse, text):
+    """The graph's fields, in order, or the error's type, message and
+    offset."""
+    try:
+        g = parse(text)
+    except PenmanParseError as e:
+        return type(e), str(e), e.offset
+    except GraphError as e:
+        return type(e), str(e)
+    return g.root, list(g.nodes.items()), g.edges, g.attributes
+
+
 _PENMAN_ALPHABET = '()/:" \nabxy01-'
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(), st.text(alphabet=_PENMAN_ALPHABET)))
+@st.composite
+def _edited_penman(draw):
+    """A one-character substitution or deletion of a reference text or of
+    a serialized random graph."""
+    text = draw(st.one_of(
+        st.sampled_from(sorted(ALL_PENMAN.values())),
+        st.integers(0, 10**9).map(lambda seed: serialize_penman(
+            random_graph(random.Random(seed))))))
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + draw(st.sampled_from(["", *_PENMAN_ALPHABET])) + text[i + 1:]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=_PENMAN_ALPHABET), _edited_penman()))
 def test_parse_arbitrary_text_raises_only_typed_errors(text):
-    try:
-        parse_penman(text)
-    except (PenmanParseError, GraphError):
-        pass
+    """Any text parses or raises a typed error, and the same graph, or
+    error with the same message and offset, as the reference parser."""
+    assert _outcome(parse_penman, text) == _outcome(lambda t: _Parser(t).parse(), text)
 
 
 def test_graph_invariants_enforced():

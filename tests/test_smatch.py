@@ -266,27 +266,30 @@ def test_hill_climb_mappings_with_repeated_edges_match_golden_digest():
     assert _mappings_sha256(_golden_repeat_pairs()) == _GOLDEN_REPEAT_MAPPINGS_SHA256
 
 
-def _count_climbs(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, name) -> list[int]:
+    """Count the calls of ``smatch``'s function *name*."""
     calls = [0]
-    climb = smatch._climb
+    function = getattr(smatch, name)
 
     def counted(*args):
         calls[0] += 1
-        return climb(*args)
+        return function(*args)
 
-    monkeypatch.setattr(smatch, "_climb", counted)
+    monkeypatch.setattr(smatch, name, counted)
     return calls
 
 
 def test_certified_restarts_change_no_result(monkeypatch):
-    """The restarts stop once the best count reaches the upper bound.  With
-    a bound no count reaches, every restart runs, and each result is the
-    same: a later restart can only tie, and a tie keeps the first best."""
+    """A climb stops once its count reaches the upper bound, and the
+    restarts once the best count does.  With a bound no count reaches,
+    every climb runs to no gain and every restart runs, and each result is
+    the same: no step past the bound could gain, a later restart can only
+    tie, and a tie keeps the first best."""
     pairs = [(p, h, i, i % 2 == 0) for golden in (_golden_pairs(), _golden_long_pairs())
              for i, (p, h) in enumerate(golden)]
     certified = [align_hill_climb(p, h, restarts=4, seed=seed, include_top=top)
                  for p, h, seed, top in pairs]
-    calls = _count_climbs(monkeypatch)
+    calls = _count_calls(monkeypatch, "_climb")
     monkeypatch.setattr(smatch, "_upper_bound", lambda ctx: ctx.hyp_total + 1)
     assert [align_hill_climb(p, h, restarts=4, seed=seed, include_top=top)
             for p, h, seed, top in pairs] == certified
@@ -294,10 +297,14 @@ def test_certified_restarts_change_no_result(monkeypatch):
 
 
 def test_restarts_stop_only_at_the_bound(monkeypatch):
-    calls = _count_climbs(monkeypatch)
+    calls = _count_calls(monkeypatch, "_climb")
+    steps = _count_calls(monkeypatch, "_best_step")
     g = parse_penman(RABIES_CLAIM)
     assert align_hill_climb(g, g, restarts=4).matched == _MatchContext(g, g, True).hyp_total
     assert calls[0] == 1
+    # The greedy start maps the claim onto itself, at the bound: the climb
+    # scans no step.
+    assert steps[0] == 0
     # h0 -> p0 and h1 -> p2 each hold one end of an ARG0 edge, so the bound
     # counts the claim's edge, but no premise ARG0 edge joins p0 to p2.
     premise = parse_penman("(r / z :op1 (p0 / a :ARG0 (p1 / x))"
@@ -540,8 +547,8 @@ def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
     """The climber skips a swap or planting whose bound cannot beat the
     step's best gain, so the bound must hold: for every neighbour a
     mapping's neighbourhood yields, ``_moves_gain`` is at most the sum of
-    ``ctx.bound`` over the moves that change an image, and so at most the
-    sum over all its moves, which the climber reads."""
+    ``ctx.bound`` over the moves that change an image, the sum the climber
+    reads."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
@@ -667,7 +674,7 @@ def test_canonicalize_from_kept_tables_equals_from_fresh_ones(graphs):
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
-        climbed, count, score = _climb(ctx, dict(m))
+        climbed, count, score = _climb(ctx, dict(m), _upper_bound(ctx))
         assert count == _literal_count(premise, hypothesis, climbed, include_top)
         fresh = _canonicalize(ctx, dict(climbed), _match_tables(ctx, climbed)[0])
         kept = _canonicalize(ctx, climbed, score)
