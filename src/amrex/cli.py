@@ -16,12 +16,13 @@ from dataclasses import fields
 from . import evaluation, explain, ingest
 from .config import (RunConfig, apply_env, effective_config_lines,
                      load_config_file, setting_key)
-from .entailment import blend, pair_from_json, pair_json
-from .errors import AmrexError, DatasetError, MappingError
+from .entailment import blend
+from .errors import AmrexError, DatasetError
 from .graph import extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
 from .smatch import AlignConfig, align_hill_climb
-from .verdict import precompute_pair_components, score_pairs, verdict_at
+from .verdict import (pair_json, precompute_pair_components, read_pair, score_pairs,
+                      verdict_at, verdict_json)
 
 
 def _add_settings(p: argparse.ArgumentParser, *names: str) -> None:
@@ -135,20 +136,6 @@ def _verify_records(cfg: RunConfig, claims_path: str, amrs_path: str):
     return ingest.join_amrs(records, bundle, strict=True)
 
 
-def _verdict_json(v, cfg: RunConfig) -> str:
-    """One verdict row: it stores what ``explain`` needs to render a pair."""
-    return json.dumps({
-        "claim_id": v.claim_id,
-        "label": v.label.value,
-        "e": float(v.e_value),
-        "lambda": cfg.resolved_lambda(),
-        "dataset": cfg.dataset,
-        "question_mode": cfg.question_mode,
-        "pairs": [{"evidence_id": p.evidence_id, **pair_json(p.score)}
-                  for p in v.per_evidence],
-    })
-
-
 def cmd_verify(args) -> int:
     cfg = _configure(args)
     records = _verify_records(cfg, args.claims, args.amrs)
@@ -159,7 +146,7 @@ def cmd_verify(args) -> int:
     verdicts = [verdict_at(r, components[r.claim_id], lam, cfg.empty_evidence)
                 for r in records]
 
-    text = "".join(_verdict_json(v, cfg) + "\n" for v in verdicts)
+    text = "".join(verdict_json(v, cfg) + "\n" for v in verdicts)
     if args.out:
         _write(args.out, text)
     else:
@@ -225,50 +212,6 @@ def _parse_pair_selector(spec: str) -> tuple[str, list[tuple[str, str]]]:
     return path, splits
 
 
-def _stored_choice(row: dict, key: str, choices):
-    """``row[key]`` if it is one of *choices*, else a TypeError."""
-    if (value := row[key]) not in choices:
-        raise TypeError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
-    return value
-
-
-def _stored_pair(verdict_path: str, splits):
-    """The claim and evidence ids, the settings the claims were loaded with,
-    the verdict label and the scored pair, all as ``verify`` stored them, of
-    the first of *splits* whose claim id's row holds a pair of its evidence
-    id (ids may hold '/'), else of the first split.  A row that lacks one of
-    them or holds one of the wrong type is a DatasetError."""
-    found = [(c, e, raw) for _, raw in ingest.read_jsonl(verdict_path)
-             for c, e in splits if raw.get("claim_id") == c]
-    if not found:
-        raise DatasetError(f"claim {splits[0][0]!r} not found in {verdict_path}")
-    claim_id, evidence_id, row = next(
-        (f for f in found if isinstance(pairs := f[2].get("pairs"), list)
-         and any(isinstance(p, dict) and p.get("evidence_id") == f[1] for p in pairs)),
-        found[0])
-    where = f"{verdict_path}: claim {claim_id!r} / evidence {evidence_id!r}"
-    try:
-        pairs = row["pairs"]
-        if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
-            raise TypeError("pairs must be a list of objects")
-        pair = next((p for p in pairs if p["evidence_id"] == evidence_id), None)
-        if pair is None:
-            raise DatasetError(
-                f"evidence {evidence_id!r} not found for claim {claim_id!r} "
-                f"in {verdict_path}")
-        choices = {f.name: f.metadata["choices"] for f in fields(RunConfig)}
-        cfg = RunConfig()
-        for name in ("dataset", "question_mode"):
-            setattr(cfg, name, _stored_choice(row, name, choices[name]))
-        label = _stored_choice(row, "label", ingest.label_set(cfg.dataset))
-        return claim_id, evidence_id, cfg, label, pair_from_json(row["lambda"], pair)
-    except KeyError as exc:
-        raise DatasetError(
-            f"{where}: no stored {exc}; re-run verify to record the scored pair")
-    except (TypeError, ValueError, MappingError) as exc:
-        raise DatasetError(f"{where}: malformed verdict row: {exc}")
-
-
 _RENDERERS = {"text": explain.render_text, "markdown": explain.render_markdown,
               "prompt": explain.build_prompt}
 
@@ -276,8 +219,9 @@ _RENDERERS = {"text": explain.render_text, "markdown": explain.render_markdown,
 def cmd_explain(args) -> int:
     if args.generate and not args.service:
         raise AmrexError("--generate requires --service <url>")
-    verdict_path, splits = _parse_pair_selector(args.pair)
-    claim_id, evidence_id, cfg, label, score = _stored_pair(verdict_path, splits)
+    stored = read_pair(*_parse_pair_selector(args.pair))
+    claim_id, evidence_id, score = stored.claim_id, stored.evidence_id, stored.score
+    cfg = RunConfig(dataset=stored.dataset, question_mode=stored.question_mode)
     for line in effective_config_lines(cfg, ("dataset", "question_mode")):
         print(line, file=sys.stderr)
     # Claims up to the selected one and only this pair's graphs: a graph
@@ -300,9 +244,10 @@ def cmd_explain(args) -> int:
         raise DatasetError(
             f"claim {claim_id!r} / evidence {evidence_id!r}: the stored mapping "
             f"names variables missing from {args.amrs}; re-run verify")
+    stored.check_mapping(claim_graph, evidence_graph)
 
     bundle = explain.build_bundle(claim_graph, evidence_graph,
-                                  record.claim_text, item.text, score, label=label)
+                                  record.claim_text, item.text, score, label=stored.label)
     print(_RENDERERS[args.format](bundle))
     if args.generate:
         print(explain.generate_explanation(explain.build_prompt(bundle), args.service))

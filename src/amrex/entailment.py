@@ -49,34 +49,3 @@ def blend(lam: float, alignment: SmatchResult, cosine_sim: float) -> EntailmentS
                            cosine_sim=cosine_sim, f_value=f_value,
                            decision=th1(f_value), mapping=alignment.mapping)
 
-
-def pair_json(score: EntailmentScore) -> dict:
-    """The stored form of a scored pair: a verdict row's pair and
-    ``score-pair --json`` (which adds the ``lambda`` a row keeps once)."""
-    return {"f": score.f_value, "smatch_p": score.smatch_p,
-            "cosine": score.cosine_sim, "decision": score.decision,
-            "mapping": [list(p) for p in score.mapping.pairs]}
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
-    return value
-
-
-def pair_from_json(lam: float, pair: dict) -> EntailmentScore:
-    """Read back what :func:`pair_json` wrote; a missing key is a KeyError
-    and a value of the wrong type or out of range a TypeError."""
-    decision, mapping = pair["decision"], pair["mapping"]
-    if type(decision) is not int or decision not in (1, -1):
-        raise TypeError(f"decision must be 1 or -1, got {decision!r}")
-    if not (isinstance(mapping, list)
-            and all(isinstance(p, list) and len(p) == 2
-                    and all(isinstance(v, str) for v in p) for p in mapping)):
-        raise TypeError("mapping must be a list of [claim variable, "
-                        "evidence variable] string pairs")
-    return EntailmentScore(lam=_number(lam, "lambda"),
-                           smatch_p=_number(pair["smatch_p"], "smatch_p"),
-                           cosine_sim=_number(pair["cosine"], "cosine"),
-                           f_value=_number(pair["f"], "f"), decision=decision,
-                           mapping=VariableMapping(mapping))

@@ -202,6 +202,16 @@ def _result(ctx: _MatchContext, m: dict[str, str], matched: int) -> SmatchResult
                         precision=precision, recall=recall, f1=f1)
 
 
+def score_mapping(premise: AmrGraph, hypothesis: AmrGraph, mapping: VariableMapping,
+                  include_top: bool = True) -> SmatchResult:
+    """The scores of *mapping*, counted from the match tables as the
+    searches count their own mappings.  Each of its variables must be a
+    variable of its graph."""
+    ctx = _MatchContext(premise, hypothesis, include_top)
+    m = mapping.as_dict()
+    return _result(ctx, m, _match_tables(ctx, m)[1])
+
+
 def _greedy_init(ctx: _MatchContext, rng: random.Random) -> dict[str, str]:
     m: dict[str, str] = {}
     used: set[str] = set()
@@ -355,11 +365,17 @@ def _best_step(ctx: _MatchContext, score: dict,
     variable it displaces.  Single moves are read from the match tables
     *score*'s rows.  A swap is the two moves ``(h1, p1, p2), (h2, p2,
     p1)``, and it and each planting are scored by :func:`_moves_gain`,
-    unless the ``ctx.bound`` sum of their moves cannot beat the best gain
-    so far, as they then could not be taken; a move that changes nothing
-    adds nothing to the sum."""
+    unless they cannot beat the best gain so far, as they then could not
+    be taken.  hv's share, ``score[hv][m(hv)] + unary[hv][m(hv)]``, is
+    twice its part of the count.  The triples at a step's moved
+    variables match at most the sum of their ``bound[hv][new]`` after
+    it and at least half the sum of their shares before it, so a step
+    gains at most half the sum of ``2 * bound[hv][new] - share[hv]``
+    over its moves that change an image, rounded down; a step whose sum
+    is at most ``2 * best gain + 1`` is skipped."""
     bound, hyp_vars = ctx.bound, ctx.hyp_vars
     images = [m.get(hv) for hv in hyp_vars]
+    share = {hv: score[hv][pv] + ctx.unary[hv][pv] for hv, pv in zip(hyp_vars, images)}
     inv = {pv: hv for hv, pv in m.items()}
     free = [pv for pv in ctx.prem_concepts if pv not in inv]
     best_gain = 0
@@ -371,13 +387,14 @@ def _best_step(ctx: _MatchContext, score: dict,
             if row[pv] - row[p1] > best_gain:
                 best_gain, best = row[pv] - row[p1], [(hv, p1, pv)]
     for i, h1 in enumerate(hyp_vars):
-        p1, bound1 = images[i], bound[h1]
+        p1, bound1, share1 = images[i], bound[h1], share[h1]
         for j in range(i + 1, len(hyp_vars)):
             p2 = images[j]
             if p1 == p2:
                 continue
             h2 = hyp_vars[j]
-            if bound1[p2] + bound[h2][p1] <= best_gain:
+            if (2 * (bound1[p2] + bound[h2][p1]) - share1 - share[h2]
+                    <= 2 * best_gain + 1):
                 continue
             moves = (h1, p1, p2), (h2, p2, p1)
             gain = _moves_gain(ctx, score, moves)
@@ -387,8 +404,8 @@ def _best_step(ctx: _MatchContext, score: dict,
         ub = 0
         for hv, old, new in moves:
             if old != new:
-                ub += bound[hv][new]
-        if ub <= best_gain:
+                ub += 2 * bound[hv][new] - share[hv]
+        if ub <= 2 * best_gain + 1:
             continue
         gain = _moves_gain(ctx, score, moves)
         if gain > best_gain:

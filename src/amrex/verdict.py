@@ -1,4 +1,5 @@
-"""Per-claim verdicts: score every pair once, aggregate, threshold-classify.
+"""Per-claim verdicts: score every pair once, aggregate, threshold-classify,
+and write and read the verdict rows ``verify`` stores.
 
 The mean decision e over a claim's evidence is kept as an exact rational so
 comparisons against the classification boundaries (0.1 and 0.5) never flip
@@ -15,17 +16,21 @@ both are applied literally.
 
 from __future__ import annotations
 
+import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Rational
 
-from .entailment import EntailmentScore, blend
-from .errors import ConfigError, DatasetError, SimilarityError
-from .ingest import AVERITEC, FEVER, VerdictLabel, require_graphs
+from .config import RunConfig
+from .entailment import EntailmentScore, blend, combined_score, th1
+from .errors import ConfigError, DatasetError, MappingError, SimilarityError
+from .graph import AmrGraph
+from .ingest import AVERITEC, FEVER, VerdictLabel, label_set, read_jsonl, require_graphs
 from .similarity import EmbeddingServiceBackend, SimilarityBackend, cosine
-from .smatch import AlignConfig, SmatchResult, align_hill_climb
+from .smatch import (AlignConfig, SmatchResult, VariableMapping, align_hill_climb,
+                     score_mapping)
 
 _TENTH = Fraction(1, 10)
 _HALF = Fraction(1, 2)
@@ -288,3 +293,123 @@ def verify_claim(record, lam: float, backend: SimilarityBackend,
     """Score every evidence pair of one claim record, aggregate, and classify."""
     rows = precompute_pair_components([record], backend, cfg, seed)[record.claim_id]
     return verdict_at(record, rows, lam, empty_evidence)
+
+
+def pair_json(score: EntailmentScore) -> dict:
+    """The stored form of a scored pair: a verdict row's pair and
+    ``score-pair --json`` (which adds the ``lambda`` a row keeps once)."""
+    return {"f": score.f_value, "smatch_p": score.smatch_p,
+            "cosine": score.cosine_sim, "decision": score.decision,
+            "mapping": [list(p) for p in score.mapping.pairs]}
+
+
+def verdict_json(v: ClaimVerdict, cfg: RunConfig) -> str:
+    """One verdict row of a run under *cfg*, which :func:`read_pair` reads."""
+    return json.dumps({"claim_id": v.claim_id, "label": v.label.value,
+                       "e": float(v.e_value), "lambda": cfg.resolved_lambda(),
+                       "dataset": cfg.dataset, "question_mode": cfg.question_mode,
+                       "pairs": [{"evidence_id": p.evidence_id, **pair_json(p.score)}
+                                 for p in v.per_evidence]})
+
+
+@dataclass(frozen=True)
+class StoredPair:
+    where: str  # the verdict file and the pair's ids, as errors name them
+    claim_id: str
+    evidence_id: str
+    dataset: str
+    question_mode: str
+    label: str
+    score: EntailmentScore
+
+    def check_mapping(self, claim_graph: AmrGraph, evidence_graph: AmrGraph) -> None:
+        """A DatasetError unless the stored mapping, counted on the pair's
+        graphs (each of its variables must be theirs), gives the stored
+        ``smatch_p``.  A row does not record ``include_top``, so either
+        setting may give it."""
+        smatch_p = [score_mapping(evidence_graph, claim_graph, self.score.mapping,
+                                  top).precision for top in (True, False)]
+        if self.score.smatch_p not in smatch_p:
+            raise DatasetError(
+                f"{self.where}: malformed verdict row: smatch_p {self.score.smatch_p!r} "
+                f"is not the stored mapping's count over the claim's triples, "
+                f"{smatch_p[0]!r} with the top triple or {smatch_p[1]!r} without")
+
+
+_CHOICES = {f.name: f.metadata["choices"] for f in fields(RunConfig)}
+
+
+def _stored(value, name: str, choices=None):
+    """*value* if it is one of *choices*, or a number when none are given;
+    else a TypeError."""
+    if choices is not None:
+        if value not in choices:
+            raise TypeError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    return value
+
+
+def _stored_score(lam, pair: dict) -> EntailmentScore:
+    decision, mapping = pair["decision"], pair["mapping"]
+    if type(decision) is not int or decision not in (1, -1):
+        raise TypeError(f"decision must be 1 or -1, got {decision!r}")
+    if not (isinstance(mapping, list)
+            and all(isinstance(p, list) and len(p) == 2
+                    and all(isinstance(v, str) for v in p) for p in mapping)):
+        raise TypeError("mapping must be a list of [claim variable, "
+                        "evidence variable] string pairs")
+    return EntailmentScore(_stored(lam, "lambda"), _stored(pair["smatch_p"], "smatch_p"),
+                           _stored(pair["cosine"], "cosine"), _stored(pair["f"], "f"),
+                           decision, VariableMapping(mapping))
+
+
+def read_pair(path: str, splits) -> StoredPair:
+    """The pair :func:`verdict_json` stored in *path* for the first of
+    *splits*, each ``(claim id, evidence id)``, whose claim id's row holds a
+    pair of its evidence id (ids may hold '/'), else for the first split.
+    A row that lacks a field, holds one of the wrong type or contradicts
+    itself is a DatasetError: each pair's ``f`` must be the blend of its
+    ``smatch_p`` and ``cosine`` at the row's ``lambda`` and its ``decision``
+    th1(f), and the row's ``e`` and ``label`` must be the mean of the
+    decisions and the label th2 gives it."""
+    found = [(c, e, row) for _, row in read_jsonl(path) for c, e in splits
+             if row.get("claim_id") == c]
+    if not found:
+        raise DatasetError(f"claim {splits[0][0]!r} not found in {path}")
+    claim_id, evidence_id, row = next(
+        (f for f in found if isinstance(pairs := f[2].get("pairs"), list)
+         and any(isinstance(p, dict) and p.get("evidence_id") == f[1] for p in pairs)),
+        found[0])
+    where = f"{path}: claim {claim_id!r} / evidence {evidence_id!r}"
+    try:
+        pairs = row["pairs"]
+        if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
+            raise TypeError("pairs must be a list of objects")
+        i = next((i for i, p in enumerate(pairs) if p["evidence_id"] == evidence_id), None)
+        if i is None:
+            raise DatasetError(f"evidence {evidence_id!r} not found for claim "
+                               f"{claim_id!r} in {path}")
+        dataset, question_mode = (_stored(row[k], k, _CHOICES[k])
+                                  for k in ("dataset", "question_mode"))
+        label = _stored(row["label"], "label", label_set(dataset))
+        scores = [_stored_score(row["lambda"], p) for p in pairs]
+        for p, s in zip(pairs, scores):
+            if s.f_value != (f := combined_score(s.lam, s.smatch_p, s.cosine_sim)):
+                raise ValueError(f"pair {p['evidence_id']!r}: f {s.f_value!r} is not "
+                                 f"lambda * smatch_p + (1 - lambda) * cosine = {f!r}")
+            if s.decision != (d := th1(s.f_value)):
+                raise ValueError(f"pair {p['evidence_id']!r}: decision "
+                                 f"{s.decision:+d} is not th1(f) = {d:+d}")
+        e, mean = _stored(row["e"], "e"), aggregate(s.decision for s in scores)
+        if e != float(mean):
+            raise ValueError(f"e {e!r} is not the mean of the decisions, {float(mean)!r}")
+        if label != (expected := th2(mean, dataset).value):
+            raise ValueError(f"label {label} is not th2 of the decisions' mean, {expected}")
+        return StoredPair(where, claim_id, evidence_id, dataset, question_mode, label,
+                          scores[i])
+    except KeyError as exc:
+        raise DatasetError(
+            f"{where}: no stored {exc}; re-run verify to record the scored pair")
+    except (TypeError, ValueError, OverflowError, ConfigError, MappingError) as exc:
+        raise DatasetError(f"{where}: malformed verdict row: {exc}")

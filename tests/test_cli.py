@@ -19,14 +19,15 @@ from hypothesis import given, settings, strategies as st
 import amrex
 from amrex.cli import build_parser, dispatch
 from amrex.config import RunConfig, apply_env, load_config_file
+from amrex.entailment import combined_score, th1
 from amrex.errors import ConfigError, DatasetError
 from amrex.evaluation import lambda_sweep
 from amrex.graph import parse_penman, serialize_penman
 from amrex.ingest import AVERITEC, iter_claims, load_amr_bundle, load_claims
-from amrex.smatch import AlignConfig, align_hill_climb
-from amrex.verdict import (_WORK_PER_WORKER, classify, precompute_pair_components,
-                           score_pairs, usable_cpus, verdict_at, verify_claim,
-                           worker_count)
+from amrex.smatch import AlignConfig, VariableMapping, align_hill_climb, score_mapping
+from amrex.verdict import (_WORK_PER_WORKER, aggregate, classify,
+                           precompute_pair_components, score_pairs, th2, usable_cpus,
+                           verdict_at, verify_claim, worker_count)
 
 from _fixtures import (JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, field_paths, random_graph)
@@ -571,9 +572,22 @@ _WHERE = "{verdicts}: claim 'c-marnie' / evidence 'e-marnie': "
               "answer-only, question-plus-answer, got [1]"),
     (lambda row: row.update(label=3),
      _WHERE + "malformed verdict row: label must be one of S, R, N, got 3"),
+    (lambda row: row["pairs"][0].update(decision=-row["pairs"][0]["decision"]),
+     _WHERE + "malformed verdict row: pair 'e-marnie': decision +1 is not th1(f) = -1"),
+    (lambda row: row["pairs"][0].update(f=1.0),
+     _WHERE + "malformed verdict row: pair 'e-marnie': f 1.0 is not "
+              "lambda * smatch_p + (1 - lambda) * cosine = "),
+    (lambda row: row.update(label="N"),
+     _WHERE + "malformed verdict row: label N is not th2 of the decisions' mean, R"),
+    (lambda row: row["pairs"][0].update(mapping=[
+        [hv, row["pairs"][0]["mapping"][i - 1][1]]
+        for i, (hv, _pv) in enumerate(row["pairs"][0]["mapping"])]),
+     _WHERE + "malformed verdict row: smatch_p 0.75 is not the stored mapping's "
+              "count over the claim's triples, 0.0 with the top triple or 0.0 without"),
 ], ids=["no-mapping", "unknown-variable", "no-dataset", "no-question-mode",
         "smatch-p-a-string", "lambda-a-bool", "decision-zero", "mapping-not-injective",
-        "question-mode-a-list", "label-a-number"])
+        "question-mode-a-list", "label-a-number", "decision-flipped", "f-one",
+        "label-not-the-decisions", "mapping-rotated"])
 def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
                                                         capsys, corrupt, message):
     claims, amrs = fever_files
@@ -592,7 +606,12 @@ def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
 
 def test_any_json_value_in_a_stored_row_renders_or_is_a_dataset_error(
         fever_files, tmp_path):
+    """A row with any one value replaced renders only if it does not
+    contradict itself: each pair's f is the blend of its scores and its
+    decision th1(f), the row's e and label follow from the decisions, and
+    the mapping counts to smatch_p under one of the include_top settings."""
     claims, amrs = fever_files
+    claim_graph, evidence_graph = parse_penman(MARNIE_CLAIM), parse_penman(MARNIE_EVIDENCE)
     verdicts = tmp_path / "verdicts.jsonl"
     assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
                      "--amrs", amrs, "--out", str(verdicts)]) == 0
@@ -616,9 +635,48 @@ def test_any_json_value_in_a_stored_row_renders_or_is_a_dataset_error(
         try:
             assert args.func(args) == 0
         except DatasetError:
-            pass
+            return
+        lam, pairs = corrupted["lambda"], corrupted["pairs"]
+        for pair in pairs:
+            assert pair["f"] == combined_score(lam, pair["smatch_p"], pair["cosine"])
+            assert pair["decision"] == th1(pair["f"])
+        mean = aggregate(pair["decision"] for pair in pairs)
+        assert corrupted["e"] == float(mean)
+        assert corrupted["label"] == th2(mean, corrupted["dataset"]).value
+        [pair] = [pair for pair in pairs if pair["evidence_id"] == "e-marnie"]
+        assert pair["smatch_p"] in [
+            score_mapping(evidence_graph, claim_graph, VariableMapping(pair["mapping"]),
+                          top).precision for top in (True, False)]
 
     check()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_explain_renders_every_pair_verify_writes(fever_files, tmp_path, capsys, jobs):
+    """Every row verify writes passes explain's checks, with the top triple
+    counted and without it."""
+    shared_claims, shared_amrs = _shared_graph_claims(random.Random(23))
+    claims_path, amrs_path = tmp_path / "shared-claims.jsonl", tmp_path / "shared-amrs.jsonl"
+    claims_path.write_text("".join(json.dumps(r) + "\n" for r in shared_claims))
+    amrs_path.write_text("".join(json.dumps({"id": rid, "penman": text}) + "\n"
+                                 for rid, text in shared_amrs))
+    runs = [(*fever_files, []),
+            (str(claims_path), str(amrs_path), ["--lambda", "0.5", "--no-top"])]
+    explained = 0
+    for claims, amrs, flags in runs:
+        verdicts = tmp_path / "verdicts.jsonl"
+        base = ["--claims", claims, "--amrs", amrs]
+        assert dispatch(["verify", "--dataset", "fever", *base, *flags,
+                         "--backend", "test:dim=64", "--jobs", jobs,
+                         "--out", str(verdicts)]) == 0
+        for row in map(json.loads, verdicts.read_text().splitlines()):
+            for pair in row["pairs"]:
+                capsys.readouterr()
+                assert dispatch(["explain", "--pair",
+                                 f"{verdicts}#{row['claim_id']}/{pair['evidence_id']}",
+                                 *base]) == 0, capsys.readouterr().err
+                explained += 1
+    assert explained > 20
 
 
 @pytest.mark.parametrize("dropped", ["c-rabies", "e-rabies", "c-marnie", "e-marnie"])
@@ -1197,7 +1255,7 @@ def test_library_defaults_are_the_run_config_defaults():
     the setting is left unset."""
     users = {
         "restarts": (AlignConfig, align_hill_climb),
-        "include_top": (AlignConfig, align_hill_climb),
+        "include_top": (AlignConfig, align_hill_climb, score_mapping),
         "seed": (align_hill_climb, precompute_pair_components, lambda_sweep,
                  verify_claim),
         "jobs": (score_pairs, precompute_pair_components, lambda_sweep),

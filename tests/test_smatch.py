@@ -15,7 +15,7 @@ from amrex import smatch
 from amrex.smatch import (VariableMapping, _assign, _best_step, _canonicalize, _claim_half,
                           _climb, _MatchContext, _match_tables, _moves_gain, _plantings,
                           _premise_half, _take, _upper_bound, align_exhaustive,
-                          align_hill_climb)
+                          align_hill_climb, score_mapping)
 
 from _fixtures import (MARNIE_CLAIM, MARNIE_EVIDENCE, RABIES_CLAIM,
                        RABIES_EVIDENCE, RABIES_MAPPING, WISH_CLAIM,
@@ -547,15 +547,21 @@ def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
     """The climber skips a swap or planting whose bound cannot beat the
     step's best gain, so the bound must hold: for every neighbour a
     mapping's neighbourhood yields, ``_moves_gain`` is at most the sum of
-    ``ctx.bound`` over the moves that change an image, the sum the climber
-    reads."""
+    ``ctx.bound`` over the moves that change an image, and at most half
+    the sum the climber reads, of ``2 * bound[hv][new]`` less hv's share
+    ``score[hv][old] + unary[hv][old]`` over those moves.  The shares sum
+    to twice the count."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
-        score, _count = _match_tables(ctx, m)
+        score, count = _match_tables(ctx, m)
+        share = {hv: score[hv][m.get(hv)] + ctx.unary[hv][m.get(hv)] for hv in ctx.hyp_vars}
+        assert sum(share.values()) == 2 * count
         for moves in _neighbour_moves(ctx, m):
-            bound = sum(ctx.bound[hv][new] for hv, old, new in moves if old != new)
-            assert _moves_gain(ctx, score, moves) <= bound
+            changed = [(hv, new) for hv, old, new in moves if old != new]
+            gain = _moves_gain(ctx, score, moves)
+            assert gain <= sum(ctx.bound[hv][new] for hv, new in changed)
+            assert 2 * gain <= sum(2 * ctx.bound[hv][new] - share[hv] for hv, new in changed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -575,6 +581,8 @@ def test_table_gain_of_every_neighbour_equals_gain(graphs):
         score, before = _match_tables(ctx, m)
         assert score == _literal_tables(ctx, m)
         assert before == count(m)
+        assert score_mapping(premise, hypothesis, VariableMapping(m.items()),
+                             include_top).matched == before
         for moves in _neighbour_moves(ctx, m):
             assert [old for _hv, old, _new in moves] == [m.get(hv) for hv, _o, _n in moves]
             changes = {hv: new for hv, _old, new in moves}
