@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import stat
 import sys
 from dataclasses import fields
 
@@ -70,9 +72,29 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write *text* to *path*.  A missing path, or a regular file that is not
+    a symlink, is replaced whole: the text goes to a hidden temporary file
+    beside it, which then takes its name and mode, so a run that fails or is
+    killed never leaves part of the text under *path*, and a failed write
+    removes the temporary file.  Anything else (a FIFO, a device, a symlink)
+    is written in place."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            if os.path.lexists(path):
+                shutil.copymode(path, tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise AmrexError(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -202,14 +224,13 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_pair_selector(spec: str) -> tuple[str, list[tuple[str, str]]]:
-    """The verdicts path and each (claim id, evidence id) split at a '/'."""
-    path, sep, rest = spec.partition("#")
-    splits = [(rest[:i], rest[i + 1:]) for i in range(1, len(rest) - 1) if rest[i] == "/"]
-    if not sep or not path or not splits:
+def _parse_pair_selector(spec: str) -> tuple[str, str]:
+    """The verdicts path and the ``<claim_id>/<evidence_id>`` that :func:`read_pair` reads."""
+    path, _, ids = spec.partition("#")
+    if not path or ids.find("/", 1, len(ids) - 1) < 0:  # with no '#', ids is empty
         raise AmrexError(
             f"bad --pair selector {spec!r}; expected <verdicts.jsonl>#<claim_id>/<evidence_id>")
-    return path, splits
+    return path, ids
 
 
 _RENDERERS = {"text": explain.render_text, "markdown": explain.render_markdown,
@@ -220,7 +241,7 @@ def cmd_explain(args) -> int:
     if args.generate and not args.service:
         raise AmrexError("--generate requires --service <url>")
     stored = read_pair(*_parse_pair_selector(args.pair))
-    claim_id, evidence_id, score = stored.claim_id, stored.evidence_id, stored.score
+    claim_id, evidence_id = stored.claim_id, stored.evidence_id
     cfg = RunConfig(dataset=stored.dataset, question_mode=stored.question_mode)
     for line in effective_config_lines(cfg, ("dataset", "question_mode")):
         print(line, file=sys.stderr)
@@ -239,15 +260,10 @@ def cmd_explain(args) -> int:
     if missing:
         raise DatasetError(f"AMR bundle {args.amrs} is missing ids: {missing}")
     claim_graph, evidence_graph = amrs[claim_id], amrs[evidence_id]
-    if not all(hv in claim_graph.nodes and pv in evidence_graph.nodes
-               for hv, pv in score.mapping.pairs):
-        raise DatasetError(
-            f"claim {claim_id!r} / evidence {evidence_id!r}: the stored mapping "
-            f"names variables missing from {args.amrs}; re-run verify")
-    stored.check_mapping(claim_graph, evidence_graph)
+    stored.check_mapping(claim_graph, evidence_graph, args.amrs)
 
     bundle = explain.build_bundle(claim_graph, evidence_graph,
-                                  record.claim_text, item.text, score, label=stored.label)
+                                  record.claim_text, item.text, stored.score, label=stored.label)
     print(_RENDERERS[args.format](bundle))
     if args.generate:
         print(explain.generate_explanation(explain.build_prompt(bundle), args.service))

@@ -106,8 +106,9 @@ class ClaimRecord:
 
 def read_jsonl(path: str):
     """Yield ``(line number, object)`` for each non-blank line of *path*.
-    An unreadable file, text that is not UTF-8, bad JSON and a value that
-    is not an object are DatasetErrors naming ``path:line``."""
+    An unreadable file, text that is not UTF-8, bad JSON (nested too deep
+    for the decoder included) and a value that is not an object are
+    DatasetErrors naming ``path:line``."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -120,7 +121,7 @@ def read_jsonl(path: str):
                 value = json.loads(line.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
                 raise DatasetError(f"{path}:{lineno}: bad JSON: {exc}")
             if not isinstance(value, dict):
                 raise DatasetError(f"{path}:{lineno}: expected a JSON object, "

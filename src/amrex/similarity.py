@@ -170,7 +170,8 @@ class PrecomputedFileBackend(SimilarityBackend):
                         raise ValueError("'vector' is not a list of numbers")
                     self._cache[text] = EmbeddingVector(vector)
                     first[text] = lineno
-                except (KeyError, TypeError, ValueError, SimilarityError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError,
+                        SimilarityError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")
 
     def _embed(self, text: str, upcoming: Iterable[str]) -> EmbeddingVector:
@@ -226,7 +227,8 @@ def post_json(url: str, payload: dict, key: str, timeout: float, service: str):
     """POST *payload* as JSON to *url* and return field *key* of the reply.
 
     An unreachable or timed-out *service*, a status other than 200, and a
-    reply that is not a JSON object holding *key* are all TransportErrors.
+    reply that is not a JSON object holding *key*, or is nested too deep to
+    decode, are all TransportErrors.
     """
     # Imported here: a run that reaches no service need not pay for loading them.
     import http.client
@@ -247,7 +249,7 @@ def post_json(url: str, payload: dict, key: str, timeout: float, service: str):
         raise TransportError(f"{service} returned HTTP {status}")
     try:
         reply = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TransportError(f"malformed {service} response: {exc}")
     if not isinstance(reply, dict) or key not in reply:
         raise TransportError(f"malformed {service} response: no JSON object with {key!r}")

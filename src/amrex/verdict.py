@@ -322,11 +322,15 @@ class StoredPair:
     label: str
     score: EntailmentScore
 
-    def check_mapping(self, claim_graph: AmrGraph, evidence_graph: AmrGraph) -> None:
-        """A DatasetError unless the stored mapping, counted on the pair's
-        graphs (each of its variables must be theirs), gives the stored
-        ``smatch_p``.  A row does not record ``include_top``, so either
-        setting may give it."""
+    def check_mapping(self, claim_graph: AmrGraph, evidence_graph: AmrGraph, bundle: str) -> None:
+        """A DatasetError unless each variable of the stored mapping is one
+        of its graph's, read from *bundle*, and the mapping counts to the
+        stored ``smatch_p`` under either ``include_top``, as rows omit it."""
+        if not all(hv in claim_graph.nodes and pv in evidence_graph.nodes
+                   for hv, pv in self.score.mapping.pairs):
+            raise DatasetError(
+                f"claim {self.claim_id!r} / evidence {self.evidence_id!r}: the stored "
+                f"mapping names variables missing from {bundle}; re-run verify")
         smatch_p = [score_mapping(evidence_graph, claim_graph, self.score.mapping,
                                   top).precision for top in (True, False)]
         if self.score.smatch_p not in smatch_p:
@@ -364,52 +368,54 @@ def _stored_score(lam, pair: dict) -> EntailmentScore:
                            decision, VariableMapping(mapping))
 
 
-def read_pair(path: str, splits) -> StoredPair:
-    """The pair :func:`verdict_json` stored in *path* for the first of
-    *splits*, each ``(claim id, evidence id)``, whose claim id's row holds a
-    pair of its evidence id (ids may hold '/'), else for the first split.
+def read_pair(path: str, ids: str) -> StoredPair:
+    """The pair :func:`verdict_json` stored in *path* for *ids*, ``<claim
+    id>/<evidence id>`` (ids may hold '/'): of the rows whose claim id c is
+    a non-empty string and *ids* c, a '/' and a non-empty evidence id, in
+    file order, the first holding a pair of that evidence id, else the first.
     A row that lacks a field, holds one of the wrong type or contradicts
-    itself is a DatasetError: each pair's ``f`` must be the blend of its
-    ``smatch_p`` and ``cosine`` at the row's ``lambda`` and its ``decision``
-    th1(f), and the row's ``e`` and ``label`` must be the mean of the
-    decisions and the label th2 gives it."""
-    found = [(c, e, row) for _, row in read_jsonl(path) for c, e in splits
-             if row.get("claim_id") == c]
+    itself is a DatasetError naming the pair at fault, or the selected pair
+    for the row's own fields: each pair's ``f`` must be ``lambda * smatch_p
+    + (1 - lambda) * cosine`` and its ``decision`` th1(f), and the row's
+    ``e`` and ``label`` the decisions' mean and th2 of it."""
+    found = [(c, ids[len(c) + 1:], row) for _, row in read_jsonl(path)
+             if isinstance(c := row.get("claim_id"), str) and c
+             and ids.startswith(c + "/") and len(ids) > len(c) + 1]
     if not found:
-        raise DatasetError(f"claim {splits[0][0]!r} not found in {path}")
+        raise DatasetError(f"claim {ids[:ids.find('/', 1)]!r} not found in {path}")
     claim_id, evidence_id, row = next(
         (f for f in found if isinstance(pairs := f[2].get("pairs"), list)
          and any(isinstance(p, dict) and p.get("evidence_id") == f[1] for p in pairs)),
         found[0])
-    where = f"{path}: claim {claim_id!r} / evidence {evidence_id!r}"
+    where = selected = f"{path}: claim {claim_id!r} / evidence {evidence_id!r}"
     try:
         pairs = row["pairs"]
         if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
             raise TypeError("pairs must be a list of objects")
-        i = next((i for i, p in enumerate(pairs) if p["evidence_id"] == evidence_id), None)
-        if i is None:
+        if not any(p["evidence_id"] == evidence_id for p in pairs):
             raise DatasetError(f"evidence {evidence_id!r} not found for claim "
                                f"{claim_id!r} in {path}")
         dataset, question_mode = (_stored(row[k], k, _CHOICES[k])
                                   for k in ("dataset", "question_mode"))
         label = _stored(row["label"], "label", label_set(dataset))
-        scores = [_stored_score(row["lambda"], p) for p in pairs]
-        for p, s in zip(pairs, scores):
+        scores = []
+        for p in sorted(pairs, key=lambda p: p["evidence_id"] != evidence_id):
+            where = f"{path}: claim {claim_id!r} / evidence {p['evidence_id']!r}"
+            scores.append(s := _stored_score(row["lambda"], p))
             if s.f_value != (f := combined_score(s.lam, s.smatch_p, s.cosine_sim)):
                 raise ValueError(f"pair {p['evidence_id']!r}: f {s.f_value!r} is not "
                                  f"lambda * smatch_p + (1 - lambda) * cosine = {f!r}")
             if s.decision != (d := th1(s.f_value)):
                 raise ValueError(f"pair {p['evidence_id']!r}: decision "
                                  f"{s.decision:+d} is not th1(f) = {d:+d}")
+        where = selected
         e, mean = _stored(row["e"], "e"), aggregate(s.decision for s in scores)
         if e != float(mean):
             raise ValueError(f"e {e!r} is not the mean of the decisions, {float(mean)!r}")
         if label != (expected := th2(mean, dataset).value):
             raise ValueError(f"label {label} is not th2 of the decisions' mean, {expected}")
-        return StoredPair(where, claim_id, evidence_id, dataset, question_mode, label,
-                          scores[i])
+        return StoredPair(where, claim_id, evidence_id, dataset, question_mode, label, scores[0])
     except KeyError as exc:
-        raise DatasetError(
-            f"{where}: no stored {exc}; re-run verify to record the scored pair")
+        raise DatasetError(f"{where}: no stored {exc}; re-run verify to record the scored pair")
     except (TypeError, ValueError, OverflowError, ConfigError, MappingError) as exc:
         raise DatasetError(f"{where}: malformed verdict row: {exc}")

@@ -2,6 +2,7 @@ import argparse
 import ast
 import concurrent.futures
 import copy
+import errno
 import functools
 import importlib.util
 import inspect
@@ -10,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import amrex
+from amrex import cli
 from amrex.cli import build_parser, dispatch
 from amrex.config import RunConfig, apply_env, load_config_file
 from amrex.entailment import combined_score, th1
@@ -442,8 +445,8 @@ def test_explain_text_and_prompt(fever_files, tmp_path, capsys):
 
 
 def test_explain_splits_the_selector_where_both_ids_are_stored(tmp_path, capsys):
-    # Ids may hold '/': the selector splits where the claim id names a
-    # stored row holding a pair of the evidence id.
+    # Ids may hold '/': a row is matched by its own claim id, which the
+    # selector's ids start with, followed by a '/' and the evidence id.
     claims = tmp_path / "claims.jsonl"
     claims.write_text(json.dumps({
         "claim_id": "x/1", "claim": "a film was directed", "label": "S",
@@ -461,6 +464,30 @@ def test_explain_splits_the_selector_where_both_ids_are_stored(tmp_path, capsys)
                               ("y/1/x/1-e0", "claim 'y' not found")):
         assert dispatch(["explain", "--pair", f"{verdicts}#{selector}", *base]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["a-first", "a/b-first"])
+def test_explain_reads_the_first_row_whose_claim_id_the_selector_starts_with(
+        tmp_path, capsys, reverse):
+    # Selector a/b/c names claim 'a' holding pair 'b/c' and claim 'a/b'
+    # holding pair 'c': the first of the two rows in the file is read.
+    claims = [{"claim_id": "a", "claim": "a film was directed", "label": "S",
+               "evidence": [{"id": "b/c", "text": "the director made the film"}]},
+              {"claim_id": "a/b", "claim": "a disease can ride", "label": "R",
+               "evidence": [{"id": "c", "text": "vaccination prevents it"}]}]
+    if reverse:
+        claims.reverse()
+    claims_path, amrs_path = tmp_path / "claims.jsonl", tmp_path / "amrs.jsonl"
+    claims_path.write_text("".join(json.dumps(r) + "\n" for r in claims))
+    amrs_path.write_text("".join(json.dumps({"id": rid, "penman": text}) + "\n" for rid, text in [
+        ("a", MARNIE_CLAIM), ("b/c", MARNIE_EVIDENCE),
+        ("a/b", RABIES_CLAIM), ("c", RABIES_EVIDENCE)]))
+    verdicts = tmp_path / "verdicts.jsonl"
+    base = ["--claims", str(claims_path), "--amrs", str(amrs_path)]
+    assert dispatch(["verify", "--dataset", "fever", *base, "--out", str(verdicts)]) == 0
+    capsys.readouterr()
+    assert dispatch(["explain", "--pair", f"{verdicts}#a/b/c", *base]) == 0
+    assert f"claim: {claims[0]['claim']}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rename, message", [
@@ -584,10 +611,13 @@ _WHERE = "{verdicts}: claim 'c-marnie' / evidence 'e-marnie': "
         for i, (hv, _pv) in enumerate(row["pairs"][0]["mapping"])]),
      _WHERE + "malformed verdict row: smatch_p 0.75 is not the stored mapping's "
               "count over the claim's triples, 0.0 with the top triple or 0.0 without"),
+    (lambda row: row["pairs"].append(dict(row["pairs"][0], evidence_id="e-other", f="x")),
+     "{verdicts}: claim 'c-marnie' / evidence 'e-other': "
+     "malformed verdict row: f must be a number, got str"),
 ], ids=["no-mapping", "unknown-variable", "no-dataset", "no-question-mode",
         "smatch-p-a-string", "lambda-a-bool", "decision-zero", "mapping-not-injective",
         "question-mode-a-list", "label-a-number", "decision-flipped", "f-one",
-        "label-not-the-decisions", "mapping-rotated"])
+        "label-not-the-decisions", "mapping-rotated", "other-pair-f-a-string"])
 def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
                                                         capsys, corrupt, message):
     claims, amrs = fever_files
@@ -950,6 +980,105 @@ def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, ca
     assert [line.count(str(bad)) for line in err.splitlines()
             if line.startswith("error:")] == [1]
     assert "Traceback" not in err
+
+
+# A JSON line nested 1,500 levels deep: the decoder gives up on it.
+_DEEP_LINE = '{"a": ' + "[" * 1500 + "]" * 1500 + "}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claims", "{bad}", "--amrs", "{amrs}"],
+    ["verify", "--claims", "{claims}", "--amrs", "{bad}"],
+    ["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--backend", "file:{bad}"],
+    ["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
+     "--amrs", "{amrs}"],
+], ids=["claims", "bundle", "embeddings", "verdicts"])
+def test_json_nested_too_deep_is_a_domain_error(fever_files, tmp_path, capsys, argv):
+    claims, amrs = fever_files
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text(_DEEP_LINE + "\n")
+    argv = [a.format(bad=bad, claims=claims, amrs=amrs) for a in argv]
+    if argv[0] == "verify":
+        argv += ["--dataset", "fever"]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert f"{bad}:1:" in line
+    assert "Traceback" not in err
+
+
+def _verify_out(fever_files, out) -> int:
+    claims, amrs = fever_files
+    return dispatch(["verify", "--dataset", "fever", "--claims", claims, "--amrs", amrs,
+                     "--out", str(out)])
+
+
+def test_a_failed_out_write_keeps_the_old_file(fever_files, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "verdicts.jsonl"
+    out.write_bytes(b"old rows\n")
+    before = sorted(os.listdir(tmp_path))
+
+    class HalfWritten:
+        """A file that takes half of the text, then fails as a full disk."""
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
+                        raising=False)
+    assert _verify_out(fever_files, out) == 1
+    assert f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}" in capsys.readouterr().err
+    assert out.read_bytes() == b"old rows\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_out_replacing_a_file_keeps_its_mode(fever_files, tmp_path):
+    expected, out = tmp_path / "expected.jsonl", tmp_path / "verdicts.jsonl"
+    assert _verify_out(fever_files, expected) == 0
+    out.write_text("old rows\n")
+    out.chmod(0o640)
+    before = sorted(os.listdir(tmp_path))
+    assert _verify_out(fever_files, out) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_out_through_a_symlink_writes_its_target(fever_files, tmp_path):
+    expected, target, link = (tmp_path / n for n in ("expected.jsonl", "target.jsonl",
+                                                     "link.jsonl"))
+    assert _verify_out(fever_files, expected) == 0
+    target.write_text("old rows\n")
+    link.symlink_to(target)
+    assert _verify_out(fever_files, link) == 0
+    assert link.is_symlink() and target.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_out_to_a_fifo_reaches_its_reader(fever_files, tmp_path):
+    expected, fifo = tmp_path / "expected.jsonl", tmp_path / "fifo"
+    assert _verify_out(fever_files, expected) == 0
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert _verify_out(fever_files, fifo) == 0
+        reader.join(timeout=60)
+    finally:
+        if reader.is_alive():  # release a reader still waiting for a writer
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert read == [expected.read_bytes()]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -524,6 +524,15 @@ def test_any_service_reply_gives_vectors_or_a_typed_error(stub_server, data):
         assert got == expected
 
 
+def test_a_service_reply_nested_too_deep_is_a_transport_error(stub_server):
+    """The decoder gives up on a reply nested 1,500 levels deep: that is a
+    malformed reply, not a RecursionError."""
+    _StubHandler.scripted = (200, b'{"vectors": ' + b"[" * 1500 + b"]" * 1500 + b"}")
+    backend = EmbeddingServiceBackend(f"{stub_server}/scripted", timeout=5)
+    with pytest.raises(TransportError, match="malformed embedding service"):
+        backend._request(["t"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(_VECTORS)
 def test_file_records_and_service_replies_give_the_same_vectors(stub_server, tmp_path_factory,

@@ -458,21 +458,28 @@ def _literal_tables(ctx, m):
     return score
 
 
-def _neighbour_moves(ctx, m):
-    """The climber's neighbourhood of *m* as moves ``(hv, old pv, new pv)``,
-    in search order: single moves and swaps, which ``_best_step`` reads
-    from its match tables, then the plantings it scans."""
+def _neighbour_kinds(ctx, m):
+    """The climber's neighbourhood of *m* as ``(kind, moves)``, each move
+    ``(hv, old pv, new pv)``, in search order: single moves, which
+    ``_best_step`` reads from its match tables, then the swaps and the
+    plantings it scores."""
     inv = {pv: hv for hv, pv in m.items()}
     for hv in ctx.hyp_vars:
         for pv in ctx.prem_concepts:
             if pv not in inv:
-                yield [(hv, m.get(hv), pv)]
+                yield "single", [(hv, m.get(hv), pv)]
     for i, h1 in enumerate(ctx.hyp_vars):
         for h2 in ctx.hyp_vars[i + 1:]:
             p1, p2 = m.get(h1), m.get(h2)
             if p1 != p2:
-                yield [(h1, p1, p2), (h2, p2, p1)]
-    yield from _plantings(ctx, m, inv)
+                yield "swap", [(h1, p1, p2), (h2, p2, p1)]
+    for moves in _plantings(ctx, m, inv):
+        yield "planting", moves
+
+
+def _neighbour_moves(ctx, m):
+    """The climber's neighbourhood of *m* as moves, in search order."""
+    return (moves for _kind, moves in _neighbour_kinds(ctx, m))
 
 
 def _neighbours(ctx, m):
@@ -718,6 +725,69 @@ def test_each_step_is_the_first_best_neighbour_by_count(graphs):
                 break
             _take(ctx, score, climbed, changes)
             assert climbed == best
+
+
+def _margin_graph(rng: random.Random, prefix: str, n: int) -> AmrGraph:
+    """A graph of *n* > 1 variables over three concepts, two roles and two
+    constants, with up to 2n edges and n attributes."""
+    variables = [f"{prefix}{i}" for i in range(n)]
+    edges = [(variables[i], rng.choice(("ARG0", "ARG1")), variables[(i + k) % n])
+             for i, k in ((rng.randrange(n), rng.randrange(1, n))
+                          for _ in range(rng.randint(0, 2 * n)))]
+    attributes = [(rng.choice(variables), "mod", rng.choice("12"))
+                  for _ in range(rng.randint(0, n))]
+    return _unchecked_graph({v: rng.choice("abc") for v in variables}, edges, attributes)
+
+
+def test_each_step_is_the_first_best_neighbour_at_the_skip_margin():
+    """``_best_step`` skips a swap or planting whose sum ub of ``2 *
+    bound[hv][new] - share[hv]`` over its moves (see ``_best_step``) is at
+    most ``2 * best_gain + 1``.  Along whole climbs, each of its steps is
+    the one a scan that skips nothing takes: the first neighbour with the
+    largest strict gain.  The climbs start from nearly full mappings between
+    graphs of about equal size, so few single moves are free, and many
+    steps are at the margin of the skip: a skip loosened by two would miss
+    a swap that wins with ub at most ``2 * best_gain + 3``, best_gain being
+    the best before it in search order.  A planting that moves both its
+    endpoints matches the planted edge, which its ub counts at both ends,
+    so its ub is at least twice its gain plus 2; one that moves a single
+    endpoint is a single move or swap scanned before it, and never wins.
+    So a planting skip loosened by two takes the same steps, and one
+    loosened by four misses a planting that wins with ub at most ``2 *
+    best_gain + 5``."""
+    rng = random.Random(20)
+    at_margin = Counter()
+    for _ in range(700):
+        n = rng.randint(2, 6)
+        premise = _margin_graph(rng, "p", n + rng.randint(0, 1))
+        hypothesis = _margin_graph(rng, "h", n)
+        images = rng.sample(list(premise.nodes), n)
+        m = {hv: pv for hv, pv in zip(hypothesis.nodes, images) if rng.random() < 0.9}
+        for include_top in (True, False):
+            ctx = _MatchContext(premise, hypothesis, include_top)
+            score, _count = _match_tables(ctx, m)
+            climbed = dict(m)
+            while True:
+                share = {hv: score[hv][climbed.get(hv)] + ctx.unary[hv][climbed.get(hv)]
+                         for hv in ctx.hyp_vars}
+                best_gain, best, kind_at_margin = 0, None, None
+                for kind, moves in _neighbour_kinds(ctx, climbed):
+                    gain = _moves_gain(ctx, score, moves)
+                    ub = sum(2 * ctx.bound[hv][new] - share[hv]
+                             for hv, old, new in moves if old != new)
+                    if kind == "planting" and all(old != new for _, old, new in moves[:2]):
+                        assert ub >= 2 * gain + 2
+                    if gain > best_gain:
+                        limit = 5 if kind == "planting" else 3
+                        best_gain, best, kind_at_margin = (
+                            gain, moves, (kind, ub <= 2 * best_gain + limit))
+                gain, changes = _best_step(ctx, score, climbed)
+                assert (gain, changes) == (best_gain, best and {hv: new for hv, _, new in best})
+                if best is None:
+                    break
+                at_margin[kind_at_margin[0]] += kind_at_margin[1]
+                _take(ctx, score, climbed, changes)
+    assert at_margin["swap"] >= 100 and at_margin["planting"] >= 50
 
 
 def _literal_bound(premise, hypothesis, include_top):
