@@ -212,7 +212,7 @@ def cmd_ingest(args) -> int:
     cfg = _configure(args)
     records = ingest.load_claims(args.infile, cfg.dataset)
     if args.out:
-        ingest.write_normalized(records, args.out)
+        _write(args.out, ingest.normalized_jsonl(records))
     if args.stats or not args.out:
         counts = ingest.label_counts(records, cfg.dataset)
         reference = ingest.REFERENCE_LABEL_COUNTS.get(cfg.dataset, {})

@@ -160,8 +160,8 @@ def _id(value, field: str) -> str:
                        f"got {type(value).__name__}")
 
 
-def _records(path: str, parse_record, id_key: str,
-             id_field: str) -> Iterator[tuple[int, str, object]]:
+def read_records(path: str, parse_record, id_key: str,
+                 id_field: str) -> Iterator[tuple[int, str, object]]:
     """``(lineno, id, value)`` for each line of *path*, read as they are
     consumed, where ``parse_record(raw, lineno)`` gives the record's id and
     value: its *id_key* (its *id_field* in messages) or, where the parser
@@ -280,7 +280,7 @@ def iter_claims(path: str, dataset: str,
     if dataset not in (FEVER, AVERITEC):
         raise DatasetError(f"unknown dataset {dataset!r}")
     parse = _fever_record if dataset == FEVER else _averitec_record(question_mode)
-    return (record for _lineno, _cid, record in _records(path, parse, "claim_id", "claim id"))
+    return (record for _, _, record in read_records(path, parse, "claim_id", "claim id"))
 
 
 def load_claims(path: str, dataset: str,
@@ -297,7 +297,7 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
     wanted = None if ids is None else set(ids)
     bundle: dict[str, AmrGraph] = {}
     parsed: dict[str, AmrGraph] = {}  # Penman text -> its graph
-    rows = _records(path, lambda raw, lineno: (
+    rows = read_records(path, lambda raw, lineno: (
         _id(raw["id"], "bundle id"), _typed(raw["penman"], str, "penman")), "id", "bundle id")
     for lineno, rid, text in rows:
         if wanted is not None and rid not in wanted:
@@ -344,21 +344,16 @@ def label_counts(records: list[ClaimRecord], dataset: str) -> dict[str, int]:
     return {label: counts.get(label, 0) for label in label_set(dataset)}
 
 
-def write_normalized(records: list[ClaimRecord], path: str) -> None:
-    """Write *records* in the normalized schema, each evidence text as
-    loaded and any question it still keeps apart."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(json.dumps({
-                    "claim_id": r.claim_id,
-                    "claim": r.claim_text,
-                    "label": r.gold_label.value,
-                    "evidence": [
-                        {"id": ev.evidence_id, "text": ev.text, "kind": ev.kind,
-                         **({"question": ev.question} if ev.question else {})}
-                        for ev in r.evidence
-                    ],
-                }) + "\n")
-    except OSError as exc:
-        raise DatasetError(f"cannot write {path}: {exc.strerror or exc}")
+def normalized_jsonl(records: list[ClaimRecord]) -> str:
+    """*records* in the normalized schema, one JSON line each, each evidence
+    text as loaded and any question it still keeps apart."""
+    return "".join(json.dumps({
+        "claim_id": r.claim_id,
+        "claim": r.claim_text,
+        "label": r.gold_label.value,
+        "evidence": [
+            {"id": ev.evidence_id, "text": ev.text, "kind": ev.kind,
+             **({"question": ev.question} if ev.question else {})}
+            for ev in r.evidence
+        ],
+    }) + "\n" for r in records)

@@ -19,7 +19,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError, EmbeddingMissError, SimilarityError, TransportError
+from .errors import ConfigError, DatasetError, EmbeddingMissError, SimilarityError, TransportError
+from .ingest import _typed, read_records
 
 # Texts per embedding-service request: a missing text and up to 15 that
 # follow it.  A service's memory per request grows with the batch: a Python
@@ -139,40 +140,29 @@ class SimilarityBackend:
         raise NotImplementedError
 
 
+def _embedding_record(raw: dict, lineno: int) -> tuple[str, EmbeddingVector]:
+    """The text and vector of a ``file:`` embeddings record, for
+    :func:`read_records`: a vector fault is a DatasetError, as a text fault is."""
+    text, vector = _typed(raw["text"], str, "text"), raw["vector"]
+    if not _is_number_list(vector):
+        raise DatasetError("vector must be a list of numbers")
+    try:
+        return text, EmbeddingVector(vector)
+    except SimilarityError as exc:
+        raise DatasetError(str(exc)) from None
+
+
 class PrecomputedFileBackend(SimilarityBackend):
-    """Looks vectors up by exact text key in a JSONL file of
-    ``{"text": ..., "vector": [...]}`` records.  A text is a JSON string
-    that no other record of the file holds.  A vector is a JSON list of
-    numbers, as in a service reply: true and false are not numbers."""
+    """Looks vectors up by exact text key in a JSONL file of ``{"text": ...,
+    "vector": [...]}`` records, read as a claims file is (:func:`read_records`).
+    A text is a JSON string, with no lone surrogate, that no other record
+    holds.  A vector is a JSON list of numbers, as in a service reply."""
 
     def __init__(self, path: str):
         super().__init__()
         self.path = path
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise ConfigError(f"cannot read embeddings file {path}: "
-                              f"{exc.strerror or exc}")
-        first: dict[str, int] = {}  # text -> the line of its record
-        with fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                    text, vector = record["text"], record["vector"]
-                    if type(text) is not str:
-                        raise ValueError("'text' is not a string")
-                    if text in first:
-                        raise ValueError(f"duplicate text {text!r} "
-                                         f"(first at line {first[text]})")
-                    if not _is_number_list(vector):
-                        raise ValueError("'vector' is not a list of numbers")
-                    self._cache[text] = EmbeddingVector(vector)
-                    first[text] = lineno
-                except (KeyError, TypeError, ValueError, RecursionError,
-                        SimilarityError) as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad embedding record: {exc}")
+        self._cache.update((text, vector) for _, text, vector
+                           in read_records(path, _embedding_record, "text", "text"))
 
     def _embed(self, text: str, upcoming: Iterable[str]) -> EmbeddingVector:
         # Every vector of the file is in the cache: a text that reaches here

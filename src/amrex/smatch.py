@@ -371,8 +371,12 @@ def _best_step(ctx: _MatchContext, score: dict,
     variables match at most the sum of their ``bound[hv][new]`` after
     it and at least half the sum of their shares before it, so a step
     gains at most half the sum of ``2 * bound[hv][new] - share[hv]``
-    over its moves that change an image, rounded down; a step whose sum
-    is at most ``2 * best gain + 1`` is skipped."""
+    over its moves that change an image, rounded down; a swap whose sum
+    is at most ``2 * best gain + 1`` is skipped.  A planting that moves
+    both endpoints matches the planted edge, counted at both ends of its
+    sum, so its sum is at least twice its gain plus 2, and one that moves
+    one endpoint repeats a single move or swap already scanned: a planting
+    whose sum is at most ``2 * best gain + 3`` is skipped, with the same steps."""
     bound, hyp_vars = ctx.bound, ctx.hyp_vars
     images = [m.get(hv) for hv in hyp_vars]
     share = {hv: score[hv][pv] + ctx.unary[hv][pv] for hv, pv in zip(hyp_vars, images)}
@@ -405,7 +409,7 @@ def _best_step(ctx: _MatchContext, score: dict,
         for hv, old, new in moves:
             if old != new:
                 ub += 2 * bound[hv][new] - share[hv]
-        if ub <= 2 * best_gain + 1:
+        if ub <= 2 * best_gain + 3:
             continue
         gain = _moves_gain(ctx, score, moves)
         if gain > best_gain:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import builtins
 import concurrent.futures
 import copy
 import errno
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import amrex
-from amrex import cli
 from amrex.cli import build_parser, dispatch
 from amrex.config import RunConfig, apply_env, load_config_file
 from amrex.entailment import combined_score, th1
@@ -936,9 +936,18 @@ NOT_UTF8 = b"\xff\xfe\n"
     (["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--config", "{bad}"],
      NOT_UTF8, ": 'utf-8' codec can't decode"),
     (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
-      "--backend", "file:{bad}"], NOT_UTF8, ":1: bad embedding record"),
+      "--backend", "file:{bad}"], NOT_UTF8, ":1: not UTF-8"),
     (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
       "--backend", "file:{bad}"], None, ": No such file"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
+      "--backend", "file:{bad}"], "[1, 2]", ":1: expected a JSON object"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
+      "--backend", "file:{bad}"], '{"text": "a"}', ":1: missing key 'vector'"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--backend", "file:{bad}"],
+     '{"text": "a", "vector": [1]}\n{"text": "a", "vector": [2]}',
+     ":2: duplicate text 'a' (first at line 1)"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--backend", "file:{bad}"],
+     '{"text": "film \\ud800", "vector": [1]}', ":1: text holds a lone surrogate"),
     (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
       "--out", "{bad}/v.jsonl"], None, "/v.jsonl: No such file"),
     (["evaluate", "--claims", "{claims}", "--amrs", "{amrs}",
@@ -958,7 +967,9 @@ NOT_UTF8 = b"\xff\xfe\n"
         "evidence-kind-unknown", "answer-type-unknown", "fever-kind-not-sentence",
         "claim-without-evidence", "verdicts-missing",
         "verdicts-bad-json", "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
-        "embeddings-not-utf8", "embeddings-missing", "verify-out-no-dir",
+        "embeddings-not-utf8", "embeddings-missing", "embeddings-not-object",
+        "embeddings-no-vector", "embeddings-text-twice", "embeddings-text-lone-surrogate",
+        "verify-out-no-dir",
         "evaluate-report-under-a-file", "evaluate-claims-empty", "ingest-out-no-dir"])
 def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, capsys,
                                                        argv, content, where):
@@ -1013,8 +1024,11 @@ def _verify_out(fever_files, out) -> int:
                      "--out", str(out)])
 
 
-def test_a_failed_out_write_keeps_the_old_file(fever_files, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "verdicts.jsonl"
+@pytest.mark.parametrize("command", ["verify", "ingest"])
+def test_a_failed_out_write_keeps_the_old_file(fever_files, tmp_path, capsys, monkeypatch,
+                                               command):
+    claims, amrs = fever_files
+    out = tmp_path / "out.jsonl"
     out.write_bytes(b"old rows\n")
     before = sorted(os.listdir(tmp_path))
 
@@ -1034,9 +1048,16 @@ def test_a_failed_out_write_keeps_the_old_file(fever_files, tmp_path, capsys, mo
             self.fh.flush()
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
-                        raising=False)
-    assert _verify_out(fever_files, out) == 1
+    def half_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWritten(fh) if "w" in mode or "x" in mode else fh
+
+    # Every writer, wherever it opens its file, fills the disk halfway.
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", half_open)
+    argv = {"verify": ["verify", "--claims", claims, "--amrs", amrs],
+            "ingest": ["ingest", "--in", claims]}[command]
+    assert dispatch([*argv, "--dataset", "fever", "--out", str(out)]) == 1
     assert f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}" in capsys.readouterr().err
     assert out.read_bytes() == b"old rows\n"
     assert sorted(os.listdir(tmp_path)) == before

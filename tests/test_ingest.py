@@ -11,7 +11,7 @@ from amrex.errors import DatasetError
 from amrex.graph import parse_penman
 from amrex.ingest import (REFERENCE_LABEL_COUNTS, iter_claims, join_amrs,
                           label_counts, load_amr_bundle, load_claims,
-                          write_normalized)
+                          normalized_jsonl)
 from amrex.verdict import AVERITEC, FEVER
 
 from _fixtures import (ALL_PENMAN, JSON_VALUES, MARNIE_CLAIM, MARNIE_EVIDENCE,
@@ -122,9 +122,9 @@ def test_question_plus_answer_records_round_trip_without_a_second_prefix(tmp_pat
     }]
     path = _write_jsonl(tmp_path / "av.jsonl", rows)
     records = load_claims(path, AVERITEC, "question-plus-answer")
-    out = str(tmp_path / "normalized.jsonl")
-    write_normalized(records, out)
-    reloaded = load_claims(out, AVERITEC, "question-plus-answer")
+    out = tmp_path / "normalized.jsonl"
+    out.write_text(normalized_jsonl(records))
+    reloaded = load_claims(str(out), AVERITEC, "question-plus-answer")
     assert reloaded[0].evidence[0].text == "What is Marnie? a 1964 film"
     assert reloaded == records
 
@@ -254,7 +254,7 @@ def test_join_amrs_complete_coverage(tmp_path):
 def test_write_normalized_round_trips(tmp_path):
     records = load_claims(_write_jsonl(tmp_path / "claims.jsonl", _fever_rows()), FEVER)
     out = tmp_path / "normalized.jsonl"
-    write_normalized(records, str(out))
+    out.write_text(normalized_jsonl(records))
     again = load_claims(str(out), FEVER)
     assert again == records
 

@@ -14,7 +14,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from amrex.errors import ConfigError, EmbeddingMissError, SimilarityError, TransportError
+from amrex.errors import (ConfigError, DatasetError, EmbeddingMissError, SimilarityError,
+                          TransportError)
 from amrex.graph import parse_penman
 from amrex.similarity import (_TEXTS_PER_REQUEST, DeterministicTestBackend,
                               EmbeddingServiceBackend, EmbeddingVector,
@@ -294,9 +295,9 @@ def test_precomputed_backend(tmp_path):
 def test_precomputed_backend_bad_record(tmp_path):
     path = tmp_path / "vecs.jsonl"
     path.write_text(json.dumps({"text": "hello", "vector": ["x"]}) + "\n")
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(DatasetError) as exc:
         PrecomputedFileBackend(str(path))
-    assert f"{path}:1: bad embedding record" in str(exc.value)
+    assert str(exc.value) == f"{path}:1: vector must be a list of numbers"
 
 
 @pytest.mark.parametrize("vector", [
@@ -309,7 +310,9 @@ def test_precomputed_backend_takes_a_list_of_finite_numbers(tmp_path, vector):
     path = tmp_path / "vecs.jsonl"
     path.write_text(json.dumps({"text": "hello", "vector": [1, 0]}) + "\n"
                     + json.dumps({"text": "bad", "vector": vector}) + "\n")
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad embedding record: "):
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: (vector must be a list "
+                                           "of numbers|empty embedding vector|non-finite "
+                                           "value in embedding vector)$"):
         PrecomputedFileBackend(str(path))
 
 
@@ -319,8 +322,8 @@ def test_precomputed_backend_takes_a_text_that_is_a_string(tmp_path, text):
     path = tmp_path / "vecs.jsonl"
     path.write_text(json.dumps({"text": "hello", "vector": [1, 0]}) + "\n"
                     + json.dumps({"text": text, "vector": [1, 0]}) + "\n")
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: bad embedding record: "
-                                          "'text' is not a string$"):
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: "
+                                           r"text must be a string, got \w+$"):
         PrecomputedFileBackend(str(path))
 
 
@@ -331,10 +334,9 @@ def test_precomputed_backend_rejects_a_repeated_text(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in (
         {"text": "a", "vector": [1, 0]}, {"text": "b", "vector": [1, 0]},
         {"text": "a", "vector": [0, 1]})) + "\n")
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(DatasetError) as exc:
         PrecomputedFileBackend(str(path))
-    assert str(exc.value) == (f"{path}:3: bad embedding record: "
-                              "duplicate text 'a' (first at line 1)")
+    assert str(exc.value) == f"{path}:3: duplicate text 'a' (first at line 1)"
 
 
 def test_backend_from_spec():
@@ -548,8 +550,8 @@ def test_file_records_and_service_replies_give_the_same_vectors(stub_server, tmp
     path.write_text(json.dumps({"text": "t", "vector": vector}) + "\n")
     try:
         got = PrecomputedFileBackend(str(path)).embed("t")
-    except ConfigError as exc:
-        assert expected is None and f"{path}:1: bad embedding record: " in str(exc)
+    except DatasetError as exc:
+        assert expected is None and str(exc).startswith(f"{path}:1: ")
     else:
         assert got.values == expected.values
 
