@@ -19,8 +19,8 @@ from . import evaluation, explain, ingest
 from .config import (RunConfig, apply_env, effective_config_lines,
                      load_config_file, setting_key)
 from .entailment import blend
-from .errors import AmrexError, DatasetError
-from .graph import extract_triples, parse_penman, serialize_penman
+from .errors import AmrexError, DatasetError, GraphError, PenmanParseError
+from .graph import AmrGraph, extract_triples, parse_penman, serialize_penman
 from .similarity import backend_from_spec
 from .smatch import AlignConfig, align_hill_climb
 from .verdict import (pair_json, precompute_pair_components, read_pair, score_pairs,
@@ -61,14 +61,17 @@ def _align_config(cfg: RunConfig) -> AlignConfig:
     return AlignConfig(restarts=cfg.restarts, include_top=cfg.include_top)
 
 
-def _read(path: str) -> str:
+def _read_graph(path: str) -> AmrGraph:
+    """The graph of the Penman file *path*; every fault names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return parse_penman(fh.read())
     except OSError as exc:
         raise AmrexError(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise AmrexError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
+    except (PenmanParseError, GraphError) as exc:
+        raise DatasetError(f"{path}: {exc}")
 
 
 def _write(path: str, text: str) -> None:
@@ -100,7 +103,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_parse(args) -> int:
-    graph = parse_penman(_read(args.infile))
+    graph = _read_graph(args.infile)
     if args.json:
         print(json.dumps({
             "root": graph.root,
@@ -116,8 +119,8 @@ def cmd_parse(args) -> int:
 
 def cmd_smatch(args) -> int:
     cfg = _configure(args)
-    premise = parse_penman(_read(args.premise))
-    hypothesis = parse_penman(_read(args.hypothesis))
+    premise = _read_graph(args.premise)
+    hypothesis = _read_graph(args.hypothesis)
     result = align_hill_climb(premise, hypothesis, cfg.restarts, cfg.seed, cfg.include_top)
     if args.json:
         print(json.dumps({
@@ -136,8 +139,8 @@ def cmd_smatch(args) -> int:
 def cmd_score_pair(args) -> int:
     cfg = _configure(args)
     backend = backend_from_spec(cfg.backend)
-    claim_graph = parse_penman(_read(args.claim_amr))
-    evidence_graph = parse_penman(_read(args.evidence_amr))
+    claim_graph = _read_graph(args.claim_amr)
+    evidence_graph = _read_graph(args.evidence_amr)
     [(alignment, sim)] = score_pairs([(args.evidence_text, evidence_graph,
                                        args.claim_text, claim_graph, cfg.seed)],
                                      backend, _align_config(cfg))

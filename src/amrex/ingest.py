@@ -307,7 +307,7 @@ def load_amr_bundle(path: str, ids: Iterable[str] | None = None) -> dict[str, Am
             try:
                 graph = parsed[text] = parse_penman(text)
             except (PenmanParseError, GraphError) as exc:
-                raise DatasetError(f"bundle id {rid!r}: {exc} ({path}:{lineno})")
+                raise DatasetError(f"{path}:{lineno}: bundle id {rid!r}: {exc}")
         bundle[rid] = graph
     return bundle
 

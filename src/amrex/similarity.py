@@ -144,6 +144,8 @@ def _embedding_record(raw: dict, lineno: int) -> tuple[str, EmbeddingVector]:
     """The text and vector of a ``file:`` embeddings record, for
     :func:`read_records`: a vector fault is a DatasetError, as a text fault is."""
     text, vector = _typed(raw["text"], str, "text"), raw["vector"]
+    if not text:
+        raise DatasetError("text is empty")
     if not _is_number_list(vector):
         raise DatasetError("vector must be a list of numbers")
     try:
@@ -155,8 +157,8 @@ def _embedding_record(raw: dict, lineno: int) -> tuple[str, EmbeddingVector]:
 class PrecomputedFileBackend(SimilarityBackend):
     """Looks vectors up by exact text key in a JSONL file of ``{"text": ...,
     "vector": [...]}`` records, read as a claims file is (:func:`read_records`).
-    A text is a JSON string, with no lone surrogate, that no other record
-    holds.  A vector is a JSON list of numbers, as in a service reply."""
+    A text is a non-empty JSON string, with no lone surrogate, that no other
+    record holds.  A vector is a JSON list of numbers, as in a service reply."""
 
     def __init__(self, path: str):
         super().__init__()

@@ -250,21 +250,21 @@ def _plantings(ctx: _MatchContext, m: dict[str, str],
     search order: for a hypothesis edge s -r-> t and a premise edge ps -r->
     pt, map s to ps and t to pt in one step.  The coordinated move is what
     lets a relation match be reached when neither endpoint alone gains
-    anything.  A variable displaced from ps takes the image s vacates, or
-    t's when s vacates pt; one displaced from pt takes t's, or s's when t
-    vacates ps; a displaced variable is unmapped when that image is None.
-    An endpoint already in place is a move that changes nothing.  *inv* is
-    *m*'s inverse, premise -> hypothesis."""
+    anything.  Both endpoints move, and not onto each other's images: the
+    others are single moves or swaps scanned before.  A variable displaced
+    from ps takes the image s vacates, or t's when s vacates pt; one from
+    pt takes t's, or s's when t vacates ps; either is unmapped when that
+    image is None.  *inv* is *m*'s inverse, premise -> hypothesis."""
     for s, r, t in ctx.hyp_edges:
         a, b = m.get(s), m.get(t)
         for ps, pt in ctx.prem_edges_by_role.get(r, ()):
-            if a == ps and b == pt:
+            if a == ps or b == pt or (a == pt and b == ps):
                 continue
             moves = [(s, a, ps), (t, b, pt)]
             o1, o2 = inv.get(ps), inv.get(pt)
-            if o1 is not None and o1 != s and o1 != t:
+            if o1 is not None and o1 != t:
                 moves.append((o1, ps, b if a == pt else a))
-            if o2 is not None and o2 != s and o2 != t:
+            if o2 is not None and o2 != s:
                 moves.append((o2, pt, a if b == ps else b))
             yield moves
 
@@ -310,11 +310,10 @@ def _moves_gain(ctx: _MatchContext, score: dict, moves) -> int:
     before, read from the match tables *score* before them: the moved
     variables' row differences, plus :func:`_crossed` for each claim edge
     between two of them.  A graph is a rooted DAG, so no edge has both ends
-    on one variable.  A move that changes nothing adds 0 to both."""
+    on one variable."""
     gain = 0
     for hv, old, new in moves:
-        row = score[hv]
-        gain += row[new] - row[old]
+        gain += score[hv][new] - score[hv][old]
     between, edges = ctx.hyp_between, ctx.hyp_edges
     for (h1, old1, new1), (h2, old2, new2) in combinations(moves, 2):
         for i in between.get((h1, h2), ()):
@@ -362,28 +361,26 @@ def _best_step(ctx: _MatchContext, score: dict,
     free premise variable), then swaps of two hypothesis variables with
     different images, then :func:`_plantings`.  Unmapping a variable alone
     never gains, so it is no move; a swap or planting may still unmap the
-    variable it displaces.  Single moves are read from the match tables
-    *score*'s rows.  A swap is the two moves ``(h1, p1, p2), (h2, p2,
-    p1)``, and it and each planting are scored by :func:`_moves_gain`,
-    unless they cannot beat the best gain so far, as they then could not
-    be taken.  hv's share, ``score[hv][m(hv)] + unary[hv][m(hv)]``, is
-    twice its part of the count.  The triples at a step's moved
-    variables match at most the sum of their ``bound[hv][new]`` after
-    it and at least half the sum of their shares before it, so a step
-    gains at most half the sum of ``2 * bound[hv][new] - share[hv]``
-    over its moves that change an image, rounded down; a swap whose sum
-    is at most ``2 * best gain + 1`` is skipped.  A planting that moves
-    both endpoints matches the planted edge, counted at both ends of its
-    sum, so its sum is at least twice its gain plus 2, and one that moves
-    one endpoint repeats a single move or swap already scanned: a planting
-    whose sum is at most ``2 * best gain + 3`` is skipped, with the same steps."""
+    variable it displaces.  Every move changes its variable's image.
+    Single moves are read from the match tables *score*'s rows.  A swap is
+    the two moves ``(h1, p1, p2), (h2, p2, p1)``, and it and each planting
+    are scored by :func:`_moves_gain`, unless they cannot beat the best
+    gain so far, as they then could not be taken.  hv's share,
+    ``score[hv][m(hv)] + unary[hv][m(hv)]``, is twice its part of the
+    count.  The triples at a step's moved variables match at most the sum
+    of their ``bound[hv][new]`` after it and at least half the sum of their
+    shares before it, so a step gains at most half the sum of ``2 *
+    bound[hv][new] - share[hv]`` over its moves, rounded down.  A swap whose
+    sum is at most ``2 * best gain + 1`` is skipped, and a planting whose
+    sum is at most ``2 * best gain + 3``, as it matches the planted edge
+    after it, counted at both ends of its sum: its sum is at least twice its
+    gain plus 2."""
     bound, hyp_vars = ctx.bound, ctx.hyp_vars
     images = [m.get(hv) for hv in hyp_vars]
     share = {hv: score[hv][pv] + ctx.unary[hv][pv] for hv, pv in zip(hyp_vars, images)}
     inv = {pv: hv for hv, pv in m.items()}
     free = [pv for pv in ctx.prem_concepts if pv not in inv]
-    best_gain = 0
-    best = None
+    best_gain, best = 0, None
     if free:
         for hv, p1 in zip(hyp_vars, images):
             row = score[hv]
@@ -406,9 +403,8 @@ def _best_step(ctx: _MatchContext, score: dict,
                 best_gain, best = gain, moves
     for moves in _plantings(ctx, m, inv):
         ub = 0
-        for hv, old, new in moves:
-            if old != new:
-                ub += 2 * bound[hv][new] - share[hv]
+        for hv, _old, new in moves:
+            ub += 2 * bound[hv][new] - share[hv]
         if ub <= 2 * best_gain + 3:
             continue
         gain = _moves_gain(ctx, score, moves)

@@ -328,9 +328,8 @@ class StoredPair:
         stored ``smatch_p`` under either ``include_top``, as rows omit it."""
         if not all(hv in claim_graph.nodes and pv in evidence_graph.nodes
                    for hv, pv in self.score.mapping.pairs):
-            raise DatasetError(
-                f"claim {self.claim_id!r} / evidence {self.evidence_id!r}: the stored "
-                f"mapping names variables missing from {bundle}; re-run verify")
+            raise DatasetError(f"{self.where}: the stored mapping names variables "
+                               f"missing from {bundle}; re-run verify")
         smatch_p = [score_mapping(evidence_graph, claim_graph, self.score.mapping,
                                   top).precision for top in (True, False)]
         if self.score.smatch_p not in smatch_p:

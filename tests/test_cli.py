@@ -582,7 +582,8 @@ _WHERE = "{verdicts}: claim 'c-marnie' / evidence 'e-marnie': "
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda row: row["pairs"][0].pop("mapping"), "no stored 'mapping'; re-run verify"),
-    (lambda row: row["pairs"][0].update(mapping=[["a0", "b99"]]), "missing from"),
+    (lambda row: row["pairs"][0].update(mapping=[["a0", "b99"]]),
+     _WHERE + "the stored mapping names variables missing from {amrs}; re-run verify"),
     (lambda row: row.pop("dataset"), _WHERE + "no stored 'dataset'; re-run verify"),
     (lambda row: row.pop("question_mode"),
      _WHERE + "no stored 'question_mode'; re-run verify"),
@@ -606,6 +607,8 @@ _WHERE = "{verdicts}: claim 'c-marnie' / evidence 'e-marnie': "
               "lambda * smatch_p + (1 - lambda) * cosine = "),
     (lambda row: row.update(label="N"),
      _WHERE + "malformed verdict row: label N is not th2 of the decisions' mean, R"),
+    (lambda row: row.update(e=1.0),
+     _WHERE + "malformed verdict row: e 1.0 is not the mean of the decisions, -1.0"),
     (lambda row: row["pairs"][0].update(mapping=[
         [hv, row["pairs"][0]["mapping"][i - 1][1]]
         for i, (hv, _pv) in enumerate(row["pairs"][0]["mapping"])]),
@@ -617,7 +620,8 @@ _WHERE = "{verdicts}: claim 'c-marnie' / evidence 'e-marnie': "
 ], ids=["no-mapping", "unknown-variable", "no-dataset", "no-question-mode",
         "smatch-p-a-string", "lambda-a-bool", "decision-zero", "mapping-not-injective",
         "question-mode-a-list", "label-a-number", "decision-flipped", "f-one",
-        "label-not-the-decisions", "mapping-rotated", "other-pair-f-a-string"])
+        "label-not-the-decisions", "e-not-the-mean", "mapping-rotated",
+        "other-pair-f-a-string"])
 def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
                                                         capsys, corrupt, message):
     claims, amrs = fever_files
@@ -631,7 +635,7 @@ def test_explain_rejects_a_stored_pair_it_cannot_render(fever_files, tmp_path,
     capsys.readouterr()
     assert dispatch(["explain", "--pair", f"{verdicts}#c-marnie/e-marnie",
                      *base]) == 1
-    assert message.format(verdicts=verdicts) in capsys.readouterr().err
+    assert message.format(verdicts=verdicts, amrs=amrs) in capsys.readouterr().err
 
 
 def test_any_json_value_in_a_stored_row_renders_or_is_a_dataset_error(
@@ -749,7 +753,8 @@ def test_explain_parses_only_the_graphs_of_its_pair(fever_files, tmp_path, capsy
     captured = capsys.readouterr()
     if broken.endswith("-marnie"):
         assert status == 1 and captured.out == ""
-        assert f"error: bundle id '{broken}': " in captured.err
+        line = [row["id"] for row in rows].index(broken) + 1
+        assert f"error: {amrs}:{line}: bundle id '{broken}': " in captured.err
     else:
         assert status == 0 and "claim: a film was directed" in captured.out
 
@@ -876,10 +881,11 @@ NOT_UTF8 = b"\xff\xfe\n"
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"], '{"id": {"a": 1}, "penman": "(x / y)"}',
      ":1: bundle id must be a string or an integer, got dict"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
-     '{"id": "c1", "penman": "(a / x :mod (b / y :mod a))"}', ":1)"),
+     '{"id": "c1", "penman": "(a / x :mod (b / y :mod a))"}',
+     "error: {bad}:1: bundle id 'c1': edge cycle through "),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
      '{"id": "c1", "penman": "(x / y :mod"}',
-     "error: bundle id 'c1': unbalanced parenthesis at offset 11 ({bad}:1)"),
+     "error: {bad}:1: bundle id 'c1': unbalanced parenthesis at offset 11"),
     (["verify", "--claims", "{claims}", "--amrs", "{bad}"],
      '{"id": "c1", "penman": "(x / y)"}\n{"id": "c1", "penman": "(x / z)"}',
      ":2: duplicate bundle id 'c1' (first at line 1)"),
@@ -932,6 +938,12 @@ NOT_UTF8 = b"\xff\xfe\n"
     (["explain", "--pair", "{bad}#c-marnie/e-marnie", "--claims", "{claims}",
       "--amrs", "{amrs}"], "not json", ":1: bad JSON"),
     (["parse", "--in", "{bad}"], NOT_UTF8, ": not UTF-8"),
+    (["parse", "--in", "{bad}"], "(x / y :mod", "error: {bad}: unbalanced parenthesis"),
+    (["smatch", "--premise", "{good}", "--hypothesis", "{bad}"], "(x / y :mod",
+     "error: {bad}: unbalanced parenthesis"),
+    (["score-pair", "--claim-amr", "{good}", "--evidence-amr", "{bad}",
+      "--claim-text", "x", "--evidence-text", "y"], "(a / x :mod (b / y :mod a))",
+     "error: {bad}: edge cycle through "),
     (["verify", "--claims", "{bad}", "--amrs", "{amrs}"], NOT_UTF8, ":1: not UTF-8"),
     (["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--config", "{bad}"],
      NOT_UTF8, ": 'utf-8' codec can't decode"),
@@ -948,6 +960,8 @@ NOT_UTF8 = b"\xff\xfe\n"
      ":2: duplicate text 'a' (first at line 1)"),
     (["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--backend", "file:{bad}"],
      '{"text": "film \\ud800", "vector": [1]}', ":1: text holds a lone surrogate"),
+    (["verify", "--claims", "{claims}", "--amrs", "{amrs}", "--backend", "file:{bad}"],
+     '{"text": "", "vector": [1]}', ":1: text is empty"),
     (["verify", "--claims", "{claims}", "--amrs", "{amrs}",
       "--out", "{bad}/v.jsonl"], None, "/v.jsonl: No such file"),
     (["evaluate", "--claims", "{claims}", "--amrs", "{amrs}",
@@ -966,21 +980,24 @@ NOT_UTF8 = b"\xff\xfe\n"
         "bundle-id-lone-surrogate", "evidence-ids-twice", "label-unknown",
         "evidence-kind-unknown", "answer-type-unknown", "fever-kind-not-sentence",
         "claim-without-evidence", "verdicts-missing",
-        "verdicts-bad-json", "parse-not-utf8", "claims-not-utf8", "config-not-utf8",
+        "verdicts-bad-json", "parse-not-utf8", "parse-graph-not-closed",
+        "smatch-hypothesis-not-closed", "score-pair-evidence-cyclic",
+        "claims-not-utf8", "config-not-utf8",
         "embeddings-not-utf8", "embeddings-missing", "embeddings-not-object",
         "embeddings-no-vector", "embeddings-text-twice", "embeddings-text-lone-surrogate",
-        "verify-out-no-dir",
+        "embeddings-text-empty", "verify-out-no-dir",
         "evaluate-report-under-a-file", "evaluate-claims-empty", "ingest-out-no-dir"])
 def test_unreadable_or_malformed_input_is_domain_error(fever_files, tmp_path, capsys,
                                                        argv, content, where):
     claims, amrs = fever_files
-    bad = tmp_path / "bad.jsonl"
+    bad, good = tmp_path / "bad.jsonl", tmp_path / "good.amr"
+    good.write_text("(x / film)")
     if isinstance(content, bytes):
         bad.write_bytes(content)
     elif content is not None:
         bad.write_text(content + "\n")
-    argv = [a.format(bad=bad, claims=claims, amrs=amrs) for a in argv]
-    if argv[0] not in ("parse", "explain") and "--dataset" not in argv:
+    argv = [a.format(bad=bad, good=good, claims=claims, amrs=amrs) for a in argv]
+    if argv[0] in ("verify", "evaluate", "ingest") and "--dataset" not in argv:
         argv += ["--dataset", "fever"]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err

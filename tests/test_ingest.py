@@ -180,7 +180,7 @@ def test_amr_bundle_graph_error_names_id_and_line(tmp_path):
     path = _write_jsonl(tmp_path / "amrs.jsonl", rows)
     with pytest.raises(DatasetError) as exc:
         load_amr_bundle(path)
-    assert str(exc.value) == f"bundle id 'c1': edge cycle through 'a' ({path}:2)"
+    assert str(exc.value) == f"{path}:2: bundle id 'c1': edge cycle through 'a'"
 
 
 def _counting_parser(monkeypatch):
@@ -210,8 +210,7 @@ def test_amr_bundle_repeated_bad_text_names_the_first_row(tmp_path):
     rows = [{"id": "ok", "penman": "(x/a)"}, {"id": "bad-1", "penman": "(x/a :mod"},
             {"id": "bad-2", "penman": "(x/a :mod"}]
     path = _write_jsonl(tmp_path / "amrs.jsonl", rows)
-    with pytest.raises(DatasetError, match=r"^bundle id 'bad-1': .*\(" + re.escape(path)
-                       + r":2\)$"):
+    with pytest.raises(DatasetError, match="^" + re.escape(path) + r":2: bundle id 'bad-1': "):
         load_amr_bundle(path)
 
 

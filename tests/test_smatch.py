@@ -514,7 +514,7 @@ def _copied_neighbours(ctx, m):
                 yield trial
     for s, r, t in ctx.hyp_edges:
         for ps, pt in ctx.prem_edges_by_role.get(r, ()):
-            if (m.get(s), m.get(t)) != (ps, pt):
+            if m.get(s) != ps and m.get(t) != pt and (m.get(s), m.get(t)) != (pt, ps):
                 trial = dict(m)
                 place(trial, s, ps)
                 if trial.get(t) != pt:
@@ -553,11 +553,11 @@ def test_gain_of_every_neighbour_equals_count_difference(graphs):
 def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
     """The climber skips a swap or planting whose bound cannot beat the
     step's best gain, so the bound must hold: for every neighbour a
-    mapping's neighbourhood yields, ``_moves_gain`` is at most the sum of
-    ``ctx.bound`` over the moves that change an image, and at most half
-    the sum the climber reads, of ``2 * bound[hv][new]`` less hv's share
-    ``score[hv][old] + unary[hv][old]`` over those moves.  The shares sum
-    to twice the count."""
+    mapping's neighbourhood yields, every move changes its variable's
+    image, and ``_moves_gain`` is at most the sum of ``ctx.bound`` over
+    the moves, and at most half the sum the climber reads, of ``2 *
+    bound[hv][new]`` less hv's share ``score[hv][old] + unary[hv][old]``.
+    The shares sum to twice the count."""
     premise, hypothesis, m = graphs
     for include_top in (True, False):
         ctx = _MatchContext(premise, hypothesis, include_top)
@@ -565,10 +565,10 @@ def test_gain_of_every_neighbour_is_at_most_its_bound(graphs):
         share = {hv: score[hv][m.get(hv)] + ctx.unary[hv][m.get(hv)] for hv in ctx.hyp_vars}
         assert sum(share.values()) == 2 * count
         for moves in _neighbour_moves(ctx, m):
-            changed = [(hv, new) for hv, old, new in moves if old != new]
+            assert all(old != new for _hv, old, new in moves)
             gain = _moves_gain(ctx, score, moves)
-            assert gain <= sum(ctx.bound[hv][new] for hv, new in changed)
-            assert 2 * gain <= sum(2 * ctx.bound[hv][new] - share[hv] for hv, new in changed)
+            assert gain <= sum(ctx.bound[hv][new] for hv, _old, new in moves)
+            assert 2 * gain <= sum(2 * ctx.bound[hv][new] - share[hv] for hv, _old, new in moves)
 
 
 @settings(max_examples=300, deadline=None)
@@ -608,7 +608,8 @@ def test_table_gain_of_every_neighbour_equals_gain(graphs):
 # Planting h0 -ARG0-> h1 onto p0 -ARG0-> p1 from a mapping in each case of
 # what the premise edge's ends hold, and the mapping it gives.  The ARG1
 # edges join the displaced variables to the endpoints, so their moves'
-# gains cross.
+# gains cross.  With an endpoint in place or the two swapped, that mapping
+# is a single move or swap's (_REPEATED), and no planting gives it.
 _PLANTING_CASES = {
     "t-at-ps": ({"h0": "p2", "h1": "p0", "h2": "p1"},
                 {"h0": "p0", "h1": "p1", "h2": "p2"}),
@@ -627,13 +628,17 @@ _PLANTING_CASES = {
     "t-in-place": ({"h0": "p2", "h1": "p1", "h2": "p0"},
                    {"h0": "p0", "h1": "p1", "h2": "p2"}),
 }
+_REPEATED = {"swapped", "s-in-place", "t-in-place"}
 
 
-@pytest.mark.parametrize("m, expected", _PLANTING_CASES.values(), ids=_PLANTING_CASES)
-def test_each_displacement_case_of_a_planting(m, expected):
+@pytest.mark.parametrize("case", _PLANTING_CASES)
+def test_each_displacement_case_of_a_planting(case):
     """A planting's moves start from the mapping's images and give the
     mapping written out above, which the neighbour built by copying the
-    mapping gives too, and their gain is the literal count difference."""
+    mapping gives too, and their gain is the literal count difference.
+    In a repeated case, no planting moves h0 to p0 and h1 to p1, and the
+    mapping is given by a single move or swap before the plantings."""
+    m, expected = _PLANTING_CASES[case]
     premise = _unchecked_graph(
         {"p0": "a", "p1": "b", "p2": "c", "p3": "a", "p4": "b"},
         [("p0", "ARG0", "p1"), ("p2", "ARG1", "p0"), ("p3", "ARG1", "p1")])
@@ -644,8 +649,16 @@ def test_each_displacement_case_of_a_planting(m, expected):
     count = functools.partial(_literal_count, premise, hypothesis, include_top=False)
     score, _count = _match_tables(ctx, m)
     plantings = list(_plantings(ctx, m, {pv: hv for hv, pv in m.items()}))
+    planted = [("h0", m.get("h0"), "p0"), ("h1", m.get("h1"), "p1")]
+    if case in _REPEATED:
+        assert all(moves[:2] != planted for moves in plantings)
+        changes = {hv: expected.get(hv) for hv in m.keys() | expected.keys()
+                   if m.get(hv) != expected.get(hv)}
+        assert changes in [{hv: new for hv, _old, new in moves}
+                           for kind, moves in _neighbour_kinds(ctx, m) if kind != "planting"]
+        return
     moves = plantings[0]  # the first claim edge onto the one ARG0 premise edge
-    assert moves[:2] == [("h0", m.get("h0"), "p0"), ("h1", m.get("h1"), "p1")]
+    assert moves[:2] == planted
     after = dict(m)
     for hv, old, new in moves:
         assert old == m.get(hv)
@@ -749,12 +762,11 @@ def test_each_step_is_the_first_best_neighbour_at_the_skip_margin():
     equal size, so few single moves are free, and many steps are at the
     margin of the skip: a swap skip loosened by two would miss a swap that
     wins with ub at most ``2 * best_gain + 3``, best_gain being the best
-    before it in search order.  A planting that moves both its endpoints
-    matches the planted edge, which its ub counts at both ends, so its ub
-    is at least twice its gain plus 2; one that moves a single endpoint is
-    a single move or swap scanned before it, and never wins.  So no
-    planting wins with ub below ``2 * best_gain + 4``, and a planting skip
-    loosened by one misses a planting that wins with ub just that."""
+    before it in search order.  A planting matches the planted edge, which
+    its ub counts at both ends, so its ub is at least twice its gain plus
+    2.  So no planting wins with ub below ``2 * best_gain + 4``, and a
+    planting skip loosened by one misses a planting that wins with ub just
+    that."""
     rng = random.Random(20)
     at_margin = Counter()
     for _ in range(700):
@@ -773,9 +785,8 @@ def test_each_step_is_the_first_best_neighbour_at_the_skip_margin():
                 best_gain, best, kind_at_margin = 0, None, None
                 for kind, moves in _neighbour_kinds(ctx, climbed):
                     gain = _moves_gain(ctx, score, moves)
-                    ub = sum(2 * ctx.bound[hv][new] - share[hv]
-                             for hv, old, new in moves if old != new)
-                    if kind == "planting" and all(old != new for _, old, new in moves[:2]):
+                    ub = sum(2 * ctx.bound[hv][new] - share[hv] for hv, _old, new in moves)
+                    if kind == "planting":
                         assert ub >= 2 * gain + 2
                     if gain > best_gain:
                         limit = 4 if kind == "planting" else 3
