@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 
 from .config import RunConfig
 from .entailment import EntailmentScore, blend, combined_score, th1
-from .errors import ConfigError, DatasetError, MappingError, SimilarityError
+from .errors import AmrexError, ConfigError, DatasetError, MappingError, SimilarityError
 from .graph import AmrGraph
 from .ingest import AVERITEC, FEVER, VerdictLabel, label_set, read_jsonl, require_graphs
 from .similarity import EmbeddingServiceBackend, SimilarityBackend, cosine
@@ -122,21 +125,20 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Estimated alignment work (see worker_count) that pays for one more worker.
-# On 2 vCPUs serial alignment takes about 0.6 µs per unit on the largest
-# seed-13 perfbench pairs (long-evidence) and up to 1.3 µs on the smallest
-# (averitec-sweep), where per-pair set-up weighs most.  The value was sized
-# for a spawned worker, which imports amrex afresh and takes about 0.15 s to
-# start; a forked one (see _pool) takes 35-40 ms, and re-sizing the value for
-# it needs a benchmark workload that starts a pool.  The seed-13 workloads
-# hold 145k-305k units, and each stays below a pool with a 1.6x margin.
-_WORK_PER_WORKER = 500_000
+# Estimated alignment work (see worker_count) that pays for one more child.
+# On 2 vCPUs serial alignment takes about 0.4 µs per unit on the largest
+# seed-13 perfbench pairs (long-evidence) and up to 1.7 µs on the smallest
+# (averitec-sweep), where per-pair set-up weighs most; a fork, its pipe and
+# its reap cost 2.1-2.8 ms in a process holding a loaded batch, and
+# unpickling a child's results about 5 µs per pair.  So a child that takes
+# over 50k units, 20-80 ms of alignment, costs a few percent of what it
+# saves.  The seed-13 fever-verify and long-evidence batches hold 161k and
+# 305k units; no batch tier-1's tests score at the default holds 15k.
+_WORK_PER_WORKER = 50_000
 
-# Estimated alignment work that pays for aligning in one worker while this
-# process embeds through a service.  A forked worker takes about 35-40 ms to
-# start on 2 vCPUs (importing concurrent.futures and multiprocessing, then
-# the fork), and 100k units take at least 60 ms to align, so the worker
-# aligns for longer than it costs.  The seed-13 averitec-sweep batch holds
+# Estimated alignment work that pays for aligning in one child while this
+# process embeds through a service.  100k units take at least 40 ms to
+# align, far more than the fork.  The seed-13 averitec-sweep batch holds
 # 145k units; a service test's batch holds about one per pair.
 _WORK_TO_OVERLAP = 100_000
 
@@ -145,7 +147,8 @@ def worker_count(jobs: int, work, cpus: int) -> int:
     """Alignment processes for pairs whose estimated work is *work*, one
     ``|claim nodes|² × |evidence nodes|`` entry per pair: *jobs* of them if
     given, else one per started ``_WORK_PER_WORKER`` units; never more than
-    there are pairs or usable CPUs.  One means aligning in this process."""
+    there are pairs or *cpus*.  One means aligning in this process, unless
+    :func:`score_pairs` aligns in a child while a service embeds."""
     wanted = jobs or -(-sum(work) // _WORK_PER_WORKER)
     return max(1, min(wanted, len(work), cpus))
 
@@ -175,19 +178,67 @@ def _align_batch(pairs, cfg: AlignConfig) -> list[SmatchResult]:
             for ev_graph, claim_graph, seed in pairs]
 
 
-def _pool(workers: int):
-    """A pool of *workers* processes, the one place alignment workers are
-    made.  They start by fork where the platform offers it and this
-    process runs a single thread, as they then start fastest; otherwise by
-    spawn, because forking a process that runs other threads (an HTTP
-    stub, a tracer) can copy a lock one of them holds."""
-    # Imported here: a serial run need not pay for loading them.
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-              and threading.active_count() == 1 else "spawn")
-    return ProcessPoolExecutor(workers, multiprocessing.get_context(method))
+def _shares(work, n: int) -> list[tuple[int, int]]:
+    """*n* contiguous, non-empty ``(start, stop)`` shares, in order, of the
+    pairs whose estimated work is *work*, *n* at most their number: each
+    share ends at the first pair that brings the work so far to its
+    multiple of ``sum(work) / n``, so it holds at most that much work plus
+    one pair's."""
+    prefix = list(accumulate(work, initial=0))
+    cuts = [0]
+    for k in range(1, n):
+        # kept after the previous cut and before each later share's pair
+        cut = bisect_left(prefix, -(-k * prefix[-1] // n))
+        cuts.append(max(cuts[-1] + 1, min(cut, len(work) - n + k)))
+    cuts.append(len(work))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _fork(batch, cfg: AlignConfig) -> tuple[int, int]:
+    """The pid and the pipe's read end of a forked child that aligns
+    *batch* (:func:`_align_batch`) on the graphs it inherits, writes the
+    pickled results, or the exception it raised, to the pipe, and leaves
+    by ``os._exit``, so it runs no exit handler and flushes no inherited
+    buffer.  The one place alignment children are made."""
+    import pickle
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                result = _align_batch(batch, cfg)
+            except Exception as exc:
+                result = exc
+            data = pickle.dumps(result)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
+
+
+def _result(read: int, first: str, last: str) -> list[SmatchResult]:
+    """The results a child wrote to the pipe *read*; the exception it
+    raised is raised here, and a child that ended without a complete
+    result is an AmrexError naming the *first* and *last* pair it held."""
+    import pickle
+    with open(read, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    try:
+        result = pickle.loads(data)
+    except Exception:
+        share = first if first == last else f"{first} to {last}"
+        raise AmrexError(f"the child aligning {share} ended without a result") from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfig(),
@@ -204,32 +255,44 @@ def score_pairs(pairs, backend: SimilarityBackend, cfg: AlignConfig = AlignConfi
     with ``names[i]`` when given.
 
     The pairs are aligned after embedding, in this process as one batch
-    (:func:`_align_batch`), unless a pool aligns them while this process
-    embeds: a pool of :func:`worker_count` workers for *jobs* and the
-    pairs' work, ``|claim nodes|² × |evidence nodes|`` each, when that is
-    more than one, else of one worker when *backend* is an embedding
-    service, *jobs* is not 1 and the work reaches ``_WORK_TO_OVERLAP``.
-    Each worker aligns about four chunks of consecutive pairs, each sent
-    to it as an argument of ``(evidence graph, claim graph, seed)``
-    triples, without the texts it does not read.  On an error the chunks
-    not yet started are dropped, and no worker outlives the call.
+    (:func:`_align_batch`), unless forked children align them while this
+    process embeds: :func:`worker_count` children for *jobs* and the
+    pairs' work, ``|claim nodes|² × |evidence nodes|`` each, counting one
+    usable CPU fewer for an embedding service, when that is more than
+    one, else one child when *backend* is an embedding service, *jobs* is
+    not 1 and the work reaches ``_WORK_TO_OVERLAP``.  Where the platform
+    cannot fork, or this process runs another thread, whose locks a child
+    would copy, the pairs are aligned in this process.  Each child aligns
+    one of :func:`_shares`, and this process reads their results in share
+    order.  A child's exception is raised as at ``jobs=1``; on any error
+    the children still running are killed, and no child outlives the call.
     """
     graphs = [(ev_graph, claim_graph, seed) for _, ev_graph, _, claim_graph, seed in pairs]
     work = [len(claim.nodes) ** 2 * len(ev.nodes) for ev, claim, _ in graphs]
-    workers = worker_count(jobs, work, usable_cpus())
-    if workers == 1 and (jobs == 1 or sum(work) < _WORK_TO_OVERLAP
-                         or not isinstance(backend, EmbeddingServiceBackend)):
+    service = isinstance(backend, EmbeddingServiceBackend)
+    workers = worker_count(jobs, work, usable_cpus() - service)
+    if (not hasattr(os, "fork") or threading.active_count() != 1
+            or workers == 1 and (jobs == 1 or not service or sum(work) < _WORK_TO_OVERLAP)):
         sims = _cosines(pairs, backend, names)
         return list(zip(_align_batch(graphs, cfg), sims))
-    size = -(-len(graphs) // (4 * workers))
-    pool = _pool(workers)
+    where = names or [f"pair {i}" for i in range(len(pairs))]
+    shares = _shares(work, workers)
+    children = []
     try:
-        chunks = [pool.submit(_align_batch, graphs[i:i + size], cfg)
-                  for i in range(0, len(graphs), size)]
+        for start, stop in shares:
+            children.append(_fork(graphs[start:stop], cfg))
         sims = _cosines(pairs, backend, names)
-        alignments = [result for chunk in chunks for result in chunk.result()]
+        alignments = [result for (_, read), (start, stop) in zip(children, shares)
+                      for result in _result(read, where[start], where[stop - 1])]
+    except BaseException:
+        import signal  # like pickle, loaded only where it is used
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
     return list(zip(alignments, sims))
 
 

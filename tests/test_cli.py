@@ -1,7 +1,6 @@
 import argparse
 import ast
 import builtins
-import concurrent.futures
 import copy
 import errno
 import functools
@@ -331,26 +330,28 @@ def test_permuting_a_claims_evidence_permutes_its_pairs(tmp_path):
 
 def test_explicit_jobs_starts_a_pool_and_the_default_does_not(
         fever_files, tmp_path, monkeypatch):
-    """The fixture batch is far below one worker's worth of work, so only
-    an explicit --jobs starts a pool: criterion 09 compares a real pool
-    with a serial run."""
+    """The fixture batch is far below one child's worth of work, so only
+    an explicit --jobs forks children: criterion 09 compares forked
+    children with a serial run."""
     if usable_cpus() < 2:
-        pytest.skip("a pool needs at least 2 usable CPUs")
-    real = concurrent.futures.ProcessPoolExecutor
-    started = []
+        pytest.skip("forking children needs at least 2 usable CPUs")
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        pytest.skip("verify forks no child here")
+    real, forks = os.fork, []
 
-    def spy(workers, *args, **kwargs):
-        started.append(workers)
-        return real(workers, *args, **kwargs)
+    def spy():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    # verdict imports the executor from concurrent.futures when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(os, "fork", spy)
     claims, amrs = fever_files
     for jobs in ([], ["--jobs", "8"]):
         assert dispatch(["verify", "--dataset", "fever", "--claims", claims,
                          "--amrs", amrs, "--backend", "test:dim=64",
                          "--out", str(tmp_path / "verdicts.jsonl"), *jobs]) == 0
-    assert len(started) == 1 and started[0] >= 2
+        assert len(forks) == (2 if jobs else 0)  # one child per pair
 
 
 def test_verify_missing_amr_is_domain_error(fever_files, tmp_path, capsys):
@@ -1284,12 +1285,28 @@ def _loaded_by(statement: str) -> set[str]:
 
 def test_cli_import_loads_no_http_library():
     """Nor the standard library's HTTP modules, which only a service call
-    imports, nor the process-pool modules, which only a pooled run imports."""
+    imports, nor a process-pool module."""
     loaded = _loaded_by("import amrex.cli")
     assert sorted(m for m in loaded
                   if m.split(".")[0] in ("requests", "urllib3", "multiprocessing")
-                  or m in ("concurrent.futures.process", "http.client",
+                  or m in ("concurrent.futures", "http.client",
                            "urllib.error", "urllib.request")) == []
+
+
+def test_a_forked_verify_loads_no_process_pool_module(fever_files, tmp_path):
+    """Children are forked by os.fork alone: a verify that forks two loads
+    neither multiprocessing nor concurrent.futures."""
+    if usable_cpus() < 2 or not hasattr(os, "fork"):
+        pytest.skip("verify forks no child here")
+    claims, amrs = fever_files
+    argv = ["verify", "--dataset", "fever", "--claims", claims, "--amrs", amrs,
+            "--backend", "test", "--jobs", "2", "--out", str(tmp_path / "v.jsonl")]
+    loaded = _loaded_by(
+        "import os; from amrex.cli import dispatch; forks = []; fork = os.fork; "
+        "os.fork = lambda: forks.append(1) or fork(); "
+        f"assert dispatch({argv!r}) == 0 and len(forks) == 2")
+    assert sorted(m for m in loaded if m.split(".")[0] == "multiprocessing"
+                  or m.startswith("concurrent.futures")) == []
 
 
 def test_each_module_imports_only_the_stages_before_it():

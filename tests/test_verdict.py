@@ -1,14 +1,16 @@
-import concurrent.futures
 import json
 import math
-import multiprocessing
+import os
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amrex import verdict
 from amrex.cli import dispatch
@@ -229,7 +231,7 @@ def test_a_text_missing_from_a_file_backend_names_its_pair(tmp_path):
 # a single thread: hashed vectors, and HTTP 500 for a request holding a text
 # that starts with "fail".
 _SERVICE = r"""
-import json, zlib
+import json, os, zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 class Handler(BaseHTTPRequestHandler):
@@ -250,21 +252,26 @@ class Handler(BaseHTTPRequestHandler):
         pass
 
 server = HTTPServer(("127.0.0.1", 0), Handler)
-print(server.server_port, flush=True)
+if os.fork():
+    os._exit(0)
+print(server.server_port, os.getpid(), flush=True)
 server.serve_forever()
 """
 
 
 @pytest.fixture(scope="module")
 def service_url():
-    proc = subprocess.Popen([sys.executable, "-c", _SERVICE], stdout=subprocess.PIPE,
-                            text=True)
+    """The service's URL.  The service runs in a grandchild of this
+    process, so a test can check that this process has no child left."""
+    launcher = subprocess.Popen([sys.executable, "-c", _SERVICE], stdout=subprocess.PIPE,
+                                text=True)
+    port, pid = launcher.stdout.readline().split()
+    launcher.wait()
+    launcher.stdout.close()
     try:
-        yield f"http://127.0.0.1:{proc.stdout.readline().strip()}"
+        yield f"http://127.0.0.1:{port}"
     finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
+        os.kill(int(pid), signal.SIGKILL)
 
 
 def _service_verify(tmp_path, url, failing=None):
@@ -287,33 +294,52 @@ def _service_verify(tmp_path, url, failing=None):
 
 
 @pytest.fixture
-def pool_methods(monkeypatch):
-    """The start method of each pool score_pairs makes, with the batch
-    work that pays for a service worker lowered to one unit."""
-    real = concurrent.futures.ProcessPoolExecutor
-    methods = []
+def forks(monkeypatch):
+    """The pid of each child os.fork makes, with the batch work that pays
+    for aligning in a child while a service embeds lowered to one unit."""
+    real, pids = os.fork, []
 
-    def spy(workers, mp_context, **kwargs):
-        methods.append(mp_context.get_start_method())
-        return real(workers, mp_context, **kwargs)
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    # verdict imports the executor from concurrent.futures when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(os, "fork", spy)
     monkeypatch.setattr(verdict, "_WORK_TO_OVERLAP", 1)
-    return methods
+    return pids
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_a_service_batch_aligns_in_a_worker_with_the_serial_bytes(
-        service_url, tmp_path, pool_methods, method):
-    """At the default --jobs a batch embedded by a service aligns in one
-    worker while this process embeds: a forked one while this process runs
-    a single thread, a spawned one while it runs another.  It writes the
-    bytes of --jobs 1, and no worker outlives the command."""
-    if "fork" not in multiprocessing.get_all_start_methods():
+def _reaped(pids) -> bool:
+    """Whether each of *pids* has ended and been reaped."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+def _forking():
+    """Skip unless score_pairs may fork here."""
+    if not hasattr(os, "fork"):
         pytest.skip("the platform cannot fork")
     if threading.active_count() != 1:
         pytest.skip("the test process already runs another thread")
+
+
+@pytest.mark.parametrize("threads", ["fork", "thread"])
+def test_a_service_batch_aligns_in_a_worker_with_the_serial_bytes(
+        service_url, tmp_path, monkeypatch, forks, threads):
+    """At the default --jobs a batch embedded by a service aligns in one
+    forked child on 2 CPUs, however much work it holds, while this process
+    embeds, if this process runs a single thread, and in this process
+    after embedding if it runs another.  It writes the bytes of --jobs 1,
+    and no child outlives the command."""
+    _forking()
+    monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(verdict, "_WORK_PER_WORKER", 1)
     argv = _service_verify(tmp_path, service_url)
 
     def rows(*jobs):
@@ -322,106 +348,163 @@ def test_a_service_batch_aligns_in_a_worker_with_the_serial_bytes(
         return out.read_bytes()
 
     serial = rows("--jobs", "1")
-    assert pool_methods == []
+    assert forks == []
     other = threading.Event()
     thread = threading.Thread(target=other.wait)
-    if method == "spawn":
+    if threads == "thread":
         thread.start()
     try:
         assert rows() == serial
     finally:
         other.set()
-        if method == "spawn":
+        if threads == "thread":
             thread.join(timeout=10)
     assert not thread.is_alive()
-    assert pool_methods == [method]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (threads == "fork")
+    assert _reaped(forks)
 
 
 def test_a_service_failing_mid_batch_ends_as_at_jobs_1(service_url, tmp_path, capsys,
-                                                       pool_methods):
-    """A request the service fails while a worker aligns gives the error of
-    --jobs 1, naming the pair, with exit 1; the pending alignment chunks
-    are dropped and no worker outlives the command."""
+                                                       forks):
+    """A request the service fails while a child aligns gives the error of
+    --jobs 1, naming the pair, with exit 1; the child is killed and reaped,
+    so this process has no child left."""
+    _forking()
     argv = _service_verify(tmp_path, service_url, failing=(8, 1))
     errors = []
     for jobs in (["--jobs", "1"], []):
         assert dispatch([*argv, *jobs]) == 1
         errors.append([line for line in capsys.readouterr().err.splitlines()
                        if line.startswith("error:")])
-    assert len(pool_methods) == 1
+    assert len(forks) == 1
     assert errors[0] == errors[1] == [
         "error: claim 'c8' / evidence 'c8-e0': embedding service returned HTTP 500"]
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_graphs_holding_their_tables_score_as_fresh_ones(monkeypatch, pool_methods, method):
+def _random_pairs(seed: int, n: int):
+    """*n* random graphs, and score_pairs' pairs of every two of them."""
+    rng = random.Random(seed)
+    graphs = [random_graph(rng, prefix=p) for p in "abcd"[:n]]
+    return graphs, [(f"evidence {i}", graphs[i], f"claim {j}", graphs[j],
+                     pair_seed(seed, str(j), str(i))) for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("threads", ["fork", "thread"])
+def test_graphs_holding_their_tables_score_as_fresh_ones(monkeypatch, forks, threads):
     """A graph keeps its alignment tables once a batch has built them, and
-    a pool worker gets its chunk of pairs, graphs and tables included, as
-    an argument: score_pairs run twice on the same pairs gives equal
-    results at jobs=1 and jobs=2, by a forked pool while this process runs
-    a single thread and by a spawned one while it runs another."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the platform cannot fork")
-    if threading.active_count() != 1:
-        pytest.skip("the test process already runs another thread")
+    a forked child inherits them: score_pairs run twice on the same pairs
+    gives equal results at jobs=1 and jobs=2, by two children per call if
+    this process runs a single thread, and in this process if it runs
+    another."""
+    _forking()
     monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
-    rng = random.Random(29)
-    graphs = [random_graph(rng, prefix=p) for p in "abcd"]
-    pairs = [(f"evidence {i}", graphs[i], f"claim {j}", graphs[j], pair_seed(7, str(j), str(i)))
-             for i in range(4) for j in range(4)]
+    graphs, pairs = _random_pairs(29, 4)
     backend = DeterministicTestBackend(dim=16)
     other = threading.Event()
     thread = threading.Thread(target=other.wait)
-    if method == "spawn":
+    if threads == "thread":
         thread.start()
     try:
         results = [verdict.score_pairs(pairs, backend, jobs=jobs) for jobs in (2, 1, 2, 1)]
     finally:
         other.set()
-        if method == "spawn":
+        if threads == "thread":
             thread.join(timeout=10)
     assert all(g._memo for g in graphs)
     assert results[0] == results[1] == results[2] == results[3]
-    assert pool_methods == [method, method]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 4 * (threads == "fork")
+    assert _reaped(forks)
 
 
-def test_a_pool_chunk_holds_graphs_and_seeds_but_no_text(monkeypatch):
-    """A worker aligns graphs under seeds and reads no text, so no text is
-    sent to it: each chunk score_pairs submits to its pool holds
-    ``(evidence graph, claim graph, seed)`` triples, the chunks in order
-    are the batch's, and the results are those of jobs=1."""
-    submitted = []
+def test_a_pool_chunk_holds_graphs_and_seeds_but_no_text(monkeypatch, forks):
+    """A child aligns graphs under seeds and reads no text: each share
+    score_pairs forks a child for holds ``(evidence graph, claim graph,
+    seed)`` triples, the shares in order are the batch's, and the results
+    are those of jobs=1."""
+    _forking()
+    real, shares = verdict._fork, []
 
-    class InlinePool:
-        """An executor that runs each chunk in this process as it is
-        submitted, recording the chunk."""
+    def spy(batch, cfg):
+        shares.append(batch)
+        return real(batch, cfg)
 
-        def __init__(self, workers):
-            pass
-
-        def submit(self, fn, chunk, *args):
-            submitted.append(chunk)
-            future = concurrent.futures.Future()
-            future.set_result(fn(chunk, *args))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(verdict, "_pool", InlinePool)
+    monkeypatch.setattr(verdict, "_fork", spy)
     monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
-    rng = random.Random(30)
-    graphs = [random_graph(rng, prefix=p) for p in "abc"]
-    pairs = [(f"evidence {i}", graphs[i], f"claim {j}", graphs[j], pair_seed(5, str(j), str(i)))
-             for i in range(3) for j in range(3)]
+    _, pairs = _random_pairs(30, 3)
     backend = DeterministicTestBackend(dim=16)
     assert (verdict.score_pairs(pairs, backend, jobs=2)
             == verdict.score_pairs(pairs, backend, jobs=1))
-    assert len(submitted) > 1
+    assert len(shares) == len(forks) == 2
     assert not any(isinstance(value, str)
-                   for chunk in submitted for item in chunk for value in item)
-    assert [item for chunk in submitted for item in chunk] == [
+                   for share in shares for item in share for value in item)
+    assert [item for share in shares for item in share] == [
         (ev_graph, claim_graph, seed) for _, ev_graph, _, claim_graph, seed in pairs]
+    assert _reaped(forks)
+
+
+def test_an_alignment_error_in_a_child_is_raised_as_at_jobs_1(monkeypatch, forks):
+    _forking()
+    monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
+    _, pairs = _random_pairs(31, 2)
+    backend = DeterministicTestBackend(dim=16)
+    for jobs in (1, 2):
+        with pytest.raises(ConfigError, match=r"^restarts must be >= 1, got 0$"):
+            verdict.score_pairs(pairs, backend, AlignConfig(restarts=0), jobs=jobs)
+    assert len(forks) == 2
+    assert _reaped(forks)
+
+
+def test_a_child_ending_without_a_result_is_a_typed_error(monkeypatch, tmp_path, capsys,
+                                                         forks):
+    """A child that ends before it writes its results (here by os._exit)
+    ends verify with exit 1 and an error naming the first and last pair
+    of its share, never a traceback, and no child outlives the command."""
+    _forking()
+    monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(verdict, "_align_batch", lambda batch, cfg: os._exit(3))
+    argv = _service_verify(tmp_path, "unused")
+    argv[-1] = "test"  # the backend
+    assert dispatch([*argv, "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the child aligning claim 'c0' / evidence 'c0-e0' to "
+        "claim 'c5' / evidence 'c5-e2' ended without a result"]
+    assert len(forks) == 2
+    assert _reaped(forks)
+
+
+def test_an_interrupt_while_embedding_kills_the_children(monkeypatch, forks):
+    """An exception in this process while the children align, here an
+    interrupt while embedding, kills and reaps them at once, rather than
+    waiting for them to finish, and reaches the caller."""
+    _forking()
+
+    class Interrupted(DeterministicTestBackend):
+        def embed(self, text, upcoming=()):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(verdict, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(verdict, "_align_batch", lambda batch, cfg: time.sleep(60))
+    _, pairs = _random_pairs(32, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verdict.score_pairs(pairs, Interrupted(dim=16), jobs=2)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    assert _reaped(forks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40), st.data())
+def test_shares_are_contiguous_cover_the_batch_and_balance_the_work(work, data):
+    n = data.draw(st.integers(1, len(work)))
+    shares = verdict._shares(work, n)
+    assert len(shares) == n
+    assert shares[0][0] == 0 and shares[-1][1] == len(work)
+    assert all(stop == start for (_, stop), (start, _) in zip(shares, shares[1:]))
+    assert all(start < stop for start, stop in shares)
+    for start, stop in shares:
+        assert sum(work[start:stop]) * n <= sum(work) + n * max(work)
